@@ -28,7 +28,7 @@ from . import __version__
 from .elliptical import RectangleProbSettings, TruncationBox, rectangle_prob
 from .errors import MomentNotDefinedError, NumericalError, SpecError
 from .oracle import estimate_mean_cov, sample_se_rejection, sample_truncated_gibbs
-from .risk import mtce, mtce_at_level, quantile_upper, tce, tce_sum_decomposed
+from .risk import _tce_with_quantile, mtce, mtce_at_level, tce_sum_decomposed
 from .selection import (
     SelectionSpec,
     SutParams,
@@ -230,8 +230,7 @@ def run(job: dict, command: str, seed_override: Optional[int] = None,
 
     if command == "tce":
         alpha = _num_in(job.get("alpha"))
-        y_alpha = quantile_upper(spec, alpha, settings)
-        value = tce(spec, alpha, settings)
+        value, y_alpha = _tce_with_quantile(spec, alpha, settings)
         return _result({"tce": value, "quantile": y_alpha, "alpha": alpha},
                        ("direct",), {})
 

@@ -134,7 +134,11 @@ class IndexPartition:
 
 @dataclass(frozen=True)
 class RectangleProbSettings:
-    """Budget and determinism knobs for the QMC rectangle integrator."""
+    """Budget and determinism knobs for the QMC rectangle integrator.
+
+    They apply from three dimensions up; one- and two-dimensional
+    rectangles are computed deterministically and ignore them.
+    """
 
     max_points: int = 20_000
     target_abs_error: float = 1e-6
@@ -376,12 +380,13 @@ def univariate_quantile(family: str, prob, nu: Optional[float] = None):
 
 def rectangle_prob(joint: EllipticalJoint, tbox: TruncationBox,
                    settings: RectangleProbSettings = DEFAULT_SETTINGS):
-    """``P(lower <= X <= upper)`` with a randomized-QMC error estimate.
+    """``P(lower <= X <= upper)`` with an error estimate.
 
     Coordinates whose limits are infinite on both sides are marginalised
     out before integration.  One remaining dimension is handled exactly via
-    the univariate cdf; higher dimensions go through the separation-of-
-    variables QMC integrator.  Results are deterministic for a fixed seed.
+    the univariate cdf and two via the exact bivariate routine; higher
+    dimensions go through the separation-of-variables QMC integrator.
+    Results are deterministic for a fixed seed.
     """
     if tbox.dim != joint.dim:
         raise SpecError("box dimension does not match the joint")

@@ -244,11 +244,21 @@ def sample_truncated_gibbs(joint: EllipticalJoint, tbox: TruncationBox, n: int,
                        n_chains=n_chains)
 
 
+def _whole_sweeps(values: np.ndarray, n_chains: int) -> np.ndarray:
+    """Gibbs rows ``(sweeps, chains, ...)``, the ragged last sweep dropped.
+
+    Draws are stored sweep by sweep, one row per chain, so a draw count
+    that does not divide over the chains ends in a partial sweep.
+    """
+    steps = values.shape[0] // n_chains
+    return values[:steps * n_chains].reshape(steps, n_chains, *values.shape[1:])
+
+
 def _batch_std_error(values: np.ndarray, n_chains: int) -> np.ndarray:
     """Standard error of the mean; batch means over chains for Gibbs output."""
     n = values.shape[0]
-    if n_chains > 1 and n % n_chains == 0:
-        per_chain = values.reshape(-1, n_chains, *values.shape[1:]).mean(axis=0)
+    if n_chains > 1 and n >= n_chains:
+        per_chain = _whole_sweeps(values, n_chains).mean(axis=0)
         return per_chain.std(axis=0, ddof=1) / np.sqrt(n_chains)
     return values.std(axis=0, ddof=1) / np.sqrt(n)
 
@@ -286,8 +296,8 @@ def estimate_mean_cov(batch: SampleBatch) -> dict:
     mean_se = _batch_std_error(x, chains)
     centred = x - mean
     cov = centred.T @ centred / (n - 1)
-    if chains > 1 and n % chains == 0:
-        d = centred.reshape(-1, chains, p)
+    if chains > 1 and n >= chains:
+        d = _whole_sweeps(centred, chains)
         chain_prod = np.einsum("sci,scj->cij", d, d) / d.shape[0]
         cov_se = chain_prod.std(axis=0, ddof=1) / np.sqrt(chains)
     else:

@@ -1,21 +1,27 @@
-"""Randomized quasi-Monte Carlo rectangle probabilities.
+"""Rectangle probabilities of centred normal and Student-t vectors.
 
-Separation-of-variables integration for multivariate normal and Student-t
-rectangle probabilities: the box probability is rewritten as an integral
-over the unit cube by sequentially conditioning along a reordered Cholesky
-factor, and the cube integral is evaluated with randomly shifted Richtmyer
-(Kronecker) lattice points.  The Student-t case adds one cube dimension
-that carries the chi scale mixing variable.
+One and two dimensions are computed deterministically.  One dimension is
+the univariate cdf.  Two dimensions use the exact bivariate normal cdf
+through Owen's T function (Owen 1956); the Student-t case integrates that
+cdf against the chi mixing law by tanh-sinh quadrature in the chi quantile
+(Genz 2004, *Stat. Comput.* 14).
+
+Three and more dimensions use separation-of-variables integration: the box
+probability is rewritten as an integral over the unit cube by sequentially
+conditioning along a reordered Cholesky factor, and the cube integral is
+evaluated with randomly shifted Richtmyer (Kronecker) lattice points.  The
+Student-t case adds one cube dimension that carries the chi scale mixing
+variable.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaincinv, ndtr, ndtri
+from scipy.special import gammainccinv, gammaincinv, ndtr, ndtri, owens_t
 
 from .errors import NumericalError
 
-__all__ = ["rect_prob_qmc"]
+__all__ = ["bivariate_rect_prob", "rect_prob_qmc"]
 
 # Square roots of the first 100 primes (mod 1) are the classic Richtmyer
 # generating vector; fixed here so results depend only on the seed.
@@ -38,6 +44,17 @@ def _generators(dim: int) -> np.ndarray:
     return np.mod(np.sqrt(_PRIMES[:dim].astype(float)), 1.0)
 
 
+def _standardise(sigma, lower, upper):
+    """Correlation matrix and limits in units of the coordinate scales."""
+    scale = np.sqrt(np.diag(sigma))
+    if np.any(scale <= 0.0) or not np.all(np.isfinite(scale)):
+        raise NumericalError("dispersion matrix has a non-positive diagonal")
+    corr = np.array(sigma, dtype=float)
+    corr /= scale[:, None]
+    corr /= scale[None, :]
+    return corr, lower / scale, upper / scale
+
+
 def _reordered_cholesky(sigma, lower, upper):
     """Scaled, reordered Cholesky factor plus matching limits.
 
@@ -48,18 +65,7 @@ def _reordered_cholesky(sigma, lower, upper):
     limits are rescaled so the factor has a unit diagonal.
     """
     n = sigma.shape[0]
-    cov = np.array(sigma, dtype=float)
-    lo = np.array(lower, dtype=float)
-    hi = np.array(upper, dtype=float)
-
-    scale = np.sqrt(np.diag(cov))
-    if np.any(scale <= 0.0) or not np.all(np.isfinite(scale)):
-        raise NumericalError("dispersion matrix has a non-positive diagonal")
-    cov /= scale[:, None]
-    cov /= scale[None, :]
-    with np.errstate(invalid="ignore"):
-        lo /= scale
-        hi /= scale
+    cov, lo, hi = _standardise(sigma, lower, upper)
 
     chol = np.zeros((n, n))
     y = np.zeros(n)
@@ -209,9 +215,199 @@ def _student_shift_means(chol, lo, hi, df, rows, lattice_key):
     return pv.mean(axis=1)
 
 
+# -- exact two-dimensional probabilities -------------------------------------
+
+# Rounding floor per unit of summed term magnitude.
+_ROUND = 16.0 * np.finfo(float).eps
+# Owen's form is replaced by the conditional rule where its rounding floor
+# exceeds this fraction of the probability.
+_TAIL_REL = 1e-9
+# Relative rounding floor of the conditional rule: the few-ulp errors of
+# ndtr and ndtri grow by the tail slopes, up to about 1e3 at the end nodes.
+_TAIL_ROUND = 4096.0 * np.finfo(float).eps
+
+
+def _tanh_sinh(step=1.0 / 16.0, half=51):
+    """Tanh-sinh rule on (0, 1) with nodes ``t = k * step``, ``|k| <= half``.
+
+    Returns, per node, whether it lies below 1/2, its distance to the nearer
+    end of the interval (free of cancellation at either end), its weight,
+    and whether it also belongs to the rule with twice the step.  With the
+    defaults, ``|t| <= 3.2`` and the mass left out is about 2e-17.
+    """
+    k = np.arange(-half, half + 1)
+    t = step * k
+    y = 0.5 * np.pi * np.sinh(t)
+    weight = step * 0.25 * np.pi * np.cosh(t) / np.cosh(y) ** 2
+    return t < 0.0, 1.0 / (1.0 + np.exp(2.0 * np.abs(y))), weight, k % 2 == 0
+
+
+_TS_LOW, _TS_DIST, _TS_WEIGHT, _TS_COARSE = _tanh_sinh()
+
+
+def _ts_sum(values, scale=1.0):
+    """Tanh-sinh sums over the last axis: the estimate and its gap to the
+    rule with twice the step."""
+    fine = scale * (values @ _TS_WEIGHT)
+    coarse = 2.0 * scale * (values[..., _TS_COARSE] @ _TS_WEIGHT[_TS_COARSE])
+    return fine, np.abs(fine - coarse)
+
+
+def _bvn_lower(h, k, r):
+    """``P(X <= h, Y <= k)`` of a standard bivariate normal, correlation ``r``.
+
+    Owen's (1956) form ``Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - beta``
+    with the infinite and zero limits taken explicitly.  Arrays broadcast.
+    Returns the value and the summed magnitude of its terms.
+    """
+    h, k, r = (np.array(v, dtype=float) for v in np.broadcast_arrays(h, k, r))
+    out = np.zeros(h.shape)
+    mag = np.zeros(h.shape)
+    empty = (h == -np.inf) | (k == -np.inf)
+    h_all = (h == np.inf) & ~empty
+    k_all = (k == np.inf) & ~empty & ~h_all
+    out[h_all] = ndtr(k[h_all])
+    out[k_all] = ndtr(h[k_all])
+    mag[h_all | k_all] = out[h_all | k_all]
+    fin = ~(empty | h_all | k_all)
+    h, k, r = h[fin], k[fin], r[fin]
+    c = np.sqrt((1.0 - r) * (1.0 + r))
+    zero = (h == 0.0) & (k == 0.0)
+    # beta = 1/2 exactly where the signs of h and k differ; it is folded
+    # into the positive limit's half cdf, Phi(x)/2 - 1/2 = -Phi(-x)/2.
+    split = h * k < 0.0
+    terms = []
+    for x, y in ((h, k), (k, h)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.where(x == 0.0, 0.0, (y - r * x) / (x * c))
+        half = np.where(split & (x > 0.0), -0.5 * ndtr(-x), 0.5 * ndtr(x))
+        tee = owens_t(x, a)
+        # A zero limit with the other limit nonzero contributes nothing:
+        # Phi(0)/2 - T(0, +-inf) - beta = 0 for either sign of the other.
+        terms.append(np.where(x == 0.0, 0.0, half - tee))
+        mag[fin] += np.abs(half) + np.abs(tee)
+    val = terms[0] + terms[1]
+    val[zero] = 0.25 + np.arcsin(r[zero]) / (2.0 * np.pi)
+    out[fin] = val
+    return out, mag
+
+
+def _reflect(lower, upper, r):
+    """Reflect each coordinate whose interval leans into the upper tail,
+    so that its limits sit in the accurate lower tail of ``ndtr``."""
+    with np.errstate(invalid="ignore"):
+        flip = (lower + upper) > 0.0
+    lo = np.where(flip, -upper, lower)
+    hi = np.where(flip, -lower, upper)
+    return lo, hi, r * np.where(flip[..., 0] ^ flip[..., 1], -1.0, 1.0)
+
+
+def _bvn_rect(lower, upper, r):
+    """``P(lower <= Z <= upper)`` for standard bivariate normal rows.
+
+    ``lower`` and ``upper`` are ``(..., 2)``; ``r`` broadcasts against the
+    leading shape.  Returns the probabilities and their rounding floors.
+    """
+    lo, hi, r = _reflect(lower, upper, r)
+    h = np.stack([hi[..., 0], lo[..., 0], hi[..., 0], lo[..., 0]])
+    k = np.stack([hi[..., 1], hi[..., 1], lo[..., 1], lo[..., 1]])
+    val, mag = _bvn_lower(h, k, r)
+    return val[0] - val[1] - val[2] + val[3], _ROUND * mag.sum(axis=0)
+
+
+def _bvn_rect_conditional(lower, upper, r):
+    """The rectangles of :func:`_bvn_rect` for ``(m, 2)`` rows and a scalar
+    correlation, by tanh-sinh quadrature of the conditional form.
+
+    The coordinate with the smaller mass is integrated on its probability
+    scale against the conditional interval probability of the other.  Every
+    node term is positive, so probabilities far below the rounding floor of
+    Owen's form keep their relative accuracy.
+    """
+    lo, hi, r = _reflect(lower, upper, r)
+    mass = ndtr(hi) - ndtr(lo)
+    order = np.where((mass[:, 0] > mass[:, 1])[:, None], [1, 0], [0, 1])
+    lo, hi, mass = (np.take_along_axis(v, order, axis=1) for v in (lo, hi, mass))
+    d = mass[:, :1]
+    v = np.where(_TS_LOW, ndtr(lo[:, :1]) + d * _TS_DIST, ndtr(hi[:, :1]) - d * _TS_DIST)
+    # End nodes can round to v = 0 or 1; keep x finite there.
+    x = np.clip(ndtri(v), -40.0, 40.0)
+    r = r[:, None]
+    c = np.sqrt((1.0 - r) * (1.0 + r))
+    zl = (lo[:, 1:] - r * x) / c
+    zh = (hi[:, 1:] - r * x) / c
+    with np.errstate(invalid="ignore"):
+        up = (zl + zh) > 0.0
+    inner = np.where(up, ndtr(-zl) - ndtr(-zh), ndtr(zh) - ndtr(zl))
+    prob, gap = _ts_sum(inner, d[:, 0])
+    return prob, gap + _TAIL_ROUND * prob
+
+
+def _chi_scales(df):
+    """``w = sqrt(chisq_df^{-1}(u) / df)`` at the tanh-sinh nodes."""
+    s = np.empty_like(_TS_DIST)
+    s[_TS_LOW] = gammaincinv(0.5 * df, _TS_DIST[_TS_LOW])
+    s[~_TS_LOW] = gammainccinv(0.5 * df, _TS_DIST[~_TS_LOW])
+    return np.sqrt(2.0 * s / df)
+
+
+def bivariate_rect_prob(rho, lower, upper, df=None):
+    """Exact rectangle probabilities of a standardised bivariate law.
+
+    Parameters
+    ----------
+    rho : float
+        Correlation shared by every row; ``1 - rho**2`` must exceed 1e-14.
+    lower, upper : (m, 2) arrays
+        Standardised limits (unit scales), one box per row; entries may be
+        infinite.
+    df : float, optional
+        Student-t degrees of freedom; ``None`` selects the normal kernel.
+
+    Returns
+    -------
+    (prob, err) : pair of (m,) arrays
+        Probabilities clipped to ``[0, 1]`` and error estimates.  The normal
+        kernel uses Owen's form, exact up to a rounding floor proportional to
+        the magnitude of the terms it sums; rows whose probability lies far
+        below that floor (deep joint tails) take the conditional tanh-sinh
+        rule instead when its estimate is smaller.  The Student-t kernel
+        integrates the normal rectangle over the chi quantile by tanh-sinh
+        quadrature; its estimate adds the gap to the rule with twice the
+        step, on the same nodes, to the rounding floor.
+    """
+    lower = np.atleast_2d(np.asarray(lower, dtype=float))
+    upper = np.atleast_2d(np.asarray(upper, dtype=float))
+    rho = float(rho)
+    if not 1.0 - rho * rho > 1e-14:
+        raise NumericalError("dispersion matrix is numerically singular")
+    if df is None:
+        prob, err = _bvn_rect(lower, upper, rho)
+        tail = np.flatnonzero(err > _TAIL_REL * prob)
+        if tail.size:
+            p_tail, e_tail = _bvn_rect_conditional(lower[tail], upper[tail], rho)
+            better = e_tail < err[tail]
+            prob[tail[better]] = p_tail[better]
+            err[tail[better]] = e_tail[better]
+    else:
+        w = _chi_scales(df)[:, None, None]
+        with np.errstate(invalid="ignore"):
+            lo = np.where(np.isinf(lower), lower, w * lower)
+            hi = np.where(np.isinf(upper), upper, w * upper)
+        vals, floor = _bvn_rect(lo, hi, rho)
+        prob, gap = _ts_sum(vals.T)
+        err = gap + floor.T @ _TS_WEIGHT
+    return np.clip(prob, 0.0, 1.0), err
+
+
 def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=20_000,
                   num_shifts=12, seed=7, target_abs_error=None):
     """Probability that a centred normal / Student-t vector lies in a box.
+
+    One and two dimensions are exact (the univariate cdf, and
+    :func:`bivariate_rect_prob`); the lattice settings ``max_points``,
+    ``num_shifts``, ``seed`` and ``target_abs_error`` apply from three
+    dimensions up.
 
     Parameters
     ----------
@@ -236,8 +432,9 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=20_000,
     Returns
     -------
     (prob, err) : pair of floats
-        Estimated probability (clipped to ``[0, 1]``) and an error bound of
-        three standard errors of the shift means.
+        Estimated probability (clipped to ``[0, 1]``) and an error bound:
+        three standard errors of the shift means from three dimensions up,
+        the estimate of :func:`bivariate_rect_prob` in two.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -247,7 +444,14 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=20_000,
     if np.any(lower > upper):
         raise NumericalError("lower limit exceeds upper limit")
 
-    chol, lo, hi = _reordered_cholesky(np.atleast_2d(sigma), lower, upper)
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    if n == 2:
+        # Two dimensions are exact as well; see bivariate_rect_prob.
+        corr, lo, hi = _standardise(sigma, lower, upper)
+        prob, err = bivariate_rect_prob(corr[0, 1], lo, hi, df)
+        return float(prob[0]), float(err[0])
+
+    chol, lo, hi = _reordered_cholesky(sigma, lower, upper)
 
     if n == 1:
         # One dimension is exact; no randomization error.

@@ -126,6 +126,11 @@ def quantile_upper(spec: SelectionSpec, alpha: float,
 def tce(spec: SelectionSpec, alpha: float,
         settings: RectangleProbSettings = DEFAULT_SETTINGS) -> float:
     """Tail conditional expectation ``E[Y | Y > y_alpha]`` at level alpha."""
+    return _tce_with_quantile(spec, alpha, settings)[0]
+
+
+def _tce_with_quantile(spec, alpha, settings):
+    """:func:`tce` and the quantile ``y_alpha`` it solves for."""
     if spec.n_outcome != 1:
         raise SpecError("tce is defined for univariate outcome specs")
     if spec.family != NORMAL and spec.nu <= 1.0:
@@ -133,7 +138,7 @@ def tce(spec: SelectionSpec, alpha: float,
     y_alpha = quantile_upper(spec, alpha, settings)
     tail = TruncationBox([y_alpha], [np.inf])
     rep = tse_mean_cov(spec, tail, settings)
-    return float(rep.require_mean()[0])
+    return float(rep.require_mean()[0]), y_alpha
 
 
 def mtce(spec: SelectionSpec, thresholds,

@@ -28,6 +28,7 @@ from .elliptical import (
     student_joint,
 )
 from .errors import MomentNotDefinedError, NumericalError, SpecError
+from .qmc import bivariate_rect_prob
 from .truncated import (
     MomentReport,
     _check_order,
@@ -286,6 +287,13 @@ def se_logpdf(spec: SelectionSpec, y,
         znum_hi = (hi[0] - cond_mean[0]) / sd
         znum_lo = (lo[0] - cond_mean[0]) / sd
         num = _uv_cdf(znum_hi, df_c) - _uv_cdf(znum_lo, df_c)
+    elif q == 2:
+        # Every row shares the Schur correlation; only the standardised
+        # limits differ, so one call covers all rows.
+        sd = np.sqrt(np.diag(schur)[:, None] * factors)
+        rho = schur[0, 1] / np.sqrt(schur[0, 0] * schur[1, 1])
+        num, _ = bivariate_rect_prob(rho, ((lo[:, None] - cond_mean) / sd).T,
+                                     ((hi[:, None] - cond_mean) / sd).T, df_c)
     else:
         num = np.empty(rows.shape[0])
         for i in range(rows.shape[0]):

@@ -167,7 +167,7 @@ class _Engine:
         return (tag, nu, sigma.tobytes(), lo.tobytes(), hi.tobytes())
 
     def prob(self, nu, sigma, lo, hi):
-        """Centred rectangle probability; exact in one dimension."""
+        """Centred rectangle probability; exact in one and two dimensions."""
         key = self._key("p", nu, sigma, lo, hi)
         hit = self.cache.get(key)
         if hit is not None:

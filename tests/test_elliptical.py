@@ -343,3 +343,151 @@ class TestRectangleProb:
         p, err = rectangle_prob(j, TruncationBox(np.full(3, -np.inf), hi))
         ref = multivariate_t(loc=xi, shape=cov, df=5.0, seed=1).cdf(hi)
         assert abs(p - ref) < 5e-4
+
+
+def _quad_rect(rho, lo, hi, nu=None):
+    """Conditional-form quadrature of a standardised bivariate rectangle."""
+    from scipy.stats import norm
+
+    c = np.sqrt(1.0 - rho * rho)
+    marg = norm if nu is None else tdist(nu)
+    cond = norm if nu is None else tdist(nu + 1.0)
+
+    def inner(x):
+        sc = c if nu is None else c * np.sqrt((nu + x * x) / (nu + 1.0))
+        zl, zh = (lo[1] - rho * x) / sc, (hi[1] - rho * x) / sc
+        if zl + zh > 0:
+            mass = cond.sf(zl) - cond.sf(zh)
+        else:
+            mass = cond.cdf(zh) - cond.cdf(zl)
+        return marg.pdf(x) * mass
+
+    # Split at the peak and, where the conditional law is sharp, at its steps.
+    steps = (lo[1] / rho, hi[1] / rho) if rho else ()
+    cuts = [v for v in (0.0,) + steps if lo[0] < v < hi[0]]
+    edges = [lo[0]] + sorted(cuts) + [hi[0]]
+    total = err = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        v, e = quad(inner, a, b, epsabs=0.0, epsrel=1e-13, limit=400)
+        total += v
+        err += e
+    return total, err
+
+
+class TestBivariateExact:
+    """Two-dimensional rectangles: Owen's T form and chi-quantile quadrature."""
+
+    BOXES = [
+        ([-0.7, -1.2], [1.1, 0.4]),
+        ([-np.inf, -0.5], [0.8, np.inf]),
+        ([0.3, -np.inf], [np.inf, -0.2]),
+        ([-2.5, 1.0], [-0.5, 3.0]),
+    ]
+
+    @staticmethod
+    def _prob(rho, lo, hi, nu=None):
+        from tse.qmc import bivariate_rect_prob
+
+        p, e = bivariate_rect_prob(rho, np.array([lo], float), np.array([hi], float), nu)
+        return p[0], e[0]
+
+    @pytest.mark.parametrize("nu", [None, 0.5, 3.0, 30.0])
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.5, 0.999999])
+    def test_orthant_closed_form(self, nu, rho):
+        exact = 0.25 + np.arcsin(rho) / (2 * np.pi)
+        p, _ = self._prob(rho, [0.0, 0.0], [np.inf, np.inf], nu)
+        assert p == pytest.approx(exact, abs=1e-14)
+        p, _ = self._prob(rho, [-np.inf, -np.inf], [0.0, 0.0], nu)
+        assert p == pytest.approx(exact, abs=1e-14)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.5, 4.0, 30.0, 1e6])
+    def test_student_against_quadrature(self, nu):
+        tol = 1e-12 if nu <= 300 else 1e-9
+        for rho in (-0.6, 0.35):
+            for lo, hi in self.BOXES:
+                p, err = self._prob(rho, lo, hi, nu)
+                ref, ref_err = _quad_rect(rho, lo, hi, nu)
+                assert abs(p - ref) <= tol
+                # The error estimate covers the gap to quadrature.
+                assert abs(p - ref) <= err + ref_err + 1e-15
+
+    def test_normal_against_quadrature(self):
+        for rho in (-0.6, 0.0, 0.35, 0.95):
+            for lo, hi in self.BOXES:
+                p, err = self._prob(rho, lo, hi)
+                ref, ref_err = _quad_rect(rho, lo, hi)
+                assert abs(p - ref) <= err + ref_err + 1e-15
+                assert abs(p - ref) <= 1e-14
+
+    @pytest.mark.parametrize("nu", [None, 4.0])
+    def test_zero_and_infinite_limits(self, nu):
+        from scipy.stats import norm
+
+        uv = norm.cdf if nu is None else (lambda z: tdist.cdf(z, nu))
+        rho = 0.4
+        # A free coordinate reduces to the univariate cdf.
+        p, _ = self._prob(rho, [-np.inf, -np.inf], [0.7, np.inf], nu)
+        assert p == pytest.approx(uv(0.7), abs=1e-14)
+        p, _ = self._prob(rho, [0.0, -np.inf], [np.inf, np.inf], nu)
+        assert p == pytest.approx(0.5, abs=1e-14)
+        # One limit at zero, the other finite, against quadrature.
+        for lo, hi in (([0.0, -np.inf], [np.inf, 1.3]), ([-np.inf, -0.8], [0.0, 0.0])):
+            p, _ = self._prob(rho, lo, hi, nu)
+            assert p == pytest.approx(_quad_rect(rho, lo, hi, nu)[0], abs=1e-12)
+        # An empty side gives zero.
+        p, _ = self._prob(rho, [-np.inf, -np.inf], [-np.inf, 1.0], nu)
+        assert p == 0.0
+
+    @pytest.mark.parametrize("rho", [0.999999, -0.999999])
+    def test_near_singular_correlation(self, rho):
+        for lo, hi in (([-np.inf, -np.inf], [0.5, 0.3]), ([-1.0, -0.5], [1.2, 2.0])):
+            p, err = self._prob(rho, lo, hi)
+            ref, ref_err = _quad_rect(rho, lo, hi)
+            assert abs(p - ref) <= err + ref_err + 1e-14
+        # Four quadrants around a point partition the plane.
+        h, k = 0.3, -0.2
+        total = sum(self._prob(rho, lo, hi)[0] for lo, hi in (
+            ([-np.inf, -np.inf], [h, k]), ([h, -np.inf], [np.inf, k]),
+            ([-np.inf, k], [h, np.inf]), ([h, k], [np.inf, np.inf])))
+        assert total == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("nu", [None, 4.0])
+    def test_zero_width_box_is_zero(self, nu):
+        p, err = self._prob(0.3, [0.5, -1.0], [0.5, 2.0], nu)
+        assert p == 0.0
+
+    def test_deep_tails_keep_relative_accuracy(self):
+        from scipy.stats import norm
+
+        p, err = self._prob(0.0, [20.0, 20.0], [np.inf, np.inf])
+        assert p == pytest.approx(norm.sf(20.0) ** 2, rel=1e-12, abs=0)
+        assert err < 1e-11 * p
+        for rho, lo, hi in ((0.3, [-np.inf, 2.0], [-8.0, np.inf]),
+                            (0.0, [-np.inf, -np.inf], [-1.0, -10.0]),
+                            (-0.9, [-np.inf, -np.inf], [-5.0, -5.0])):
+            p, err = self._prob(rho, lo, hi)
+            ref, ref_err = _quad_rect(rho, lo, hi)
+            assert p == pytest.approx(ref, rel=1e-9, abs=0)
+            assert abs(p - ref) <= err + ref_err
+
+    def test_stack_matches_rows_and_is_deterministic(self):
+        from tse.qmc import bivariate_rect_prob
+
+        lo = np.array([b[0] for b in self.BOXES], float)
+        hi = np.array([b[1] for b in self.BOXES], float)
+        for nu in (None, 4.0):
+            p, e = bivariate_rect_prob(0.35, lo, hi, nu)
+            p2, e2 = bivariate_rect_prob(0.35, lo, hi, nu)
+            assert np.array_equal(p, p2) and np.array_equal(e, e2)
+            rows = [self._prob(0.35, a, b, nu)[0] for a, b in self.BOXES]
+            np.testing.assert_allclose(p, rows, rtol=0, atol=1e-15)
+
+    def test_rectangle_prob_routes_two_dimensions(self):
+        j = student_joint([0.3, -0.2], [[2.0, 0.6], [0.6, 1.5]], 5.0)
+        b = TruncationBox([-1.0, 0.0], [2.0, np.inf])
+        p, err = rectangle_prob(j, b)
+        sd = np.sqrt([2.0, 1.5])
+        ref, _ = _quad_rect(0.6 / (sd[0] * sd[1]), (b.lower - j.xi) / sd,
+                            (b.upper - j.xi) / sd, 5.0)
+        assert abs(p - ref) < 1e-13 and err < 1e-12
+        assert rectangle_prob(j, b, RectangleProbSettings(seed=99)) == (p, err)

@@ -144,3 +144,23 @@ class TestEstimators:
         est = estimate_mean_cov(batch)
         manual = ((draws - draws.mean(0)) ** 2).sum() / (200 - 1)
         assert est["cov"].value[0, 0] == pytest.approx(manual, rel=1e-12)
+
+    def test_gibbs_std_error_matches_spread_across_seeds(self):
+        # A draw count that leaves a partial last sweep over the chains must
+        # still get batch-means standard errors: strongly correlated chains
+        # make an iid standard error about 0.6 times the true spread here.
+        j = student_joint([0.0, 0.0], [[1.0, 0.95], [0.95, 1.0]], 1.5)
+        b = TruncationBox([-1.0, -1.0], [1.0, 2.0])
+        means, mean_se, covs, cov_se = [], [], [], []
+        for seed in range(40):
+            batch = sample_truncated_gibbs(j, b, 64 * 150 + 37, burn_in=300,
+                                           seed=seed, n_chains=64)
+            est = estimate_mean_cov(batch)
+            means.append(est["mean"].value)
+            mean_se.append(est["mean"].std_error)
+            covs.append(np.diag(est["cov"].value))
+            cov_se.append(np.diag(est["cov"].std_error))
+        ratio_mean = np.median(mean_se, axis=0) / np.std(means, axis=0, ddof=1)
+        ratio_cov = np.median(cov_se, axis=0) / np.std(covs, axis=0, ddof=1)
+        assert np.all((ratio_mean > 0.75) & (ratio_mean < 1.6)), ratio_mean
+        assert np.all((ratio_cov > 0.75) & (ratio_cov < 1.6)), ratio_cov

@@ -188,6 +188,42 @@ class TestDensities:
                                  seed=5).cdf(np.zeros(2))
             assert mine == pytest.approx(dens * num / den, rel=2e-4)
 
+    @pytest.mark.parametrize("df", [4.0, None])
+    def test_two_dim_selection_matches_per_row_loop(self, df):
+        # The q = 2 density evaluates all rows in one stacked call; the
+        # reference builds each row's conditional law and calls
+        # rectangle_prob on it.
+        from dataclasses import replace
+
+        from tse.elliptical import normal_joint
+
+        spec = build_selection(replace(EX5, df=df))
+        rng = np.random.default_rng(11)
+        ys = rng.standard_normal((200, 2)) * [1.5, 3.0]
+        q = 2
+        omega, xi = spec.joint.omega, spec.joint.xi
+        o12, o22 = omega[:q, q:], omega[q:, q:]
+        schur = omega[:q, :q] - o12 @ np.linalg.solve(o22, o12.T)
+        schur = 0.5 * (schur + schur.T)
+        den = selection_probability(spec)
+        sel_box = TruncationBox(spec.selection_lower, spec.selection_upper)
+        ref = np.empty(len(ys))
+        for i, y in enumerate(ys):
+            sol = np.linalg.solve(o22, y - xi[q:])
+            m = xi[:q] + o12 @ sol
+            if df is None:
+                cond = normal_joint(m, schur)
+                dens = np.exp(-0.5 * (y - xi[q:]) @ sol) / (
+                    2 * np.pi * np.sqrt(np.linalg.det(o22)))
+            else:
+                cond = student_joint(m, schur * (df + (y - xi[q:]) @ sol) / (df + 2.0),
+                                     df + 2.0)
+                from scipy.stats import multivariate_t
+
+                dens = multivariate_t(loc=xi[q:], shape=o22, df=df).pdf(y)
+            ref[i] = dens * rectangle_prob(cond, sel_box)[0] / den
+        np.testing.assert_allclose(se_pdf(spec, ys), ref, rtol=0, atol=1e-14)
+
 
 class TestTseMoments:
     def test_zero_order(self):
