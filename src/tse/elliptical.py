@@ -136,7 +136,7 @@ class IndexPartition:
 class RectangleProbSettings:
     """Budget and determinism knobs for the QMC rectangle integrator.
 
-    They apply from three dimensions up; one- and two-dimensional
+    They apply from four dimensions up; one- to three-dimensional
     rectangles are computed deterministically and ignore them.
     """
 
@@ -260,7 +260,7 @@ def conditional(joint: EllipticalJoint, given: Sequence[int], value) -> Elliptic
         gain = np.linalg.solve(o_gg, o_kg.T).T
     except np.linalg.LinAlgError:
         raise NumericalError("given-block dispersion is singular")
-    xi = joint.xi[keep] + o_kg @ np.linalg.solve(o_gg, value - joint.xi[given])
+    xi = joint.xi[keep] + o_kg @ solve
     schur = o_kk - gain @ o_kg.T
     schur = 0.5 * (schur + schur.T)
     if joint.family == NORMAL:
@@ -384,8 +384,9 @@ def rectangle_prob(joint: EllipticalJoint, tbox: TruncationBox,
 
     Coordinates whose limits are infinite on both sides are marginalised
     out before integration.  One remaining dimension is handled exactly via
-    the univariate cdf and two via the exact bivariate routine; higher
-    dimensions go through the separation-of-variables QMC integrator.
+    the univariate cdf, two via the exact bivariate routine and three by
+    quadrature of that routine; higher dimensions go through the
+    separation-of-variables QMC integrator.
     Results are deterministic for a fixed seed.
     """
     if tbox.dim != joint.dim:

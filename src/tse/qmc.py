@@ -1,12 +1,15 @@
 """Rectangle probabilities of centred normal and Student-t vectors.
 
-One and two dimensions are computed deterministically.  One dimension is
+One to three dimensions are computed deterministically.  One dimension is
 the univariate cdf.  Two dimensions use the exact bivariate normal cdf
 through Owen's T function (Owen 1956); the Student-t case integrates that
 cdf against the chi mixing law by tanh-sinh quadrature in the chi quantile
-(Genz 2004, *Stat. Comput.* 14).
+(Genz 2004, *Stat. Comput.* 14).  Three dimensions integrate the exact
+bivariate rectangle of two coordinates, conditional on the third, by
+tanh-sinh quadrature on the third coordinate's probability scale (Genz
+2004 again).
 
-Three and more dimensions use separation-of-variables integration: the box
+Four and more dimensions use separation-of-variables integration: the box
 probability is rewritten as an integral over the unit cube by sequentially
 conditioning along a reordered Cholesky factor, and the cube integral is
 evaluated with randomly shifted Richtmyer (Kronecker) lattice points.  The
@@ -17,7 +20,7 @@ variable.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammainccinv, gammaincinv, ndtr, ndtri, owens_t
+from scipy.special import gammainccinv, gammaincinv, ndtr, ndtri, owens_t, stdtr, stdtrit
 
 from .errors import NumericalError
 
@@ -292,13 +295,24 @@ def _bvn_lower(h, k, r):
     return out, mag
 
 
-def _reflect(lower, upper, r):
-    """Reflect each coordinate whose interval leans into the upper tail,
-    so that its limits sit in the accurate lower tail of ``ndtr``."""
+def _lower_tail(lower, upper):
+    """Reflect each interval that leans into the upper tail, so that its
+    limits sit in the accurate lower tail of the cdf.  Returns which
+    intervals were reflected and the new limits."""
     with np.errstate(invalid="ignore"):
         flip = (lower + upper) > 0.0
-    lo = np.where(flip, -upper, lower)
-    hi = np.where(flip, -lower, upper)
+    return flip, np.where(flip, -upper, lower), np.where(flip, -lower, upper)
+
+
+def _cdf(z, df=None):
+    """Standard normal (``df`` None) or Student-t cdf."""
+    return ndtr(z) if df is None else stdtr(df, z)
+
+
+def _reflect(lower, upper, r):
+    """:func:`_lower_tail` for ``(..., 2)`` limits, with the correlation
+    ``r`` negated where exactly one coordinate was reflected."""
+    flip, lo, hi = _lower_tail(lower, upper)
     return lo, hi, r * np.where(flip[..., 0] ^ flip[..., 1], -1.0, 1.0)
 
 
@@ -400,14 +414,101 @@ def bivariate_rect_prob(rho, lower, upper, df=None):
     return np.clip(prob, 0.0, 1.0), err
 
 
+def _uv_mass(lower, upper, df=None):
+    """Univariate interval probabilities of the standard normal (``df`` None)
+    or Student-t law, each interval reflected into the lower tail first so
+    that upper-tail masses keep their relative accuracy."""
+    _, lo, hi = _lower_tail(lower, upper)
+    return _cdf(hi, df) - _cdf(lo, df)
+
+
+# -- exact three-dimensional probabilities -----------------------------------
+
+# Largest |x| kept at the outer Student-t nodes: end nodes whose probability
+# rounds to 0 or 1 would otherwise map to an infinite coordinate.
+_T_NODE_CAP = 1e150
+# The outer rule is split where an inner limit's conditional cdf steps
+# sharply, at ``x = limit / r_j``: steps narrower than ``_STEP_WIDTH`` in
+# ``x`` get edges at the step and ``_STEP_SPAN`` widths either side of it.
+_STEP_WIDTH = 0.25
+_STEP_SPAN = 8.0
+
+
+def _trivariate_rect(corr, lower, upper, df=None):
+    """``P(lower <= Z <= upper)`` for a standardised trivariate law.
+
+    Every coordinate is reflected into its lower tail, and the one with the
+    smallest marginal mass is integrated on its probability scale by the
+    tanh-sinh rule.  Given ``Z_1 = x`` the other two are bivariate with
+    correlation ``(r23 - r21 r31) / (s2 s3)``, ``s_j = sqrt(1 - r_j1**2)``,
+    centred at ``r_j1 x`` with scales ``s_j``; for the Student-t kernel they
+    have ``df + 1`` degrees of freedom and scales multiplied by
+    ``sqrt((df + x**2) / (df + 1))``.  The correlation is the same at every
+    node, so one :func:`bivariate_rect_prob` call covers the inner integral.
+    Where a strong correlation makes an inner limit step sharply in ``x``,
+    the outer interval is split at the step and on either side of it, so
+    that each piece of the rule sees a smooth integrand.  The error
+    estimate is the outer step gaps plus the weighted inner estimates and a
+    relative rounding floor.
+    """
+    flip, lo, hi = _lower_tail(lower, upper)
+    sign = np.where(flip, -1.0, 1.0)
+    corr = corr * np.outer(sign, sign)
+    mass = _cdf(hi, df) - _cdf(lo, df)
+    first = int(np.argmin(mass))
+    if not mass[first] > 0.0:
+        return 0.0, 0.0
+    rest = [j for j in range(3) if j != first]
+    r = corr[rest, first]
+    s2 = (1.0 - r) * (1.0 + r)
+    if np.any(s2 <= 1e-14):
+        raise NumericalError("dispersion matrix is numerically singular")
+    s = np.sqrt(s2)
+    rho = (corr[rest[0], rest[1]] - r[0] * r[1]) / (s[0] * s[1])
+
+    steps = []
+    for j in range(2):
+        for limit in (lo[rest[j]], hi[rest[j]]):
+            if not (np.isfinite(limit) and r[j] != 0.0):
+                continue
+            at = limit / r[j]
+            step = s[j] / abs(r[j])
+            if df is not None:
+                step *= np.sqrt((df + at * at) / (df + 1.0))
+            if step < _STEP_WIDTH:
+                steps += [at - _STEP_SPAN * step, at, at + _STEP_SPAN * step]
+    steps = np.unique([x for x in steps if lo[first] < x < hi[first]])
+    edges = _cdf(np.concatenate([lo[first:first + 1], steps, hi[first:first + 1]]), df)
+    width = np.diff(edges)
+    v = np.where(_TS_LOW, edges[:-1, None] + width[:, None] * _TS_DIST,
+                 edges[1:, None] - width[:, None] * _TS_DIST).ravel()
+    if df is None:
+        x = np.clip(ndtri(v), -40.0, 40.0)
+        scale = s
+    else:
+        # stdtrit maps a probability of exactly 0 to +inf.
+        x = stdtrit(df, np.maximum(v, np.finfo(float).tiny))
+        x = np.clip(x, -_T_NODE_CAP, _T_NODE_CAP)
+        scale = s * np.sqrt((df + x * x) / (df + 1.0))[:, None]
+    shift = r * x[:, None]
+    inner, inner_err = bivariate_rect_prob(
+        rho, (lo[rest] - shift) / scale, (hi[rest] - shift) / scale,
+        None if df is None else df + 1.0)
+    shape = (width.size, _TS_WEIGHT.size)
+    prob, gap = _ts_sum(inner.reshape(shape), width)
+    inner_err = width * (inner_err.reshape(shape) @ _TS_WEIGHT)
+    prob = prob.sum()
+    return prob, gap.sum() + inner_err.sum() + _TAIL_ROUND * prob
+
+
 def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=20_000,
                   num_shifts=12, seed=7, target_abs_error=None):
     """Probability that a centred normal / Student-t vector lies in a box.
 
-    One and two dimensions are exact (the univariate cdf, and
-    :func:`bivariate_rect_prob`); the lattice settings ``max_points``,
-    ``num_shifts``, ``seed`` and ``target_abs_error`` apply from three
-    dimensions up.
+    One to three dimensions are exact (the univariate cdf,
+    :func:`bivariate_rect_prob`, and tanh-sinh quadrature of the bivariate
+    form in three); the lattice settings ``max_points``, ``num_shifts``,
+    ``seed`` and ``target_abs_error`` apply from four dimensions up.
 
     Parameters
     ----------
@@ -433,8 +534,8 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=20_000,
     -------
     (prob, err) : pair of floats
         Estimated probability (clipped to ``[0, 1]``) and an error bound:
-        three standard errors of the shift means from three dimensions up,
-        the estimate of :func:`bivariate_rect_prob` in two.
+        three standard errors of the shift means from four dimensions up,
+        the quadrature estimate in two and three.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -445,19 +546,19 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=20_000,
         raise NumericalError("lower limit exceeds upper limit")
 
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if n == 2:
-        # Two dimensions are exact as well; see bivariate_rect_prob.
+    if n <= 3:
+        # One to three dimensions are exact; no randomization error.
         corr, lo, hi = _standardise(sigma, lower, upper)
-        prob, err = bivariate_rect_prob(corr[0, 1], lo, hi, df)
-        return float(prob[0]), float(err[0])
+        if n == 1:
+            prob, err = _uv_mass(lo[0], hi[0], df), 1e-15
+        elif n == 2:
+            prob, err = bivariate_rect_prob(corr[0, 1], lo, hi, df)
+            prob, err = prob[0], err[0]
+        else:
+            prob, err = _trivariate_rect(corr, lo, hi, df)
+        return float(min(max(prob, 0.0), 1.0)), float(err)
 
     chol, lo, hi = _reordered_cholesky(sigma, lower, upper)
-
-    if n == 1:
-        # One dimension is exact; no randomization error.
-        from .elliptical import _uv_cdf  # local import avoids a cycle
-        p = _uv_cdf(hi[0], df) - _uv_cdf(lo[0], df)
-        return float(min(max(p, 0.0), 1.0)), 1e-15
 
     qmc_dim = n - 1 if df is None else n
 

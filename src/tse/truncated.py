@@ -36,13 +36,12 @@ from .elliptical import (
     IndexPartition,
     RectangleProbSettings,
     TruncationBox,
-    _uv_cdf,
     _uv_interval_logprob,
     conditional,
     marginal,
 )
 from .errors import MomentNotDefinedError, NumericalError, SpecError
-from .qmc import rect_prob_qmc
+from .qmc import _uv_mass, rect_prob_qmc
 
 __all__ = [
     "ExistenceFlags",
@@ -61,6 +60,9 @@ __all__ = [
 # Marginal log-probability below which a coordinate block counts as
 # out of bounds in double precision.
 OOB_LOG_THRESHOLD = float(np.log(1e-250))
+# Largest far-to-near width, relative to the near limit's distance from the
+# location, at which an out-of-bounds Student-t coordinate still collapses.
+OOB_T_REL_WIDTH = 1e-6
 
 DEFAULT_ORDER_CAP = 8
 
@@ -167,7 +169,7 @@ class _Engine:
         return (tag, nu, sigma.tobytes(), lo.tobytes(), hi.tobytes())
 
     def prob(self, nu, sigma, lo, hi):
-        """Centred rectangle probability; exact in one and two dimensions."""
+        """Centred rectangle probability; exact in one to three dimensions."""
         key = self._key("p", nu, sigma, lo, hi)
         hit = self.cache.get(key)
         if hit is not None:
@@ -178,7 +180,7 @@ class _Engine:
         elif keep.size == 1:
             i = keep[0]
             s = np.sqrt(sigma[i, i])
-            out = float(_uv_cdf(hi[i] / s, nu) - _uv_cdf(lo[i] / s, nu))
+            out = float(_uv_mass(lo[i] / s, hi[i] / s, nu))
             out = min(max(out, 0.0), 1.0)
         else:
             # Face probabilities keep the single-pass budget: the assembled
@@ -380,11 +382,16 @@ def _oob_target(joint, tbox, idx):
     """Finite limit each out-of-bounds coordinate collapses onto.
 
     The collapse treats the block as numerically a point at its near
-    limits.  A Student-t coordinate whose far limit is infinite breaks that
-    premise: given ``X > c`` the overshoot ``X / c`` tends to a Pareto(nu)
-    law as ``c`` grows, so the conditional mean, measured from the
-    location, stays a factor ``nu / (nu - 1)`` past the near limit.  Such
-    blocks raise ``NumericalError`` instead of returning the boundary law.
+    limits.  A Student-t coordinate breaks that premise unless its far limit
+    lies within ``OOB_T_REL_WIDTH`` (1e-6) of the near limit, relative to
+    the near limit's distance from the location: given ``X > c`` the
+    overshoot ``X / c`` tends to a Pareto(nu) law as ``c`` grows, so the
+    conditional mean, measured from the location, stays a fixed factor past
+    the near limit whenever the far limit is of the order of the near one
+    (``nu / (nu - 1)`` for an infinite far limit).  Such blocks raise
+    ``NumericalError`` instead of returning the boundary law; within the
+    tolerance, the collapsed mean is off by less than that relative width.
+    Normal kernels collapse whatever the far limit.
     """
     target = np.empty(len(idx))
     for j, i in enumerate(idx):
@@ -395,11 +402,12 @@ def _oob_target(joint, tbox, idx):
             target[j], far = lo_i, hi_i
         if not np.isfinite(target[j]):
             raise NumericalError("out-of-bounds coordinate has no finite near limit")
-        if joint.family != NORMAL and np.isinf(far):
+        if joint.family != NORMAL and not (
+                abs(far - target[j]) <= OOB_T_REL_WIDTH * abs(target[j] - joint.xi[i])):
             raise NumericalError(
-                "out-of-bounds Student-t coordinate has an infinite far limit; "
-                "its overshoot past the near limit does not vanish, so the "
-                "block cannot be collapsed onto a point")
+                "out-of-bounds Student-t coordinate has a far limit of the order "
+                "of its near limit; its overshoot past the near limit does not "
+                "vanish, so the block cannot be collapsed onto a point")
     return target
 
 
@@ -466,8 +474,9 @@ def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
                             rep.method + ("degenerate",), rep.notes)
 
     # Out-of-bounds coordinates: collapse onto the near limit (the box mass
-    # underflows, so the block is numerically a point; Student-t blocks with
-    # an infinite far limit raise instead, see _oob_target).
+    # underflows, so the block is numerically a point; Student-t blocks whose
+    # far limit is not within OOB_T_REL_WIDTH of the near one raise instead,
+    # see _oob_target).
     oob = _scan_out_of_bounds(joint, tbox)
     if oob:
         target = _oob_target(joint, tbox, oob)
@@ -667,7 +676,8 @@ def moments_out_of_bounds(joint: EllipticalJoint, tbox: TruncationBox,
 
     The block collapses onto its finite near limits; the ``set_one`` block
     is computed as truncated moments of the law conditioned on that point.
-    A Student-t block with an infinite far limit raises ``NumericalError``.
+    A Student-t block whose far limit is not within ``OOB_T_REL_WIDTH`` of
+    its near limit (see :func:`_oob_target`) raises ``NumericalError``.
     """
     idx2 = list(partition.set_two)
     if not idx2:

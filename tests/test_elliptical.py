@@ -491,3 +491,179 @@ class TestBivariateExact:
                             (b.upper - j.xi) / sd, 5.0)
         assert abs(p - ref) < 1e-13 and err < 1e-12
         assert rectangle_prob(j, b, RectangleProbSettings(seed=99)) == (p, err)
+
+
+def _quad_rect3(corr, lo, hi, nu=None):
+    """Nested quadrature of a standardised trivariate rectangle.
+
+    The outer and middle integrals run over the probability scales of the
+    first coordinate and of the second given the first; the third enters
+    through its conditional interval probability given both.
+    """
+    from scipy.special import ndtr, ndtri, stdtr, stdtrit
+
+    def cdf(z, df):
+        return ndtr(z) if nu is None else stdtr(df, z)
+
+    def ppf(u, df):
+        return ndtri(u) if nu is None else stdtrit(df, u)
+
+    corr, lo, hi = (np.asarray(v, dtype=float) for v in (corr, lo, hi))
+    c12 = corr[:2, :2]
+    beta = np.linalg.solve(c12, corr[:2, 2])
+    s3 = np.sqrt(1.0 - beta @ corr[:2, 2])
+    s2 = np.sqrt(1.0 - corr[0, 1] ** 2)
+    inv12 = np.linalg.inv(c12)
+    df = [nu, None if nu is None else nu + 1.0, None if nu is None else nu + 2.0]
+
+    def mass(a, b, k):
+        # Interval probability, reflected into the lower tail.
+        if a + b > 0:
+            a, b = -b, -a
+        return cdf(b, df[k]) - cdf(a, df[k])
+
+    def inner(v, x):
+        sc = s2 if nu is None else s2 * np.sqrt((nu + x * x) / (nu + 1.0))
+        y = corr[0, 1] * x + sc * ppf(v, df[1])
+        xy = np.array([x, y])
+        sc = s3 if nu is None else s3 * np.sqrt((nu + xy @ inv12 @ xy) / (nu + 2.0))
+        return mass((lo[2] - beta @ xy) / sc, (hi[2] - beta @ xy) / sc, 2)
+
+    def outer(u):
+        x = ppf(u, df[0])
+        sc = s2 if nu is None else s2 * np.sqrt((nu + x * x) / (nu + 1.0))
+        a, b = (cdf((lim - corr[0, 1] * x) / sc, df[1]) for lim in (lo[1], hi[1]))
+        return _split_quad(lambda v: inner(v, x), a, b)[0] if b > a else 0.0
+
+    return _split_quad(outer, cdf(lo[0], df[0]), cdf(hi[0], df[0]))
+
+
+def _split_quad(f, a, b):
+    """``quad`` over ``[a, b]`` split at 1/2; the value and error estimate."""
+    edges = [a] + ([0.5] if a < 0.5 < b else []) + [b]
+    parts = [quad(f, u, v, epsabs=0.0, epsrel=1e-12, limit=200)
+             for u, v in zip(edges[:-1], edges[1:])]
+    return sum(p[0] for p in parts), sum(p[1] for p in parts)
+
+
+class TestTrivariateExact:
+    """Three-dimensional rectangles: tanh-sinh quadrature of the bivariate form."""
+
+    CORR = np.array([[1.0, 0.45, -0.3], [0.45, 1.0, 0.2], [-0.3, 0.2, 1.0]])
+    BOXES = [
+        ([-0.7, -1.2, -0.4], [1.1, 0.4, 2.0]),
+        ([0.4, -2.0, -0.9], [2.5, 0.1, 1.3]),
+    ]
+
+    @staticmethod
+    def _prob(corr, lo, hi, nu=None):
+        from tse.qmc import rect_prob_qmc
+
+        return rect_prob_qmc(corr, np.asarray(lo, float), np.asarray(hi, float), nu)
+
+    @pytest.mark.parametrize("nu", [None, 0.5, 3.0, 30.0])
+    @pytest.mark.parametrize("r", [(0.5, 0.5, 0.5), (-0.3, 0.6, 0.1), (0.9, -0.45, -0.7)])
+    def test_orthant_closed_form(self, nu, r):
+        corr = np.array([[1.0, r[0], r[1]], [r[0], 1.0, r[2]], [r[1], r[2], 1.0]])
+        exact = 0.125 + np.arcsin(r).sum() / (4 * np.pi)
+        p, _ = self._prob(corr, [0.0] * 3, [np.inf] * 3, nu)
+        assert p == pytest.approx(exact, abs=1e-14)
+        p, _ = self._prob(corr, [-np.inf] * 3, [0.0] * 3, nu)
+        assert p == pytest.approx(exact, abs=1e-14)
+
+    @pytest.mark.parametrize("nu", [None, 0.5, 1.0, 2.5, 5.0, 30.0, 1e6])
+    def test_against_nested_quadrature(self, nu):
+        tol = 1e-12 if nu is None else (1e-10 if nu <= 300 else 1e-9)
+        for lo, hi in self.BOXES:
+            p, err = self._prob(self.CORR, lo, hi, nu)
+            ref, ref_err = _quad_rect3(self.CORR, lo, hi, nu)
+            assert abs(p - ref) <= tol
+            # The error estimate covers the gap to quadrature.
+            assert abs(p - ref) <= err + ref_err + 1e-15
+
+    @pytest.mark.parametrize("nu", [None, 4.0])
+    def test_zero_and_infinite_limits(self, nu):
+        from tse.qmc import bivariate_rect_prob
+
+        corr = self.CORR
+        # A free coordinate leaves the bivariate rectangle of the other two.
+        lo, hi = np.array([-0.5, -np.inf, 0.2]), np.array([1.0, 0.0, np.inf])
+        p, _ = self._prob(corr, lo, hi, nu)
+        p2, _ = bivariate_rect_prob(corr[0, 2], lo[[0, 2]][None], hi[[0, 2]][None], nu)
+        lo_free, hi_free = lo.copy(), hi.copy()
+        lo_free[1], hi_free[1] = -np.inf, np.inf
+        # The reflection test forms lo + hi = nan here; it must not warn.
+        with np.errstate(invalid="raise"):
+            p_free, _ = self._prob(corr, lo_free, hi_free, nu)
+        assert p_free == pytest.approx(p2[0], abs=1e-14)
+        # Zero limits against quadrature.
+        ref, _ = _quad_rect3(corr, lo, hi, nu)
+        assert p == pytest.approx(ref, abs=1e-12)
+        # An empty side gives zero.
+        p, _ = self._prob(corr, [-np.inf] * 3, [1.0, -np.inf, 2.0], nu)
+        assert p == 0.0
+
+    def test_near_singular_correlation(self):
+        r = 0.999999
+        corr = np.array([[1.0, r, 0.3], [r, 1.0, 0.3], [0.3, 0.3, 1.0]])
+        for lo, hi in (([-np.inf, -np.inf, -np.inf], [0.5, 0.3, 1.0]),
+                       ([-1.0, -0.5, -2.0], [1.2, 2.0, 0.4])):
+            p, err = self._prob(corr, lo, hi)
+            ref, ref_err = _quad_rect3(corr[[2, 0, 1]][:, [2, 0, 1]],
+                                       np.array(lo)[[2, 0, 1]], np.array(hi)[[2, 0, 1]])
+            assert abs(p - ref) <= err + ref_err + 1e-14
+        # The eight octants around a point partition the space.
+        pt = np.array([0.3, -0.2, 0.5])
+        total = 0.0
+        for mask in range(8):
+            up = np.array([(mask >> k) & 1 for k in range(3)], bool)
+            total += self._prob(corr, np.where(up, pt, -np.inf), np.where(up, np.inf, pt))[0]
+        assert total == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("nu", [None, 4.0])
+    def test_zero_width_box_is_zero(self, nu):
+        p, err = self._prob(self.CORR, [0.5, -1.0, -2.0], [0.5, 2.0, 1.0], nu)
+        assert p == 0.0 and err == 0.0
+
+    def test_deterministic_and_ignores_lattice_settings(self):
+        j = student_joint([0, 0, 0], [[2, 1, 0.3], [1, 3, 0.5], [0.3, 0.5, 1.5]], 5.0)
+        b = TruncationBox([-1, 0, -2], [2, 3, 1])
+        first = rectangle_prob(j, b)
+        assert rectangle_prob(j, b) == first
+        assert rectangle_prob(j, b, RectangleProbSettings(seed=99, max_points=1000)) == first
+
+    def test_deep_joint_tail_keeps_relative_accuracy(self):
+        # The lattice returned 8.36e-24 with error 3.6e-31 here.
+        corr = np.full((3, 3), 0.3) + 0.7 * np.eye(3)
+        lo, hi = [-np.inf] * 3, [-6.0, -9.0, -1.0]
+        p, err = self._prob(corr, lo, hi)
+        # Integrate over the rarest coordinate first.
+        ref, ref_err = _quad_rect3(corr, np.array(lo)[[1, 0, 2]], np.array(hi)[[1, 0, 2]])
+        assert p == pytest.approx(3.4826e-23, rel=1e-4)
+        assert abs(p - ref) <= err + ref_err
+        assert err < 1e-9 * p
+
+    @pytest.mark.parametrize("nu", [None, 5.0])
+    def test_upper_half_space(self, nu):
+        from scipy.special import ndtr, stdtr
+
+        # The lattice returned 0 for X >= 10 with two free coordinates.
+        exact = ndtr(-10.0) if nu is None else stdtr(nu, -10.0)
+        p, _ = self._prob(self.CORR, [10.0, -np.inf, -np.inf], [np.inf] * 3, nu)
+        assert p == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+class TestUnivariateUpperTail:
+    @pytest.mark.parametrize("nu", [None, 0.7, 5.0, 1e6])
+    def test_upper_tail_reflected(self, nu):
+        from scipy.special import ndtr, stdtr
+
+        from tse.qmc import rect_prob_qmc
+        from tse.truncated import _Engine
+
+        exact = ndtr(-10.0) if nu is None else stdtr(nu, -10.0)
+        p, _ = rect_prob_qmc([[1.0]], [10.0], [np.inf], nu)
+        assert p == pytest.approx(exact, rel=1e-12, abs=0)
+        p = _Engine(RectangleProbSettings()).prob(
+            nu, np.diag([4.0, 1.0]), np.array([20.0, -np.inf]), np.array([np.inf, np.inf]))
+        assert p == pytest.approx(exact, rel=1e-12, abs=0)

@@ -311,6 +311,17 @@ class TestOutOfBounds:
         with pytest.raises(NumericalError):
             truncated_mean_cov(j, b)
 
+    def test_student_block_with_comparable_far_limit_refused(self):
+        # On [c, 2c] the mean of a t5 stays (5/4)(15/16)/(31/32) c = 1.2097 c
+        # however remote c is, so collapsing onto c would be wrong.
+        j = student_joint([0.0], [[1.0]], 5.0)
+        with pytest.raises(NumericalError):
+            truncated_mean_cov(j, TruncationBox([1e70], [2e70]))
+        # A far limit within the relative tolerance still collapses.
+        rep = truncated_mean_cov(j, TruncationBox([1e70], [1e70 * (1 + 1e-7)]))
+        assert "out-of-bounds" in rep.method
+        assert rep.mean[0] == pytest.approx(1e70, rel=1e-6)
+
     def test_gibbs_draws_stay_inside_extreme_box(self):
         j = normal_joint([0.0], [[1.0]])
         b = TruncationBox([-50.0], [-49.0])
