@@ -44,6 +44,7 @@ from .selection import (
     SelectionSpec,
     SutParams,
     affine_outcome,
+    box_mass,
     build_selection,
     esn_pdf,
     est_pdf,
@@ -75,6 +76,7 @@ from .oracle import (
     SampleBatch,
     estimate_mean_cov,
     estimate_moments,
+    sample_se,
     sample_se_rejection,
     sample_truncated_gibbs,
 )

@@ -26,7 +26,7 @@ from .elliptical import (
     rectangle_prob,
 )
 from .errors import NumericalError, SpecError
-from .selection import SelectionSpec, SutParams, build_selection
+from .selection import SelectionSpec, SutParams, box_mass, build_selection
 from .truncated import truncated_mean_cov
 
 __all__ = ["GKind", "CensoredFactor", "censored_factor", "censored_factor_conditional"]
@@ -116,25 +116,17 @@ def censored_factor(params: Union[SutParams, SelectionSpec],
     _require_zero_threshold(spec)
     q = spec.n_selection
 
-    sel = spec.selection_marginal()
-    zero = np.zeros(q)
-    log_f0 = log_density(sel, zero)
-    sel_box = TruncationBox(np.zeros(q), np.full(q, np.inf))
-    p_sel, _ = rectangle_prob(sel, sel_box, settings)
-    if p_sel <= 0.0:
-        raise NumericalError("selection mass underflowed; identity factor is meaningless")
-    log_eta = float(log_f0 - np.log(p_sel))
-
-    limiting = conditional(spec.joint, np.arange(q), zero)
     if tbox is None:
         tbox = TruncationBox(np.full(spec.n_outcome, -np.inf),
                              np.full(spec.n_outcome, np.inf))
+    mass, _, p_sel = box_mass(spec, tbox, settings)
+    zero = np.zeros(q)
+    log_eta = float(log_density(spec.selection_marginal(), zero) - np.log(p_sel))
+
+    limiting = conditional(spec.joint, np.arange(q), zero)
     p_w, _ = rectangle_prob(limiting, tbox, settings)
-    aug = spec.augmented_box(tbox)
-    p_aug, _ = rectangle_prob(spec.joint, aug, settings)
     with np.errstate(divide="ignore"):
-        # P(box | selection law) = P(augmented box) / P(selection event).
-        log_ratio = float(np.log(p_w) - (np.log(p_aug) - np.log(p_sel)))
+        log_ratio = float(np.log(p_w) - np.log(mass))
     return CensoredFactor(log_eta, log_ratio, limiting, tbox, settings)
 
 

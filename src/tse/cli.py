@@ -18,27 +18,25 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .elliptical import RectangleProbSettings, TruncationBox, rectangle_prob
+from .elliptical import RectangleProbSettings, TruncationBox
 from .errors import MomentNotDefinedError, NumericalError, SpecError
-from .oracle import estimate_mean_cov, sample_se_rejection, sample_truncated_gibbs
+from .oracle import estimate_mean_cov, sample_se
 from .risk import _tce_with_quantile, mtce, mtce_at_level, tce_sum_decomposed
 from .selection import (
     SelectionSpec,
     SutParams,
+    box_mass,
     build_selection,
     se_pdf,
-    selection_probability,
     tse_mean_cov,
     tse_moment,
 )
-from .errors import RejectionInfeasibleError
 
 COMMANDS = ("moments", "prob", "pdf-grid", "tce", "mtce", "tce-sum", "validate")
 
@@ -64,6 +62,19 @@ def _num_in(x):
     if isinstance(x, (int, float)):
         return float(x)
     raise SpecError(f"expected a number, got {type(x).__name__}")
+
+
+def _int_in(x, name, array=False):
+    """A nonnegative integer job field, or with ``array`` a list of them."""
+    if array:
+        if not isinstance(x, list):
+            raise SpecError(f"field {name!r} must be an array")
+        return [_int_in(v, name) for v in x]
+    integral = (isinstance(x, int) and not isinstance(x, bool)
+                or isinstance(x, float) and x.is_integer())
+    if not integral or x < 0:
+        raise SpecError(f"field {name!r} must be a nonnegative integer, got {x!r}")
+    return int(x)
 
 
 def _array_in(x, name):
@@ -170,10 +181,10 @@ def _settings_in(job, seed_override: Optional[int]) -> RectangleProbSettings:
     if seed_override is not None:
         seed = seed_override
     return RectangleProbSettings(
-        max_points=int(qmc.get("max_points", 20_000)),
-        target_abs_error=float(qmc.get("target_abs_error", 1e-6)),
-        seed=int(seed),
-        num_shifts=int(qmc.get("num_shifts", 12)),
+        max_points=_int_in(qmc.get("max_points", 20_000), "qmc.max_points"),
+        target_abs_error=_num_in(qmc.get("target_abs_error", 1e-6)),
+        seed=_int_in(seed, "seed"),
+        num_shifts=_int_in(qmc.get("num_shifts", 12), "qmc.num_shifts"),
     )
 
 
@@ -193,9 +204,10 @@ def _report_values(rep):
     return values, diagnostics
 
 
-def run(job: dict, command: str, seed_override: Optional[int] = None,
-        threads: Optional[int] = None) -> dict:
+def run(job: dict, command: str, seed_override: Optional[int] = None) -> dict:
     """Execute one job and return the JobResult payload as a dict."""
+    if not isinstance(job, dict):
+        raise SpecError("job must be a JSON object")
     if "command" in job and job["command"] != command:
         raise SpecError(
             f"job file says command {job['command']!r} but {command!r} was invoked")
@@ -205,7 +217,7 @@ def run(job: dict, command: str, seed_override: Optional[int] = None,
 
     if command == "moments":
         if "order" in job:
-            order = [int(v) for v in job["order"]]
+            order = _int_in(job["order"], "order", array=True)
             value = tse_moment(spec, tbox, order, settings)
             return _result({"moment": value, "order": order}, ("direct",), {})
         rep = tse_mean_cov(spec, tbox, settings)
@@ -215,15 +227,9 @@ def run(job: dict, command: str, seed_override: Optional[int] = None,
     if command == "prob":
         if tbox is None:
             raise SpecError("prob requires a box")
-        num, err_num = rectangle_prob(spec.joint, spec.augmented_box(tbox), settings)
-        if spec.n_selection:
-            den = selection_probability(spec, settings)
-        else:
-            den = 1.0
-        if den <= 0.0:
-            raise NumericalError("selection probability underflowed")
-        return _result({"prob": min(max(num / den, 0.0), 1.0)}, ("qmc",),
-                       {"error_estimate": err_num, "selection_prob": den})
+        prob, err, sel_prob = box_mass(spec, tbox, settings)
+        return _result({"prob": prob}, ("qmc",),
+                       {"error_estimate": err, "selection_prob": sel_prob})
 
     if command == "pdf-grid":
         return _pdf_grid(job, spec, tbox, settings)
@@ -281,7 +287,7 @@ def _pdf_grid(job, spec, tbox, settings) -> dict:
         raise SpecError("pdf-grid supports one- and two-dimensional outcomes only")
     lo = _array_in(grid.get("lower"), "grid.lower")
     hi = _array_in(grid.get("upper"), "grid.upper")
-    num = [int(v) for v in grid.get("num")]
+    num = _int_in(grid.get("num"), "grid.num", array=True)
     if lo.size != spec.n_outcome or hi.size != spec.n_outcome or len(num) != spec.n_outcome:
         raise SpecError("grid fields must match the outcome dimension")
     axes = [np.linspace(lo[i], hi[i], num[i]) for i in range(spec.n_outcome)]
@@ -292,9 +298,7 @@ def _pdf_grid(job, spec, tbox, settings) -> dict:
         points = np.column_stack([xx.ravel(), yy.ravel()])
     dens = se_pdf(spec, points, settings)
     if tbox is not None:
-        num_p, _ = rectangle_prob(spec.joint, spec.augmented_box(tbox), settings)
-        den_p = selection_probability(spec, settings) if spec.n_selection else 1.0
-        mass = num_p / den_p
+        mass = box_mass(spec, tbox, settings)[0]
         if mass <= 0.0:
             raise NumericalError("truncation box mass underflowed")
         inside = np.all((points >= tbox.lower) & (points <= tbox.upper), axis=1)
@@ -309,15 +313,9 @@ def _pdf_grid(job, spec, tbox, settings) -> dict:
 
 def _validate(job, spec, tbox, settings) -> dict:
     """Analytic moments against a seeded Monte Carlo oracle, in sigmas."""
-    n_draws = int(job.get("draws", 200_000))
+    n_draws = _int_in(job.get("draws", 200_000), "draws")
     rep = tse_mean_cov(spec, tbox, settings)
-    try:
-        batch = sample_se_rejection(spec, tbox, n_draws, seed=settings.seed)
-    except RejectionInfeasibleError:
-        aug = spec.augmented_box(tbox)
-        batch = sample_truncated_gibbs(spec.joint, aug, n_draws, seed=settings.seed)
-        from dataclasses import replace
-        batch = replace(batch, draws=batch.draws[:, spec.n_selection:])
+    batch = sample_se(spec, tbox, n_draws, settings.seed)
     est = estimate_mean_cov(batch)
     z_mean = (rep.require_mean() - est["mean"].value) / est["mean"].std_error
     z_cov = (rep.require_cov() - est["cov"].value) / np.maximum(est["cov"].std_error,
@@ -363,13 +361,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the result here instead of stdout")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the job's randomization seed")
-    parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="bound on internal parallelism; the current engine "
-                             "is vectorised single-threaded, so any bound >= 1 "
-                             "is respected")
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        parser.error("--threads must be at least 1")
 
     try:
         with open(args.spec) as fh:
@@ -383,7 +375,7 @@ def main(argv=None) -> int:
         return _EXIT_BAD_JOB
 
     try:
-        result = run(job, args.command, seed_override=args.seed, threads=args.threads)
+        result = run(job, args.command, seed_override=args.seed)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BAD_JOB

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, ndtr, ndtri, stdtr, stdtrit
+from scipy.special import gammaln, log_ndtr, ndtri, stdtrit
 
 from .errors import NumericalError, SpecError
-from .qmc import rect_prob_qmc
+from .qmc import _cdf, rect_prob_qmc
 
 __all__ = [
     "NORMAL",
@@ -197,9 +197,6 @@ class EllipticalJoint:
     def dim(self) -> int:
         return self.xi.size
 
-    def with_params(self, xi, omega) -> "EllipticalJoint":
-        return EllipticalJoint(self.family, np.array(xi), np.array(omega), self.nu)
-
 
 def normal_joint(xi, omega) -> EllipticalJoint:
     return EllipticalJoint(NORMAL, np.array(xi, dtype=float), np.array(omega, dtype=float))
@@ -294,10 +291,12 @@ def nu_factor(joint: EllipticalJoint, x) -> float:
     return (joint.nu + joint.dim) / (joint.nu + mahalanobis(joint, x))
 
 
-def log_density(joint: EllipticalJoint, x) -> float:
-    """Log density at ``x``, evaluated kernel-appropriately in log space."""
-    x = _as_vector(x, "x")
-    if x.size != joint.dim:
+def log_density(joint: EllipticalJoint, x):
+    """Log density at a point ``x`` (a float) or at each row of ``x`` (an
+    array), evaluated kernel-appropriately in log space."""
+    x = np.asarray(x, dtype=float)
+    rows = np.atleast_2d(x)
+    if x.ndim > 2 or rows.shape[1] != joint.dim:
         raise SpecError("point dimension does not match the joint")
     p = joint.dim
     try:
@@ -305,46 +304,29 @@ def log_density(joint: EllipticalJoint, x) -> float:
     except np.linalg.LinAlgError:
         raise NumericalError("dispersion matrix is not positive definite")
     half_logdet = float(np.sum(np.log(np.diag(chol))))
-    z = np.linalg.solve(chol, x - joint.xi)
-    delta = float(z @ z)
+    z = np.linalg.solve(chol, (rows - joint.xi).T)
+    delta = np.sum(z * z, axis=0)
     if joint.family == NORMAL:
-        return -0.5 * p * np.log(2.0 * np.pi) - half_logdet - 0.5 * delta
-    nu = joint.nu
-    return float(
-        gammaln(0.5 * (nu + p)) - gammaln(0.5 * nu)
-        - 0.5 * p * np.log(nu * np.pi) - half_logdet
-        - 0.5 * (nu + p) * np.log1p(delta / nu)
-    )
+        out = -0.5 * p * np.log(2.0 * np.pi) - half_logdet - 0.5 * delta
+    else:
+        nu = joint.nu
+        out = (gammaln(0.5 * (nu + p)) - gammaln(0.5 * nu)
+               - 0.5 * p * np.log(nu * np.pi) - half_logdet
+               - 0.5 * (nu + p) * np.log1p(delta / nu))
+    return float(out[0]) if x.ndim < 2 else out
 
 
-def density(joint: EllipticalJoint, x) -> float:
-    return float(np.exp(log_density(joint, x)))
-
-
-def _uv_cdf(z, nu=None):
-    """Univariate standard cdf for either kernel; vectorised."""
-    if nu is None:
-        return ndtr(z)
-    scalar = np.isscalar(z) or np.ndim(z) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.empty_like(z)
-    neg_inf = z == -np.inf
-    pos_inf = z == np.inf
-    finite = ~(neg_inf | pos_inf)
-    out[neg_inf] = 0.0
-    out[pos_inf] = 1.0
-    if np.any(finite):
-        out[finite] = stdtr(nu, z[finite])
-    if scalar:
-        return float(out[0])
-    return out
+def density(joint: EllipticalJoint, x):
+    """Density at a point (a float) or at each row of ``x`` (an array)."""
+    out = np.exp(log_density(joint, x))
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def _uv_log_cdf(z, nu=None):
     """Log of the univariate standard cdf; exact deep into the lower tail."""
     if nu is None:
         return log_ndtr(z)
-    p = _uv_cdf(z, nu)
+    p = _cdf(z, nu)
     with np.errstate(divide="ignore"):
         return np.log(p)
 
@@ -352,11 +334,11 @@ def _uv_log_cdf(z, nu=None):
 def univariate_cdf(family: str, z, nu: Optional[float] = None):
     """Standardised cdf for the given kernel family."""
     if family == NORMAL:
-        return _uv_cdf(z, None)
+        return _cdf(z)
     if family == STUDENT_T:
         if nu is None or nu <= 0:
             raise SpecError("Student-t cdf requires nu > 0")
-        return _uv_cdf(z, nu)
+        return _cdf(z, nu)
     raise SpecError(f"unknown kernel family {family!r}")
 
 

@@ -3,14 +3,15 @@
 Two samplers cover the two regimes: direct rejection sampling through the
 selection representation whenever the joint acceptance probability is
 workable, and a coordinatewise Gibbs sampler for rectangle-truncated
-normal / Student-t vectors when it is not (extreme boxes, tiny mass).
+normal / Student-t vectors when it is not (extreme boxes, tiny mass);
+``sample_se`` tries the first and falls back to the second.
 Estimators report standard errors so analytic results can be compared at
 a fixed number of sigmas.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "SampleBatch",
     "MomentEstimate",
     "sample_joint",
+    "sample_se",
     "sample_se_rejection",
     "sample_truncated_gibbs",
     "estimate_moments",
@@ -120,6 +122,20 @@ def sample_se_rejection(spec, tbox: Optional[TruncationBox], n: int, seed: int,
         proposed += m
     draws = np.concatenate(kept, axis=0)[:n]
     return SampleBatch(draws=draws, n_proposed=proposed, seed=seed, method="rejection")
+
+
+def sample_se(spec, tbox: Optional[TruncationBox], n: int, seed: int) -> SampleBatch:
+    """Outcome draws of a truncated selection distribution.
+
+    Rejection sampling through the defining construction when its pilot
+    acceptance is workable; otherwise Gibbs draws of the joint truncated to
+    the augmented box, with the selection block dropped.
+    """
+    try:
+        return sample_se_rejection(spec, tbox, n, seed=seed)
+    except RejectionInfeasibleError:
+        batch = sample_truncated_gibbs(spec.joint, spec.augmented_box(tbox), n, seed=seed)
+        return replace(batch, draws=batch.draws[:, spec.n_selection:])
 
 
 def _rtnorm(rng, lo, hi, size):

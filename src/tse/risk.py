@@ -20,13 +20,13 @@ from .elliptical import (
     NORMAL,
     RectangleProbSettings,
     TruncationBox,
-    rectangle_prob,
 )
 from .errors import MomentNotDefinedError, NumericalError, SpecError
 from .selection import (
     SelectionSpec,
     SutParams,
     affine_outcome,
+    box_mass,
     build_selection,
     marginal_outcome,
     tse_mean_cov,
@@ -72,16 +72,7 @@ def survival(spec: SelectionSpec, threshold: float,
     """``P(Y > threshold)`` for a univariate selection law."""
     if spec.n_outcome != 1:
         raise SpecError("survival is defined for univariate outcome specs")
-    tail = TruncationBox([threshold], [np.inf])
-    num, _ = rectangle_prob(spec.joint, spec.augmented_box(tail), settings)
-    if spec.n_selection == 0:
-        return num
-    den, _ = rectangle_prob(spec.selection_marginal(),
-                            TruncationBox(spec.selection_lower, spec.selection_upper),
-                            settings)
-    if den <= 0.0:
-        raise NumericalError("selection probability underflowed")
-    return min(max(num / den, 0.0), 1.0)
+    return box_mass(spec, TruncationBox([threshold], [np.inf]), settings)[0]
 
 
 def quantile_upper(spec: SelectionSpec, alpha: float,

@@ -21,14 +21,14 @@ from .elliptical import (
     EllipticalJoint,
     RectangleProbSettings,
     TruncationBox,
-    _uv_cdf,
+    log_density,
     marginal,
     normal_joint,
     rectangle_prob,
     student_joint,
 )
 from .errors import MomentNotDefinedError, NumericalError, SpecError
-from .qmc import bivariate_rect_prob
+from .qmc import _cdf, bivariate_rect_prob
 from .truncated import (
     MomentReport,
     _check_order,
@@ -43,6 +43,7 @@ __all__ = [
     "LimitingTParams",
     "build_selection",
     "selection_probability",
+    "box_mass",
     "se_pdf",
     "se_logpdf",
     "tse_mean_cov",
@@ -222,21 +223,21 @@ def selection_probability(spec: SelectionSpec,
     return prob
 
 
-def _log_density_rows(joint: EllipticalJoint, y: np.ndarray) -> np.ndarray:
-    """Vectorised log density of an elliptical joint over rows of ``y``."""
-    from scipy.special import gammaln
+def box_mass(spec: SelectionSpec, tbox: Optional[TruncationBox],
+             settings: RectangleProbSettings = DEFAULT_SETTINGS):
+    """Mass of the outcome box ``tbox`` under the selection law.
 
-    chol = np.linalg.cholesky(joint.omega)
-    half_logdet = float(np.sum(np.log(np.diag(chol))))
-    z = np.linalg.solve(chol, (y - joint.xi).T)
-    delta = np.sum(z * z, axis=0)
-    p = joint.dim
-    if joint.family == NORMAL:
-        return -0.5 * p * np.log(2.0 * np.pi) - half_logdet - 0.5 * delta
-    nu = joint.nu
-    return (gammaln(0.5 * (nu + p)) - gammaln(0.5 * nu)
-            - 0.5 * p * np.log(nu * np.pi) - half_logdet
-            - 0.5 * (nu + p) * np.log1p(delta / nu))
+    The rectangle probability of the augmented box over the selection
+    probability, clipped to [0, 1].  Returns ``(mass, err, selection_prob)``
+    where ``err`` is the error estimate of the numerator scaled to the
+    mass.  Raises ``NumericalError`` when the selection probability
+    underflows.
+    """
+    num, err = rectangle_prob(spec.joint, spec.augmented_box(tbox), settings)
+    den = selection_probability(spec, settings)
+    if den <= 0.0:
+        raise NumericalError("selection probability underflowed")
+    return min(max(num / den, 0.0), 1.0), err / den, den
 
 
 def se_logpdf(spec: SelectionSpec, y,
@@ -254,7 +255,7 @@ def se_logpdf(spec: SelectionSpec, y,
     if rows.shape[1] != spec.n_outcome:
         raise SpecError("point dimension does not match the outcome block")
     out_joint = spec.outcome_marginal()
-    log_f = _log_density_rows(out_joint, rows)
+    log_f = log_density(out_joint, rows)
     q = spec.n_selection
     if q == 0:
         return log_f[0] if single else log_f
@@ -286,7 +287,7 @@ def se_logpdf(spec: SelectionSpec, y,
         sd = np.sqrt(schur[0, 0] * factors)
         znum_hi = (hi[0] - cond_mean[0]) / sd
         znum_lo = (lo[0] - cond_mean[0]) / sd
-        num = _uv_cdf(znum_hi, df_c) - _uv_cdf(znum_lo, df_c)
+        num = _cdf(znum_hi, df_c) - _cdf(znum_lo, df_c)
     elif q == 2:
         # Every row shares the Schur correlation; only the standardised
         # limits differ, so one call covers all rows.
@@ -314,8 +315,7 @@ def se_pdf(spec: SelectionSpec, y,
 
 
 def tse_mean_cov(spec: SelectionSpec, tbox: Optional[TruncationBox],
-                 settings: RectangleProbSettings = DEFAULT_SETTINGS,
-                 *, force_direct: bool = False) -> MomentReport:
+                 settings: RectangleProbSettings = DEFAULT_SETTINGS) -> MomentReport:
     """Mean and covariance of the truncated selection distribution.
 
     Prepends the selection rectangle to the truncation box, computes the
@@ -324,7 +324,7 @@ def tse_mean_cov(spec: SelectionSpec, tbox: Optional[TruncationBox],
     selection law, i.e. the augmented-box mass over the selection mass.
     """
     aug_box = spec.augmented_box(tbox)
-    rep = truncated_mean_cov(spec.joint, aug_box, settings, force_direct=force_direct)
+    rep = truncated_mean_cov(spec.joint, aug_box, settings)
     q = spec.n_selection
     mean = rep.mean[q:] if rep.mean is not None else None
     cov = second = None
@@ -337,8 +337,6 @@ def tse_mean_cov(spec: SelectionSpec, tbox: Optional[TruncationBox],
 
 
 def _tse_prob_mass(spec, aug_report, tbox, settings):
-    if spec.n_selection == 0:
-        return aug_report.prob_mass
     den = selection_probability(spec, settings)
     if den > 0.0:
         return float(min(max(aug_report.prob_mass / den, 0.0), 1.0))
@@ -388,25 +386,10 @@ def tse_moment(spec: SelectionSpec, tbox: Optional[TruncationBox], order,
             return float(rep.require_second_moment()[nz[0], nz[0]])
         return float(rep.require_second_moment()[nz[0], nz[1]])
     # Stochastic fallback for high-order Student-t moments.
-    from .errors import RejectionInfeasibleError
-    from .oracle import estimate_moments, sample_se_rejection
+    from .oracle import estimate_moments, sample_se
 
-    try:
-        batch = sample_se_rejection(spec, tbox, mc_draws, seed=settings.seed)
-    except RejectionInfeasibleError:
-        batch = _gibbs_tse_batch(spec, tbox, mc_draws, settings.seed)
+    batch = sample_se(spec, tbox, mc_draws, settings.seed)
     return float(estimate_moments(batch, k).value)
-
-
-def _gibbs_tse_batch(spec, tbox, n, seed):
-    """Gibbs draws of the outcome block by sampling the augmented joint."""
-    from .oracle import sample_truncated_gibbs
-
-    aug_box = spec.augmented_box(tbox)
-    batch = sample_truncated_gibbs(spec.joint, aug_box, n, seed=seed)
-    from dataclasses import replace
-
-    return replace(batch, draws=batch.draws[:, spec.n_selection:])
 
 
 @dataclass(frozen=True)
@@ -534,9 +517,9 @@ def st_pdf(y, location, scale, shape, df):
     y, mu, sigma, lam, proj, delta = _skew_parts(y, location, scale, shape)
     p = mu.size
     base = student_joint(mu, sigma, df)
-    logs = _log_density_rows(base, y)
+    logs = log_density(base, y)
     nu_y = np.sqrt((df + p) / (df + delta))
-    tail = _uv_cdf(proj * nu_y, df + p)
+    tail = _cdf(proj * nu_y, df + p)
     out = 2.0 * np.exp(logs) * tail
     return out[0] if np.asarray(y).ndim == 1 else out
 
@@ -546,12 +529,12 @@ def est_pdf(y, location, scale, shape, extension, df):
     y, mu, sigma, lam, proj, delta = _skew_parts(y, location, scale, shape)
     p = mu.size
     base = student_joint(mu, sigma, df)
-    logs = _log_density_rows(base, y)
+    logs = log_density(base, y)
     nu_y = np.sqrt((df + p) / (df + delta))
     tau = float(np.atleast_1d(extension)[0])
     tau_tilde = tau / np.sqrt(1.0 + lam @ lam)
-    num = _uv_cdf((tau + proj) * nu_y, df + p)
-    den = _uv_cdf(tau_tilde, df)
+    num = _cdf((tau + proj) * nu_y, df + p)
+    den = _cdf(tau_tilde, df)
     out = np.exp(logs) * num / den
     return out[0] if np.asarray(y).ndim == 1 else out
 
@@ -560,8 +543,8 @@ def sn_pdf(y, location, scale, shape):
     """Skew-normal density, vectorised over rows of ``y``."""
     y, mu, sigma, lam, proj, _ = _skew_parts(y, location, scale, shape)
     base = normal_joint(mu, sigma)
-    logs = _log_density_rows(base, y)
-    out = 2.0 * np.exp(logs) * _uv_cdf(proj, None)
+    logs = log_density(base, y)
+    out = 2.0 * np.exp(logs) * _cdf(proj)
     return out[0] if np.asarray(y).ndim == 1 else out
 
 
@@ -569,8 +552,8 @@ def esn_pdf(y, location, scale, shape, extension):
     """Extended skew-normal density, vectorised over rows of ``y``."""
     y, mu, sigma, lam, proj, _ = _skew_parts(y, location, scale, shape)
     base = normal_joint(mu, sigma)
-    logs = _log_density_rows(base, y)
+    logs = log_density(base, y)
     tau = float(np.atleast_1d(extension)[0])
     tau_tilde = tau / np.sqrt(1.0 + lam @ lam)
-    out = np.exp(logs) * _uv_cdf(tau + proj, None) / _uv_cdf(tau_tilde, None)
+    out = np.exp(logs) * _cdf(tau + proj) / _cdf(tau_tilde)
     return out[0] if np.asarray(y).ndim == 1 else out

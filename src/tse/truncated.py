@@ -41,7 +41,7 @@ from .elliptical import (
     marginal,
 )
 from .errors import MomentNotDefinedError, NumericalError, SpecError
-from .qmc import _uv_mass, rect_prob_qmc
+from .qmc import rect_prob_qmc
 
 __all__ = [
     "ExistenceFlags",
@@ -175,23 +175,14 @@ class _Engine:
         if hit is not None:
             return hit
         keep = np.flatnonzero(~(np.isinf(lo) & np.isinf(hi) & (lo < hi)))
-        if keep.size == 0:
-            out = 1.0
-        elif keep.size == 1:
-            i = keep[0]
-            s = np.sqrt(sigma[i, i])
-            out = float(_uv_mass(lo[i] / s, hi[i] / s, nu))
-            out = min(max(out, 0.0), 1.0)
-        else:
-            # Face probabilities keep the single-pass budget: the assembled
-            # moments are insensitive to per-face refinement and the shared
-            # cache keeps both extreme-case paths on identical integrals.
-            sub = np.ix_(keep, keep)
-            out, _ = rect_prob_qmc(
-                sigma[sub], lo[keep], hi[keep], df=nu,
-                max_points=self.settings.max_points,
-                num_shifts=self.settings.num_shifts,
-                seed=self.settings.seed)
+        # Face probabilities keep the single-pass budget: the assembled
+        # moments are insensitive to per-face refinement and the shared
+        # cache keeps both extreme-case paths on identical integrals.
+        out, _ = rect_prob_qmc(
+            sigma[np.ix_(keep, keep)], lo[keep], hi[keep], df=nu,
+            max_points=self.settings.max_points,
+            num_shifts=self.settings.num_shifts,
+            seed=self.settings.seed)
         self.cache[key] = out
         return out
 
@@ -434,6 +425,47 @@ def _point_mass_report(dim, point, flags, method, notes=()):
     )
 
 
+_ALL_OOB_NOTE = "all blocks out of bounds; degenerate point mass at the limits"
+
+
+def _condition_embed(joint, tbox, eng, idx, values, prob, tag, note,
+                     force_direct=False):
+    """Moments with the coordinates ``idx`` held at ``values``.
+
+    The other coordinates get the truncated moments of the law conditioned
+    on that point, embedded next to the held values.  ``prob`` is the
+    reported box mass (``None`` takes the conditioned report's), ``tag``
+    is appended to its method, and holding every coordinate gives a point
+    mass labelled ``note``.
+
+    A held Student-t coordinate is always fully finite: a degenerate one
+    has ``lower == upper`` and a collapsed one a far limit within
+    ``OOB_T_REL_WIDTH`` of its near limit (see :func:`_oob_target`).  The
+    full box counts it as fully finite, while the conditioned law drops it
+    and gains a degree of freedom, so ``nu`` plus the fully finite count is
+    the same for both and :func:`moment_flags` of the full box equals the
+    conditioned report's (normal flags are always true).  The conditioned
+    report's existence flags and missing moments therefore carry over
+    unchanged.
+    """
+    idx = np.asarray(idx)
+    if idx.size == joint.dim:
+        return _point_mass_report(joint.dim, values,
+                                  moment_flags(joint.family, joint.nu, tbox),
+                                  (tag,), (note,))
+    keep = np.setdiff1d(np.arange(joint.dim), idx)
+    rep = truncated_mean_cov(conditional(joint, idx, values), tbox.subset(keep),
+                             eng.settings, force_direct=force_direct, _engine=eng)
+    mean = cov = second = None
+    if rep.mean is not None:
+        mean = _embed_vector(joint.dim, (keep, idx), (rep.mean, values))
+    if rep.covariance is not None:
+        cov = _embed_matrix(joint.dim, {(tuple(keep), tuple(keep)): rep.covariance})
+        second = cov + np.outer(mean, mean)
+    return MomentReport(rep.prob_mass if prob is None else prob, mean, second, cov,
+                        rep.existence, rep.method + (tag,), rep.notes)
+
+
 def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
                        settings: RectangleProbSettings = DEFAULT_SETTINGS,
                        *, force_direct: bool = False,
@@ -448,30 +480,12 @@ def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
     if tbox.dim != joint.dim:
         raise SpecError("box dimension does not match the joint")
     eng = _engine if _engine is not None else _Engine(settings)
-    flags = moment_flags(joint.family, joint.nu, tbox)
 
     # Degenerate coordinates: condition them away.
     deg = np.flatnonzero(tbox.is_degenerate())
     if deg.size:
-        values = tbox.lower[deg]
-        if deg.size == joint.dim:
-            return _point_mass_report(joint.dim, values, flags,
-                                      ("degenerate",), ("all coordinates degenerate",))
-        keep = np.array([i for i in range(joint.dim) if i not in set(deg.tolist())])
-        sub = conditional(joint, deg, values)
-        rep = truncated_mean_cov(sub, tbox.subset(keep), settings,
-                                 force_direct=force_direct, _engine=eng)
-        dim = joint.dim
-        mean = None
-        if rep.mean is not None:
-            mean = _embed_vector(dim, (keep, deg), (rep.mean, values))
-        cov = None
-        second = None
-        if rep.covariance is not None:
-            cov = _embed_matrix(dim, {(tuple(keep), tuple(keep)): rep.covariance})
-            second = cov + np.outer(mean, mean)
-        return MomentReport(rep.prob_mass, mean, second, cov, rep.existence,
-                            rep.method + ("degenerate",), rep.notes)
+        return _condition_embed(joint, tbox, eng, deg, tbox.lower[deg], None,
+                                "degenerate", "all coordinates degenerate", force_direct)
 
     # Out-of-bounds coordinates: collapse onto the near limit (the box mass
     # underflows, so the block is numerically a point; Student-t blocks whose
@@ -479,27 +493,10 @@ def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
     # see _oob_target).
     oob = _scan_out_of_bounds(joint, tbox)
     if oob:
-        target = _oob_target(joint, tbox, oob)
-        if len(oob) == joint.dim:
-            return _point_mass_report(
-                joint.dim, target, flags, ("out-of-bounds",),
-                ("all blocks out of bounds; degenerate point mass at the limits",))
-        keep = np.array([i for i in range(joint.dim) if i not in set(oob)])
-        sub = conditional(joint, np.array(oob), target)
-        rep = truncated_mean_cov(sub, tbox.subset(keep), settings,
-                                 force_direct=force_direct, _engine=eng)
-        dim = joint.dim
-        mean = None
-        if flags.mean and rep.mean is not None:
-            mean = _embed_vector(dim, (keep, np.array(oob)), (rep.mean, target))
-        cov = None
-        second = None
-        if flags.second and rep.covariance is not None and mean is not None:
-            cov = _embed_matrix(dim, {(tuple(keep), tuple(keep)): rep.covariance})
-            second = cov + np.outer(mean, mean)
-        return MomentReport(0.0, mean, second, cov, flags,
-                            rep.method + ("out-of-bounds",), rep.notes)
+        return _condition_embed(joint, tbox, eng, oob, _oob_target(joint, tbox, oob), 0.0,
+                                "out-of-bounds", _ALL_OOB_NOTE, force_direct)
 
+    flags = moment_flags(joint.family, joint.nu, tbox)
     both_inf = np.flatnonzero(tbox.both_infinite())
     if both_inf.size == joint.dim:
         # No truncation anywhere.
@@ -682,43 +679,25 @@ def moments_out_of_bounds(joint: EllipticalJoint, tbox: TruncationBox,
     idx2 = list(partition.set_two)
     if not idx2:
         raise SpecError("out-of-bounds partition must name a nonempty block")
-    eng = _Engine(settings)
-    flags = moment_flags(joint.family, joint.nu, tbox)
-    target = _oob_target(joint, tbox, idx2)
-    if len(idx2) == joint.dim:
-        return _point_mass_report(
-            joint.dim, target, flags, ("out-of-bounds",),
-            ("all blocks out of bounds; degenerate point mass at the limits",))
-    keep = np.array(sorted(partition.set_one))
-    sub = conditional(joint, np.array(idx2), target)
-    rep = truncated_mean_cov(sub, tbox.subset(keep), settings, _engine=eng)
-    mean = None
-    if rep.mean is not None:
-        mean = _embed_vector(joint.dim, (keep, np.array(idx2)), (rep.mean, target))
-    cov = second = None
-    if rep.covariance is not None:
-        cov = _embed_matrix(joint.dim, {(tuple(keep), tuple(keep)): rep.covariance})
-        second = cov + np.outer(mean, mean)
-    return MomentReport(0.0, mean, second, cov, flags,
-                        rep.method + ("out-of-bounds",), rep.notes)
+    return _condition_embed(joint, tbox, _Engine(settings), idx2,
+                            _oob_target(joint, tbox, idx2), 0.0, "out-of-bounds",
+                            _ALL_OOB_NOTE)
 
 
 def tmvn_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
-                  settings: RectangleProbSettings = DEFAULT_SETTINGS,
-                  *, force_direct: bool = False) -> MomentReport:
+                  settings: RectangleProbSettings = DEFAULT_SETTINGS) -> MomentReport:
     """Truncated-normal mean and covariance (normal kernel required)."""
     if joint.family != NORMAL:
         raise SpecError("tmvn_mean_cov requires a normal kernel")
-    return truncated_mean_cov(joint, tbox, settings, force_direct=force_direct)
+    return truncated_mean_cov(joint, tbox, settings)
 
 
 def tmvt_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
-                  settings: RectangleProbSettings = DEFAULT_SETTINGS,
-                  *, force_direct: bool = False) -> MomentReport:
+                  settings: RectangleProbSettings = DEFAULT_SETTINGS) -> MomentReport:
     """Truncated Student-t mean and covariance with existence gating."""
     if joint.family != STUDENT_T:
         raise SpecError("tmvt_mean_cov requires a Student-t kernel")
-    return truncated_mean_cov(joint, tbox, settings, force_direct=force_direct)
+    return truncated_mean_cov(joint, tbox, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -745,13 +724,9 @@ class _ProductMomentProblem:
         hit = self._faces.get(key)
         if hit is not None:
             return hit
-        others = [i for i in range(self.dim) if i != j]
-        var_j = self.sigma[j, j]
-        mu_c = self.mu[others] + self.sigma[others, j] * ((t - self.mu[j]) / var_j)
-        schur = self.sigma[np.ix_(others, others)] \
-            - np.outer(self.sigma[others, j], self.sigma[j, others]) / var_j
-        schur = 0.5 * (schur + schur.T)
-        sub = _ProductMomentProblem(self.eng, mu_c, schur,
+        others, mu_c, schur, _, _ = self.eng._face_parts(None, self.sigma, j,
+                                                         t - self.mu[j])
+        sub = _ProductMomentProblem(self.eng, self.mu[others] + mu_c, schur,
                                     self.lo[others], self.hi[others])
         self._faces[key] = sub
         return sub

@@ -60,6 +60,29 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "moments", "--spec", write_job(tmp_path, job))
         assert code == 2
 
+    def test_job_not_an_object(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "prob", "--spec", write_job(tmp_path, []))
+        assert code == 2 and "object" in err
+
+    def test_grid_without_num(self, tmp_path, capsys):
+        job = {"distribution": {"family": "normal", "mu": [0.0], "sigma": [[1.0]]},
+               "grid": {"lower": [-1.0], "upper": [1.0]}}
+        code, _, err = run_cli(capsys, "pdf-grid", "--spec", write_job(tmp_path, job))
+        assert code == 2 and "grid.num" in err
+
+    def test_non_integer_order(self, tmp_path, capsys):
+        job = {"distribution": {"family": "normal", "mu": [0.0], "sigma": [[1.0]]},
+               "order": ["x"]}
+        code, _, err = run_cli(capsys, "moments", "--spec", write_job(tmp_path, job))
+        assert code == 2 and "order" in err
+
+    def test_non_numeric_qmc_field(self, tmp_path, capsys):
+        job = {"distribution": {"family": "normal", "mu": [0.0], "sigma": [[1.0]]},
+               "box": {"lower": [0.0], "upper": [1.0]},
+               "qmc": {"max_points": "abc"}}
+        code, _, err = run_cli(capsys, "prob", "--spec", write_job(tmp_path, job))
+        assert code == 2 and "max_points" in err
+
 
 class TestJobs:
     def test_prob_full_space(self, tmp_path, capsys):
@@ -112,12 +135,24 @@ class TestJobs:
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout  # nonempty payload
 
-    def test_threads_flag_validated(self, tmp_path, capsys):
-        path = os.path.join(EXAMPLES, "normal_prob.json")
-        with pytest.raises(SystemExit) as exc:
-            main(["prob", "--spec", path, "--threads", "0"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+    def test_prob_error_estimate_is_that_of_the_printed_prob(self, tmp_path, capsys):
+        # The printed prob is the augmented-box mass over the selection
+        # probability (1/2 for an SN law), so its error estimate is too.
+        from tse.elliptical import TruncationBox, rectangle_prob
+        from tse.selection import SutParams, build_selection
+
+        job = {"distribution": {"family": "SN", "mu": [0.0], "sigma": [[1.0]],
+                                "lambda": [2.0]},
+               "box": {"lower": [0.0], "upper": [1.0]}}
+        code, out, _ = run_cli(capsys, "prob", "--spec", write_job(tmp_path, job))
+        assert code == 0
+        payload = json.loads(out)
+        spec = build_selection(SutParams([0.0], [[1.0]], [2.0], [0.0], [[1.0]]))
+        num, err = rectangle_prob(spec.joint, spec.augmented_box(TruncationBox([0.0], [1.0])))
+        assert err > 0.0
+        assert payload["diagnostics"]["selection_prob"] == 0.5
+        assert payload["values"]["prob"] == num / 0.5
+        assert payload["diagnostics"]["error_estimate"] == err / 0.5
 
     def test_result_json_roundtrip(self, tmp_path, capsys):
         path = os.path.join(EXAMPLES, "sun_moments.json")

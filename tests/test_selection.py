@@ -9,11 +9,13 @@ from tse.elliptical import (
     rectangle_prob,
     student_joint,
 )
-from tse.errors import MomentNotDefinedError, SpecError
+from tse.errors import MomentNotDefinedError, NumericalError, SpecError
 from tse.oracle import estimate_mean_cov, sample_se_rejection
+from tse.risk import survival
 from tse.selection import (
     SutParams,
     affine_outcome,
+    box_mass,
     build_selection,
     esn_pdf,
     est_pdf,
@@ -89,6 +91,29 @@ class TestBuildSelection:
     def test_unit_diagonal_enforced(self):
         with pytest.raises(SpecError):
             SutParams([0.0], [[1.0]], [[0.5]], [0.0], [[2.0]], None)
+
+
+class TestBoxMass:
+    def test_equals_survival_on_a_tail_box(self):
+        spec = build_selection(SutParams([0.3], [[2.0]], [1.5], [0.4], [[1.0]], 5.0))
+        for y in (-1.0, 0.5, 3.0):
+            mass, _, _ = box_mass(spec, TruncationBox([y], [np.inf]))
+            assert mass == survival(spec, y)
+
+    def test_ratio_of_the_two_rectangle_probabilities(self):
+        spec = build_selection(EX5)
+        mass, err, sel_prob = box_mass(spec, EX5_BOX)
+        num, num_err = rectangle_prob(spec.joint, spec.augmented_box(EX5_BOX))
+        den, _ = rectangle_prob(spec.selection_marginal(),
+                                TruncationBox(spec.selection_lower, spec.selection_upper))
+        assert sel_prob == den == selection_probability(spec)
+        assert mass == num / den
+        assert err == num_err / den
+
+    def test_selection_probability_underflow_raises(self):
+        spec = build_selection(SutParams([0.0], [[1.0]], [0.2], [-45.0], [[1.0]], None))
+        with pytest.raises(NumericalError):
+            box_mass(spec, TruncationBox([0.0], [1.0]))
 
 
 class TestDensities:

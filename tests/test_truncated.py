@@ -292,6 +292,28 @@ class TestOutOfBounds:
         np.testing.assert_allclose(rep.mean, auto.mean, atol=1e-12)
         np.testing.assert_allclose(rep.covariance, auto.covariance, atol=1e-12)
 
+    @pytest.mark.parametrize("joint,box", [
+        (normal_joint([0.0, 0.5, 0.0], [[1.0, 0.3, 0.2], [0.3, 1.5, -0.4],
+                                        [0.2, -0.4, 1.0]]),
+         TruncationBox([40.0, -1.0, -60.0], [41.0, 2.0, -59.0])),
+        (student_joint([0.0, 0.5, 0.0], [[1.0, 0.3, 0.2], [0.3, 1.5, -0.4],
+                                         [0.2, -0.4, 1.0]], 5.0),
+         TruncationBox([1e70, -1.0, 0.0], [1e70 * (1 + 1e-7), 2.0, np.inf])),
+    ])
+    def test_explicit_partition_equals_automatic_route(self, joint, box):
+        two = tuple(i for i in range(3) if abs(box.lower[i]) > 30.0)
+        part = IndexPartition(set_one=tuple(i for i in range(3) if i not in two),
+                              set_two=two[::-1])
+        rep = moments_out_of_bounds(joint, box, part)
+        auto = truncated_mean_cov(joint, box)
+        assert "out-of-bounds" in auto.method
+        assert rep.method == auto.method and rep.notes == auto.notes
+        assert rep.prob_mass == auto.prob_mass == 0.0
+        assert rep.existence == auto.existence
+        np.testing.assert_allclose(rep.mean, auto.mean, rtol=1e-13)
+        np.testing.assert_allclose(rep.covariance, auto.covariance, rtol=1e-12,
+                                   atol=1e-14)
+
     def test_all_blocks_out_of_bounds(self):
         j = normal_joint([0.0, 0.0], np.eye(2))
         b = TruncationBox([44.0, -50.0], [45.0, -49.0])
@@ -415,3 +437,26 @@ class TestReportInvariants:
         sub = conditional(j, [0], [0.25])
         sub_rep = tmvn_mean_cov(sub, TruncationBox([-1.0], [1.0]))
         np.testing.assert_allclose(rep.mean[1], sub_rep.mean[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("nu,lower,upper", [
+        (1.5, [0.3, -1.0, 0.0], [0.3, 2.0, np.inf]),
+        (0.5, [0.3, 0.0, -np.inf], [0.3, np.inf, np.inf]),
+    ])
+    def test_student_degenerate_coordinate_matches_conditioning(self, nu, lower, upper):
+        from tse.elliptical import conditional
+
+        j = student_joint([0.0, 0.2, -0.1], [[1.0, 0.4, 0.1], [0.4, 2.0, 0.3],
+                                             [0.1, 0.3, 1.0]], nu)
+        b = TruncationBox(lower, upper, allow_degenerate=True)
+        rep = tmvt_mean_cov(j, b)
+        sub_rep = tmvt_mean_cov(conditional(j, [0], [0.3]), b.subset([1, 2]))
+        assert "degenerate" in rep.method
+        assert rep.existence == sub_rep.existence == moment_flags(j.family, j.nu, b)
+        assert rep.prob_mass == sub_rep.prob_mass
+        assert rep.mean[0] == 0.3
+        np.testing.assert_array_equal(rep.mean[1:], sub_rep.mean)
+        if sub_rep.covariance is None:
+            assert rep.covariance is None and rep.second_moment is None
+        else:
+            np.testing.assert_array_equal(rep.covariance[1:, 1:], sub_rep.covariance)
+            assert np.all(rep.covariance[0] == 0.0)
