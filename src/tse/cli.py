@@ -31,11 +31,11 @@ from .risk import _tce_with_quantile, mtce, mtce_at_level, tce_sum_decomposed
 from .selection import (
     SelectionSpec,
     SutParams,
+    _tse_moment_path,
     box_mass,
     build_selection,
     se_pdf,
     tse_mean_cov,
-    tse_moment,
 )
 
 COMMANDS = ("moments", "prob", "pdf-grid", "tce", "mtce", "tce-sum", "validate")
@@ -218,8 +218,9 @@ def run(job: dict, command: str, seed_override: Optional[int] = None) -> dict:
     if command == "moments":
         if "order" in job:
             order = _int_in(job["order"], "order", array=True)
-            value = tse_moment(spec, tbox, order, settings)
-            return _result({"moment": value, "order": order}, ("direct",), {})
+            value, method, mc_stderr = _tse_moment_path(spec, tbox, order, settings)
+            diagnostics = {} if mc_stderr is None else {"mc_stderr": mc_stderr}
+            return _result({"moment": value, "order": order}, method, diagnostics)
         rep = tse_mean_cov(spec, tbox, settings)
         values, diagnostics = _report_values(rep)
         return _result(values, rep.method, diagnostics)

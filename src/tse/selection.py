@@ -32,8 +32,8 @@ from .qmc import _cdf, bivariate_rect_prob
 from .truncated import (
     MomentReport,
     _check_order,
+    _product_moment,
     existence_check,
-    tmvn_product_moment,
     truncated_mean_cov,
 )
 
@@ -359,13 +359,32 @@ def _tse_prob_mass(spec, aug_report, tbox, settings):
 
 
 def tse_moment(spec: SelectionSpec, tbox: Optional[TruncationBox], order,
-               settings: RectangleProbSettings = DEFAULT_SETTINGS,
-               mc_draws: int = 1_000_000) -> float:
+               settings: RectangleProbSettings = DEFAULT_SETTINGS) -> float:
     """``E[Y^order | box]`` for the truncated selection distribution.
 
-    Normal kernels run the exact product-moment recursion on the augmented
-    joint.  Student-t kernels use the analytic mean/second-moment machinery
-    up to total order two and a seeded Monte Carlo fallback beyond that.
+    The moment is a product moment of the symmetric joint over the
+    augmented box, from the face recursion of :mod:`tse.truncated`: always
+    for the normal kernel, and for the Student-t kernel above total order
+    two whenever ``nu`` exceeds the total order (or the joint is univariate
+    on a finite box).  Student-t moments up to total order two come from
+    :func:`tse_mean_cov`, which also serves out-of-bounds and doubly
+    infinite boxes.  The rest (Student-t, at least two joint dimensions,
+    ``nu`` at most the total order) is estimated from 10^6 draws of
+    :func:`sample_se` seeded with ``settings.seed``.
+    """
+    return _tse_moment_path(spec, tbox, order, settings)[0]
+
+
+# Draws of the Monte Carlo fallback of tse_moment.
+_MC_DRAWS = 1_000_000
+
+
+def _tse_moment_path(spec, tbox, order, settings):
+    """:func:`tse_moment` with the path taken and the Monte Carlo standard error.
+
+    Returns ``(value, method, mc_stderr)``; ``mc_stderr`` is ``None`` on the
+    deterministic paths, a float for the fallback, and the report's
+    ``mc_stderr`` dict when :func:`tse_mean_cov` took its Gibbs route.
     """
     k = _check_order(order, spec.n_outcome)
     aug_box = spec.augmented_box(tbox)
@@ -374,22 +393,22 @@ def tse_moment(spec: SelectionSpec, tbox: Optional[TruncationBox], order,
         raise MomentNotDefinedError(
             f"moment of order {tuple(int(v) for v in k)} does not exist for these limits")
     if k.sum() == 0:
-        return 1.0
-    if spec.family == NORMAL:
-        return tmvn_product_moment(spec.joint, aug_box, aug_order, settings)
-    if k.sum() <= 2:
+        return 1.0, ("direct",), None
+    if spec.family == STUDENT_T and k.sum() <= 2:
         rep = tse_mean_cov(spec, tbox, settings)
         nz = np.flatnonzero(k)
         if k.sum() == 1:
-            return float(rep.require_mean()[nz[0]])
-        if nz.size == 1:
-            return float(rep.require_second_moment()[nz[0], nz[0]])
-        return float(rep.require_second_moment()[nz[0], nz[1]])
-    # Stochastic fallback for high-order Student-t moments.
+            value = rep.require_mean()[nz[0]]
+        else:
+            value = rep.require_second_moment()[nz[0], nz[-1]]
+        return float(value), rep.method, rep.mc_stderr
+    if spec.family == NORMAL or spec.nu > k.sum() or spec.joint.dim == 1:
+        return _product_moment(spec.joint, aug_box, aug_order, settings), ("direct",), None
     from .oracle import estimate_moments, sample_se
 
-    batch = sample_se(spec, tbox, mc_draws, settings.seed)
-    return float(estimate_moments(batch, k).value)
+    batch = sample_se(spec, tbox, _MC_DRAWS, settings.seed)
+    est = estimate_moments(batch, k)
+    return float(est.value), ("mc-" + batch.method,), float(est.std_error)
 
 
 @dataclass(frozen=True)

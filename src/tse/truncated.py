@@ -1,12 +1,15 @@
 """Moments of rectangle-truncated multivariate normal and Student-t vectors.
 
-The mean and second moment over a box are assembled from boundary (face)
-identities: integrating the kernel's gradient identity over the box turns
-first moments into a weighted sum of one-dimension-lower rectangle
-probabilities evaluated on the faces, and second moments into the same face
-terms plus conditional first moments one dimension down.  For the
-Student-t kernel each recursion level decrements the degrees of freedom of
-the face distribution by one.
+One memoised recursion (:class:`_Moments`) gives every product moment over
+a box, for both kernels.  Integrating the kernel's gradient identity
+against ``x^k`` over the box by parts turns an order-(k+1) moment into
+order-(k-1) moments under the gradient law and order-k moments on the box
+faces, one dimension down, down to rectangle probabilities.  For the
+Student-t kernel the gradient law has ``nu - 2`` degrees of freedom and
+each face law ``nu - 1``; ``nu`` above the total order keeps every node
+well defined.  The same recursion serves the mean and covariance of
+:func:`truncated_mean_cov`, :func:`tmvn_product_moment` and the product
+moments of ``tse.selection.tse_moment``.
 
 Extreme configurations get dedicated treatment:
 
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .elliptical import (
@@ -154,23 +156,21 @@ def moment_flags(family: str, nu, tbox: TruncationBox) -> ExistenceFlags:
 
 
 # ---------------------------------------------------------------------------
-# Centred raw-moment engine.  All functions below work with location zero;
-# the public entry points shift the box by the location first.
+# Moment engine.  Rectangle probabilities are issued on limits centred on
+# the law's location, so every path that needs the same integral shares
+# one cache entry.
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    """Carries the QMC settings and the per-invocation face-term cache."""
+    """Carries the QMC settings and the per-invocation rectangle cache."""
 
     def __init__(self, settings: RectangleProbSettings):
         self.settings = settings
         self.cache: dict = {}
 
-    def _key(self, tag, nu, sigma, lo, hi):
-        return (tag, nu, sigma.tobytes(), lo.tobytes(), hi.tobytes())
-
     def prob(self, nu, sigma, lo, hi):
         """Centred rectangle probability; exact in one to three dimensions."""
-        key = self._key("p", nu, sigma, lo, hi)
+        key = (nu, sigma.tobytes(), lo.tobytes(), hi.tobytes())
         hit = self.cache.get(key)
         if hit is not None:
             return hit
@@ -185,8 +185,6 @@ class _Engine:
             seed=self.settings.seed)
         self.cache[key] = out
         return out
-
-    # -- univariate building blocks -------------------------------------
 
     @staticmethod
     def _norm_pdf(t, var):
@@ -226,128 +224,108 @@ class _Engine:
         scale = schur * ((nu + t * t / var_k) / (nu - 1.0))
         return others, mu_c, scale, nu - 1.0, self._t_face_constant(p, nu, var_k, t)
 
-    # -- univariate moments ----------------------------------------------
 
-    def _uv_raw_mean(self, nu, var, lo, hi):
-        """``E[X 1_{[lo,hi]}]`` for a centred scalar with variance/scale var."""
-        if nu is None:
-            return var * (self._norm_pdf(lo, var) - self._norm_pdf(hi, var))
-        s = np.sqrt(var)
-        c = np.exp(gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu)
-                   - 0.5 * np.log(nu * np.pi))
-        if nu == 1.0:
-            # Logarithmic antiderivative at exactly one degree of freedom.
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise MomentNotDefinedError("Cauchy mean requires finite limits")
-            ua, ub = lo / s, hi / s
-            return float(s * c * 0.5 * (np.log1p(ub * ub) - np.log1p(ua * ua)))
+def _lower_order(k, j):
+    return k[:j] + (k[j] - 1,) + k[j + 1:]
 
-        def antider(t):
-            if not np.isfinite(t):
-                return 0.0 if nu > 1.0 else np.inf
-            u = t / s
-            return float((1.0 + u * u / nu) ** (-0.5 * (nu - 1.0)))
 
-        va, vb = antider(lo), antider(hi)
-        if not (np.isfinite(va) and np.isfinite(vb)):
-            raise MomentNotDefinedError("mean does not exist for these limits")
-        return float(s * c * (nu / (nu - 1.0)) * (va - vb))
+class _Moments:
+    """Unnormalised product moments ``E[X^k 1_box]`` of one law on one box.
 
-    def _uv_raw_second(self, nu, var, lo, hi):
-        """``E[X^2 1_{[lo,hi]}]`` for a centred scalar."""
-        if nu is None:
-            L = self.prob(None, np.array([[var]]), np.array([lo]), np.array([hi]))
-            face = 0.0
-            if np.isfinite(lo):
-                face += lo * self._norm_pdf(lo, var)
-            if np.isfinite(hi):
-                face -= hi * self._norm_pdf(hi, var)
-            return var * L + var * face
-        if nu > 2.0:
-            scaled = np.array([[var * nu / (nu - 2.0)]])
-            Lt = self.prob(nu - 2.0, scaled, np.array([lo]), np.array([hi]))
-            face = 0.0
-            for t, sign in ((lo, 1.0), (hi, -1.0)):
-                if np.isfinite(t):
-                    face += sign * t * self._t_face_constant(1, nu, var, t)
-            return var * (nu / (nu - 2.0)) * Lt + var * (nu / (nu - 1.0)) * face
-        # Low degrees of freedom with a bounded box: direct quadrature.
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise MomentNotDefinedError("second moment does not exist for these limits")
-        s = np.sqrt(var)
+    The law has location ``mu``, dispersion ``sigma`` and ``nu`` degrees of
+    freedom (``None`` for the normal kernel); the box is ``[lo, hi]``.  The
+    kernel's gradient identity ``(x - mu) f = -w Sigma grad g``, integrated
+    against ``x^k`` by parts, gives every order ``|k| + 1`` moment from
+    order ``|k| - 1`` moments under ``g`` and order ``|k|`` moments on the
+    box faces, one dimension down.  Normal kernel: ``g = f`` and every weight is one.  Student-t:
+    ``g`` is the t(nu - 2) law with dispersion ``nu Sigma / (nu - 2)`` and
+    weight ``nu / (nu - 2)``, and the face terms carry ``nu / (nu + p - 2)``
+    and laws with ``nu - 1`` degrees of freedom.  A top-level ``nu`` above
+    the total order keeps every node's degrees of freedom above its own
+    order; below that only a one-dimensional finite box is served, by
+    quadrature.
+    """
+
+    def __init__(self, eng: _Engine, nu, mu, sigma, lo, hi):
+        self.eng, self.nu, self.mu, self.sigma = eng, nu, mu, sigma
+        self.lo, self.hi = lo, hi
+        self.dim = mu.size
+        self._up: dict = {}
+        self._faces: dict = {}
+        self._down = self if nu is None else None
+
+    def raw(self, k: tuple) -> float:
+        if self.dim == 0:
+            return 1.0
+        if not any(k):
+            return self.eng.prob(self.nu, self.sigma, self.lo - self.mu, self.hi - self.mu)
+        i = next(idx for idx, ki in enumerate(k) if ki > 0)
+        return self.up(_lower_order(k, i))[i]
+
+    def down(self):
+        if self._down is None:
+            nu = self.nu
+            self._down = _Moments(self.eng, nu - 2.0, self.mu,
+                                  self.sigma * (nu / (nu - 2.0)), self.lo, self.hi)
+        return self._down
+
+    def face(self, j, t):
+        """The law on the face ``x_j = t`` and its weight."""
+        hit = self._faces.get((j, t))
+        if hit is None:
+            others, mu_c, disp, df_c, weight = self.eng._face_parts(
+                self.nu, self.sigma, j, t - self.mu[j])
+            hit = (_Moments(self.eng, df_c, self.mu[others] + mu_c, disp,
+                            self.lo[others], self.hi[others]), weight)
+            self._faces[(j, t)] = hit
+        return hit
+
+    def up(self, k: tuple) -> np.ndarray:
+        """``E[X^(k + e_i) 1_box]`` for every coordinate ``i``."""
+        hit = self._up.get(k)
+        if hit is not None:
+            return hit
+        nu, p = self.nu, self.dim
+        if nu is not None and nu <= sum(k) + 1:
+            self._up[k] = self._quad(sum(k) + 1)
+            return self._up[k]
+        inner = np.zeros(p)
+        faces = np.zeros(p)
+        for j in range(p):
+            if k[j]:
+                inner[j] = k[j] * self.down().raw(_lower_order(k, j))
+            rest = k[:j] + k[j + 1:]
+            for t, sign in ((self.lo[j], 1.0), (self.hi[j], -1.0)):
+                if not np.isfinite(t):
+                    continue
+                sub, weight = self.face(j, t)
+                if weight == 0.0:
+                    continue
+                faces[j] += sign * weight * (t ** k[j] * sub.raw(rest))
+        pref = 1.0 if nu is None else nu / (nu + p - 2.0)
+        out = self.mu * self.raw(k) + pref * (self.sigma @ faces)
+        if any(k):
+            out = out + self.down().sigma @ inner
+        self._up[k] = out
+        return out
+
+    def _quad(self, order):
+        """One-dimensional ``E[X^order 1_box]`` for ``nu <= order``."""
+        if self.dim != 1 or not np.all(np.isfinite(self.lo) & np.isfinite(self.hi)):
+            raise MomentNotDefinedError(
+                f"analytic Student-t moments of order {order} require nu > {order}")
+        from scipy.integrate import quad
+
+        nu, var, mu = self.nu, self.sigma[0, 0], self.mu[0]
         logc = (gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu)
                 - 0.5 * np.log(nu * np.pi) - 0.5 * np.log(var))
 
         def integrand(x):
-            return x * x * np.exp(logc - 0.5 * (nu + 1.0) * np.log1p(x * x / (nu * var)))
+            return x ** order * np.exp(
+                logc - 0.5 * (nu + 1.0) * np.log1p((x - mu) ** 2 / (nu * var)))
 
-        val, _ = quad(integrand, lo, hi, limit=200)
-        return float(val)
-
-    # -- multivariate raw moments ----------------------------------------
-
-    def raw_mean(self, nu, sigma, lo, hi):
-        """Centred ``(L, E[X 1_box])``."""
-        key = self._key("m", nu, sigma, lo, hi)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        p = sigma.shape[0]
-        L = self.prob(nu, sigma, lo, hi)
-        if p == 1:
-            out = (L, np.array([self._uv_raw_mean(nu, sigma[0, 0], lo[0], hi[0])]))
-            self.cache[key] = out
-            return out
-        face = np.zeros(p)
-        for k in range(p):
-            for t, sign in ((lo[k], 1.0), (hi[k], -1.0)):
-                if not np.isfinite(t):
-                    continue
-                others, mu_c, disp, df_c, weight = self._face_parts(nu, sigma, k, t)
-                if weight == 0.0:
-                    continue
-                Lc = self.prob(df_c, disp, lo[others] - mu_c, hi[others] - mu_c)
-                face[k] += sign * weight * Lc
-        pref = 1.0 if nu is None else nu / (nu + p - 2.0)
-        out = (L, pref * (sigma @ face))
-        self.cache[key] = out
-        return out
-
-    def raw_mean_shifted(self, nu, mu, sigma, lo, hi):
-        """``(L, E[U 1_box])`` for a joint with location ``mu``."""
-        L, m0 = self.raw_mean(nu, sigma, lo - mu, hi - mu)
-        return L, mu * L + m0
-
-    def raw_second(self, nu, sigma, lo, hi):
-        """Centred ``(L, E[X 1_box], E[X X' 1_box])``; Student-t needs nu > 2."""
-        p = sigma.shape[0]
-        L, m1 = self.raw_mean(nu, sigma, lo, hi)
-        if p == 1:
-            M = np.array([[self._uv_raw_second(nu, sigma[0, 0], lo[0], hi[0])]])
-            return L, m1, M
-        if nu is not None and nu <= 2.0:
-            raise MomentNotDefinedError(
-                "analytic Student-t second moments require nu > 2")
-        W = np.zeros((p, p))
-        for k in range(p):
-            for t, sign in ((lo[k], 1.0), (hi[k], -1.0)):
-                if not np.isfinite(t):
-                    continue
-                others, mu_c, disp, df_c, weight = self._face_parts(nu, sigma, k, t)
-                if weight == 0.0:
-                    continue
-                Lc, m1c = self.raw_mean_shifted(df_c, mu_c, disp, lo[others], hi[others])
-                contrib = np.empty(p)
-                contrib[others] = m1c
-                contrib[k] = t * Lc
-                W[k] += sign * weight * contrib
-        if nu is None:
-            M = sigma * L + sigma @ W
-        else:
-            scaled = sigma * (nu / (nu - 2.0))
-            Lt = self.prob(nu - 2.0, scaled, lo, hi)
-            M = scaled * Lt + (nu / (nu + p - 2.0)) * (sigma @ W)
-        return L, m1, 0.5 * (M + M.T)
+        val, _ = quad(integrand, self.lo[0], self.hi[0], limit=200)
+        return np.array([val])
 
 
 # ---------------------------------------------------------------------------
@@ -527,18 +505,19 @@ def _needs_mc_fallback(joint, flags):
 def _direct_report(joint, tbox, eng, flags):
     if _needs_mc_fallback(joint, flags):
         return _gibbs_report(joint, tbox, eng, flags)
-    lo = tbox.lower - joint.xi
-    hi = tbox.upper - joint.xi
-    sigma = joint.omega
-    nu = joint.nu
+    # Moments about the location: omega_12 then finds both of its rectangle
+    # probabilities in the engine cache.
+    p = joint.dim
+    top = _Moments(eng, joint.nu, np.zeros(p), joint.omega,
+                   tbox.lower - joint.xi, tbox.upper - joint.xi)
+    zero = (0,) * p
+    L = top.raw(zero)
+    m1 = top.up(zero) if flags.mean else None
+    M2 = None
     if flags.second:
-        L, m1, M2 = eng.raw_second(nu, sigma, lo, hi)
-    elif flags.mean:
-        L, m1 = eng.raw_mean(nu, sigma, lo, hi)
-        M2 = None
-    else:
-        L = eng.prob(nu, sigma, lo, hi)
-        m1 = M2 = None
+        M2 = np.column_stack([top.up(tuple(int(i == j) for i in range(p)))
+                              for j in range(p)])
+        M2 = 0.5 * (M2 + M2.T)
     if L <= 0.0:
         # The QMC estimate underflowed even though no single coordinate was
         # flagged; collapse the whole box like the out-of-bounds case.
@@ -701,71 +680,30 @@ def tmvt_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
 
 
 # ---------------------------------------------------------------------------
-# Arbitrary product moments for the normal kernel: a dimension recursion
-# relating an order-k moment to order-(k-1) moments and face terms.
+# Arbitrary product moments through the same recursion.
 # ---------------------------------------------------------------------------
 
-class _ProductMomentProblem:
-    def __init__(self, eng: _Engine, mu, sigma, lo, hi):
-        self.eng = eng
-        self.mu = mu
-        self.sigma = sigma
-        self.lo = lo
-        self.hi = hi
-        self.dim = mu.size
-        self._memo: dict = {}
-        self._faces: dict = {}
+def _product_moment(joint: EllipticalJoint, tbox: TruncationBox, k,
+                    settings: RectangleProbSettings) -> float:
+    """``E[X^k | box]`` for either kernel; degenerate coordinates are conditioned away.
 
-    def prob(self):
-        return self.eng.prob(None, self.sigma, self.lo - self.mu, self.hi - self.mu)
-
-    def face(self, j, t):
-        key = (j, t)
-        hit = self._faces.get(key)
-        if hit is not None:
-            return hit
-        others, mu_c, schur, _, _ = self.eng._face_parts(None, self.sigma, j,
-                                                         t - self.mu[j])
-        sub = _ProductMomentProblem(self.eng, self.mu[others] + mu_c, schur,
-                                    self.lo[others], self.hi[others])
-        self._faces[key] = sub
-        return sub
-
-    def raw(self, k: tuple) -> float:
-        """Unnormalised ``E[X^k 1_box]``."""
-        if self.dim == 0:
-            return 1.0
-        hit = self._memo.get(k)
-        if hit is not None:
-            return hit
-        if sum(k) == 0:
-            val = self.prob()
-            self._memo[k] = val
-            return val
-        i = next(idx for idx, ki in enumerate(k) if ki > 0)
-        k1 = list(k)
-        k1[i] -= 1
-        k1 = tuple(k1)
-        val = self.mu[i] * self.raw(k1)
-        for j in range(self.dim):
-            term = 0.0
-            if k1[j] > 0:
-                k2 = list(k1)
-                k2[j] -= 1
-                term += k1[j] * self.raw(tuple(k2))
-            k_rest = tuple(kv for idx, kv in enumerate(k1) if idx != j)
-            a_j, b_j = self.lo[j], self.hi[j]
-            if np.isfinite(a_j):
-                dens = _Engine._norm_pdf(a_j - self.mu[j], self.sigma[j, j])
-                if dens > 0.0:
-                    term += (a_j ** k1[j]) * dens * self.face(j, a_j).raw(k_rest)
-            if np.isfinite(b_j):
-                dens = _Engine._norm_pdf(b_j - self.mu[j], self.sigma[j, j])
-                if dens > 0.0:
-                    term -= (b_j ** k1[j]) * dens * self.face(j, b_j).raw(k_rest)
-            val += self.sigma[i, j] * term
-        self._memo[k] = val
-        return val
+    A Student-t kernel needs ``nu`` above the total order unless the box is
+    one-dimensional and finite (see :class:`_Moments`).
+    """
+    deg = np.flatnonzero(tbox.is_degenerate())
+    values = tbox.lower[deg]
+    factor = float(np.prod(values ** k[deg]))
+    if deg.size == joint.dim:
+        return factor
+    keep = np.setdiff1d(np.arange(joint.dim), deg)
+    if deg.size:
+        joint = conditional(joint, deg, values)
+    top = _Moments(_Engine(settings), joint.nu, joint.xi, joint.omega,
+                   tbox.lower[keep], tbox.upper[keep])
+    L = top.raw((0,) * keep.size)
+    if L <= 0.0:
+        raise NumericalError("box probability underflowed; no product-moment path")
+    return float(factor * top.raw(tuple(int(v) for v in k[keep])) / L)
 
 
 def tmvn_product_moment(joint: EllipticalJoint, tbox: TruncationBox, order,
@@ -774,7 +712,9 @@ def tmvn_product_moment(joint: EllipticalJoint, tbox: TruncationBox, order,
     """``E[X^order | lower <= X <= upper]`` for the normal kernel.
 
     ``order`` is a vector of per-coordinate exponents; the empty order
-    returns one exactly.
+    returns one exactly.  The moment comes from the face recursion that
+    also serves :func:`truncated_mean_cov`; degenerate coordinates
+    contribute fixed powers of their pinned value.
     """
     if joint.family != NORMAL:
         raise SpecError("tmvn_product_moment requires a normal kernel")
@@ -783,25 +723,4 @@ def tmvn_product_moment(joint: EllipticalJoint, tbox: TruncationBox, order,
     k = _check_order(order, joint.dim, cap=order_cap)
     if k.sum() == 0:
         return 1.0
-    eng = _Engine(settings)
-
-    # Degenerate coordinates contribute fixed powers of their pinned value.
-    deg = np.flatnonzero(tbox.is_degenerate())
-    factor = 1.0
-    if deg.size:
-        values = tbox.lower[deg]
-        factor = float(np.prod(values ** k[deg]))
-        if deg.size == joint.dim:
-            return factor
-        keep = np.array([i for i in range(joint.dim) if i not in set(deg.tolist())])
-        sub = conditional(joint, deg, values)
-        prob = _ProductMomentProblem(eng, sub.xi, sub.omega,
-                                     tbox.lower[keep], tbox.upper[keep])
-        k = k[keep]
-    else:
-        prob = _ProductMomentProblem(eng, joint.xi, joint.omega,
-                                     tbox.lower, tbox.upper)
-    L = prob.raw(tuple(0 for _ in range(prob.dim)))
-    if L <= 0.0:
-        raise NumericalError("box probability underflowed; no product-moment path")
-    return float(factor * prob.raw(tuple(int(v) for v in k)) / L)
+    return _product_moment(joint, tbox, k, settings)

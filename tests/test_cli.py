@@ -114,6 +114,50 @@ class TestJobs:
         assert code == 0
         assert payload["values"]["moment"] == pytest.approx(1.0, abs=1e-9)
 
+    def _order_job(self, tmp_path, capsys, job):
+        code, out, _ = run_cli(capsys, "moments", "--spec", write_job(tmp_path, job))
+        assert code == 0
+        return json.loads(out)
+
+    def test_moments_order_labelled_direct(self, tmp_path, capsys):
+        job = {"distribution": {"family": "t", "mu": [0.0, 0.0],
+                                "sigma": [[1.0, 0.3], [0.3, 1.0]], "nu": 6.0},
+               "box": {"lower": [-1.0, -1.0], "upper": [1.0, 2.0]},
+               "order": [2, 1]}
+        payload = self._order_job(tmp_path, capsys, job)
+        assert payload["method"] == ["direct"]
+        assert payload["diagnostics"] == {}
+
+    def test_moments_order_labelled_mc_rejection(self, tmp_path, capsys):
+        # nu = 2.5 at total order 3 on a two-dimensional augmented box.
+        job = {"distribution": {"family": "ST", "mu": [0.0], "sigma": [[1.0]],
+                                "lambda": [1.5], "nu": 2.5},
+               "box": {"lower": [-2.0], "upper": [2.0]},
+               "order": [3]}
+        payload = self._order_job(tmp_path, capsys, job)
+        assert payload["method"] == ["mc-rejection"]
+        assert 0.0 < payload["diagnostics"]["mc_stderr"] < 0.01
+
+    def test_moments_order_labelled_mc_gibbs(self, tmp_path, capsys):
+        # A remote box leaves rejection sampling too few acceptances.
+        job = {"distribution": {"family": "ST", "mu": [0.0], "sigma": [[1.0]],
+                                "lambda": [1.5], "nu": 2.5},
+               "box": {"lower": [-4.0], "upper": [-3.5]},
+               "order": [3]}
+        payload = self._order_job(tmp_path, capsys, job)
+        assert payload["method"] == ["mc-gibbs"]
+        assert payload["diagnostics"]["mc_stderr"] > 0.0
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        import subprocess
+        import sys
+
+        cmd = [sys.executable, "-c",
+               "import sys, tse.cli; print('scipy.integrate' in sys.modules)"]
+        run = subprocess.run(cmd, capture_output=True, text=True)
+        assert run.returncode == 0
+        assert run.stdout.strip() == "False"
+
     def test_deterministic_output_bytes(self, tmp_path, capsys):
         path = os.path.join(EXAMPLES, "t_moments.json")
         code1, out1, _ = run_cli(capsys, "moments", "--spec", path, "--seed", "5")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
+from scipy.special import gammaln
 from scipy.stats import norm
 
 from tse.elliptical import (
@@ -10,10 +11,12 @@ from tse.elliptical import (
     student_joint,
 )
 from tse.errors import MomentNotDefinedError, NumericalError, SpecError
-from tse.oracle import estimate_mean_cov, sample_se_rejection
+from tse.oracle import estimate_mean_cov, estimate_moments, sample_se, sample_se_rejection
 from tse.risk import survival
 from tse.selection import (
+    SelectionSpec,
     SutParams,
+    _tse_moment_path,
     affine_outcome,
     box_mass,
     build_selection,
@@ -344,6 +347,105 @@ class TestTseMoments:
                          lambda _: b.lower[1], lambda _: b.upper[1])
         # face probabilities carry the default QMC budget (~1e-6 absolute)
         assert got == pytest.approx(num / mass, rel=1e-4)
+
+
+def _t_density(x, xi, omega, nu):
+    """Multivariate Student-t density at one point, written out."""
+    z = np.asarray(x, dtype=float) - xi
+    d = z.size
+    quad_form = z @ np.linalg.solve(omega, z)
+    return float(np.exp(gammaln(0.5 * (nu + d)) - gammaln(0.5 * nu)
+                        - 0.5 * d * np.log(nu * np.pi)
+                        - 0.5 * np.log(np.linalg.det(omega))
+                        - 0.5 * (nu + d) * np.log1p(quad_form / nu)))
+
+
+def _plain(joint):
+    """The joint itself as a selection spec without a selection block."""
+    return SelectionSpec(joint, 0, joint.dim, [], [])
+
+
+class TestStudentProductMoments:
+    """Student-t product moments above order two from the face recursion."""
+
+    QUAD = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+
+    @pytest.mark.parametrize("nu", [3.5, 5.0, 6.0])
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_univariate_against_quadrature(self, nu, order):
+        # nu = 3.5 at order 4 takes the one-dimensional quadrature base case.
+        j = student_joint([0.3], [[1.5]], nu)
+        lo, hi = -1.2, 2.0
+        got = tse_moment(_plain(j), TruncationBox([lo], [hi]), [order])
+
+        def f(x):
+            return _t_density([x], j.xi, j.omega, nu)
+
+        ref = quad(lambda x: x ** order * f(x), lo, hi, **self.QUAD)[0] \
+            / quad(f, lo, hi, **self.QUAD)[0]
+        assert got == pytest.approx(ref, abs=1e-10)
+
+    # nu above the total order; below it the fallback is Monte Carlo.
+    @pytest.mark.parametrize("nu,order", [
+        (nu, order) for nu in (3.5, 5.0, 6.0)
+        for order in ((3, 0), (2, 1), (1, 2), (0, 3), (4, 0), (3, 1), (2, 2), (0, 4))
+        if nu > sum(order)])
+    def test_bivariate_against_nested_quadrature(self, nu, order):
+        from scipy.integrate import dblquad
+
+        xi = np.array([0.3, -0.2])
+        omega = np.array([[1.2, 0.4], [0.4, 0.8]])
+        lo, hi = np.array([-1.0, -0.7]), np.array([1.5, 1.1])
+        got = tse_moment(_plain(student_joint(xi, omega, nu)), TruncationBox(lo, hi),
+                         list(order))
+
+        def f(y, x):
+            return _t_density([x, y], xi, omega, nu)
+
+        opts = dict(epsabs=1e-14, epsrel=1e-12)
+        mass = dblquad(f, lo[0], hi[0], lo[1], hi[1], **opts)[0]
+        num = dblquad(lambda y, x: x ** order[0] * y ** order[1] * f(y, x),
+                      lo[0], hi[0], lo[1], hi[1], **opts)[0]
+        assert got == pytest.approx(num / mass, abs=1e-10)
+
+    @pytest.mark.parametrize("nu,order,lo,hi", [
+        (5.0, 3, -1.0, np.inf),
+        (5.0, 4, -1.0, np.inf),
+        (6.0, 4, -np.inf, 0.5),
+        (4.5, 3, 0.0, np.inf),
+    ])
+    def test_one_sided_univariate(self, nu, order, lo, hi):
+        j = student_joint([0.2], [[0.9]], nu)
+        got = tse_moment(_plain(j), TruncationBox([lo], [hi]), [order])
+
+        def f(x):
+            return _t_density([x], j.xi, j.omega, nu)
+
+        ref = quad(lambda x: x ** order * f(x), lo, hi, **self.QUAD)[0] \
+            / quad(f, lo, hi, **self.QUAD)[0]
+        assert got == pytest.approx(ref, rel=1e-9)
+
+    def test_ex5_mixed_third_order_against_monte_carlo(self):
+        spec = build_selection(EX5)
+        got = tse_moment(spec, EX5_BOX, [2, 1])
+        batch = sample_se(spec, EX5_BOX, 200_000, seed=11)
+        est = estimate_moments(batch, [2, 1])
+        assert z_within(got, est.value, est.std_error)
+
+    def test_low_df_bivariate_takes_monte_carlo(self):
+        # nu = 2.5 at total order 3 on a two-dimensional augmented box.
+        spec = build_selection(SutParams([0.0], [[1.0]], [1.5], [0.0], [[1.0]], 2.5))
+        value, method, stderr = _tse_moment_path(spec, TruncationBox([-2.0], [2.0]), [3],
+                                                 RectangleProbSettings())
+        assert method == ("mc-rejection",)
+        assert isinstance(stderr, float) and 0.0 < stderr < 0.01
+        assert value == tse_moment(spec, TruncationBox([-2.0], [2.0]), [3])
+
+    def test_recursion_path_is_direct(self):
+        spec = build_selection(EX5)
+        value, method, stderr = _tse_moment_path(spec, EX5_BOX, [3, 0],
+                                                 RectangleProbSettings())
+        assert method == ("direct",) and stderr is None
 
 
 class TestAffineClosure:
