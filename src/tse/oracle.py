@@ -33,6 +33,7 @@ __all__ = [
 
 _PILOT_SIZE = 10_000
 _MIN_ACCEPT = 1e-4
+_MAX_PROPOSALS = 200_000_000
 _TAIL_CUT = 5.0
 
 
@@ -70,8 +71,7 @@ def sample_joint(joint: EllipticalJoint, n: int, rng: np.random.Generator) -> np
     return joint.xi + z
 
 
-def sample_se_rejection(spec, tbox: Optional[TruncationBox], n: int, seed: int,
-                        max_proposals: int = 200_000_000) -> SampleBatch:
+def sample_se_rejection(spec, tbox: Optional[TruncationBox], n: int, seed: int) -> SampleBatch:
     """Rejection sampler for a truncated selection distribution.
 
     Simulates the defining construction: draw the full joint, keep the
@@ -113,7 +113,7 @@ def sample_se_rejection(spec, tbox: Optional[TruncationBox], n: int, seed: int,
     proposed = _PILOT_SIZE
     while got < n:
         m = int(min(max((n - got) / rate * 1.2, 10_000), 4_000_000))
-        if proposed + m > max_proposals:
+        if proposed + m > _MAX_PROPOSALS:
             raise NumericalError("rejection sampler exceeded its proposal budget")
         x = sample_joint(spec.joint, m, rng)
         ok = accept_mask(x)

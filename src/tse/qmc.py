@@ -87,9 +87,8 @@ def _reordered_cholesky(sigma, lower, upper):
             if prob < best_prob:
                 best, best_prob, best_ld = i, prob, (loi, hii)
         if best != k:
-            for arr in (cov,):
-                arr[[k, best], :] = arr[[best, k], :]
-                arr[:, [k, best]] = arr[:, [best, k]]
+            cov[[k, best], :] = cov[[best, k], :]
+            cov[:, [k, best]] = cov[:, [best, k]]
             chol[[k, best], :] = chol[[best, k], :]
             lo[[k, best]] = lo[[best, k]]
             hi[[k, best]] = hi[[best, k]]
@@ -501,6 +500,10 @@ def _trivariate_rect(corr, lower, upper, df=None):
     return prob, gap.sum() + inner_err.sum() + _TAIL_ROUND * prob
 
 
+# Largest dimension computed exactly; the lattice serves the rest.
+_EXACT_MAX_DIM = 3
+
+
 def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=20_000,
                   num_shifts=12, seed=7, target_abs_error=None):
     """Probability that a centred normal / Student-t vector lies in a box.
@@ -546,7 +549,7 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=20_000,
         raise NumericalError("lower limit exceeds upper limit")
 
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if n <= 3:
+    if n <= _EXACT_MAX_DIM:
         # One to three dimensions are exact; no randomization error.
         corr, lo, hi = _standardise(sigma, lower, upper)
         if n == 1:

@@ -45,6 +45,8 @@ __all__ = [
     "tce_sum_decomposed",
 ]
 
+_MAX_SPAN = 50.0
+
 
 @dataclass(frozen=True)
 class SumDistParams:
@@ -76,12 +78,11 @@ def survival(spec: SelectionSpec, threshold: float,
 
 
 def quantile_upper(spec: SelectionSpec, alpha: float,
-                   settings: RectangleProbSettings = DEFAULT_SETTINGS,
-                   max_span: float = 50.0) -> float:
+                   settings: RectangleProbSettings = DEFAULT_SETTINGS) -> float:
     """Threshold with upper-tail mass ``alpha``: ``P(Y > y) = alpha``.
 
     Brackets by doubling away from the location in scale units (failing
-    beyond ``max_span`` scale units), then hands the deterministic
+    beyond ``_MAX_SPAN`` scale units), then hands the deterministic
     survival function to a bisection/secant hybrid.
     """
     if not 0.0 < alpha < 1.0:
@@ -101,16 +102,16 @@ def quantile_upper(spec: SelectionSpec, alpha: float,
     while f(lo) <= 0.0:
         lo -= step
         step *= 2.0
-        if loc - lo > max_span * scale:
+        if loc - lo > _MAX_SPAN * scale:
             raise NumericalError(
-                f"failed to bracket the quantile within {max_span} scale units")
+                f"failed to bracket the quantile within {_MAX_SPAN} scale units")
     step = scale
     while f(hi) >= 0.0:
         hi += step
         step *= 2.0
-        if hi - loc > max_span * scale:
+        if hi - loc > _MAX_SPAN * scale:
             raise NumericalError(
-                f"failed to bracket the quantile within {max_span} scale units")
+                f"failed to bracket the quantile within {_MAX_SPAN} scale units")
     return float(brentq(f, lo, hi, xtol=1e-10, rtol=8.9e-16))
 
 

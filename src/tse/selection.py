@@ -21,6 +21,7 @@ from .elliptical import (
     EllipticalJoint,
     RectangleProbSettings,
     TruncationBox,
+    conditional,
     log_density,
     marginal,
     normal_joint,
@@ -28,10 +29,11 @@ from .elliptical import (
     student_joint,
 )
 from .errors import MomentNotDefinedError, NumericalError, SpecError
-from .qmc import _cdf, bivariate_rect_prob
+from .qmc import _cdf, _uv_mass, bivariate_rect_prob
 from .truncated import (
     MomentReport,
     _check_order,
+    _oob_target,
     _product_moment,
     existence_check,
     truncated_mean_cov,
@@ -287,7 +289,7 @@ def se_logpdf(spec: SelectionSpec, y,
         sd = np.sqrt(schur[0, 0] * factors)
         znum_hi = (hi[0] - cond_mean[0]) / sd
         znum_lo = (lo[0] - cond_mean[0]) / sd
-        num = _cdf(znum_hi, df_c) - _cdf(znum_lo, df_c)
+        num = _uv_mass(znum_lo, znum_hi, df_c)
     elif q == 2:
         # Every row shares the Schur correlation; only the standardised
         # limits differ, so one call covers all rows.
@@ -342,9 +344,6 @@ def _tse_prob_mass(spec, aug_report, tbox, settings):
         return float(min(max(aug_report.prob_mass / den, 0.0), 1.0))
     # Selection mass underflowed in double precision: report the box mass
     # under the limiting law (selection block collapsed onto its near limit).
-    from .elliptical import conditional as _conditional
-    from .truncated import _oob_target
-
     if tbox is None:
         return 1.0
     sel_box = TruncationBox(spec.selection_lower, spec.selection_upper)
@@ -353,7 +352,7 @@ def _tse_prob_mass(spec, aug_report, tbox, settings):
         target = _oob_target(sel_joint, sel_box, list(range(spec.n_selection)))
     except NumericalError:
         return 0.0
-    cond = _conditional(spec.joint, np.arange(spec.n_selection), target)
+    cond = conditional(spec.joint, np.arange(spec.n_selection), target)
     prob, _ = rectangle_prob(cond, tbox, settings)
     return prob
 

@@ -4,12 +4,12 @@ One memoised recursion (:class:`_Moments`) gives every product moment over
 a box, for both kernels.  Integrating the kernel's gradient identity
 against ``x^k`` over the box by parts turns an order-(k+1) moment into
 order-(k-1) moments under the gradient law and order-k moments on the box
-faces, one dimension down, down to rectangle probabilities.  For the
-Student-t kernel the gradient law has ``nu - 2`` degrees of freedom and
-each face law ``nu - 1``; ``nu`` above the total order keeps every node
-well defined.  The same recursion serves the mean and covariance of
-:func:`truncated_mean_cov`, :func:`tmvn_product_moment` and the product
-moments of ``tse.selection.tse_moment``.
+faces, one dimension down, down to rectangle probabilities, each owned by
+its node.  For the Student-t kernel the gradient law has ``nu - 2``
+degrees of freedom and each face law ``nu - 1``; ``nu`` above the total
+order keeps every node well defined.  The same recursion serves the mean
+and covariance of :func:`truncated_mean_cov`, :func:`tmvn_product_moment`
+and the product moments of ``tse.selection.tse_moment``.
 
 Extreme configurations get dedicated treatment:
 
@@ -19,7 +19,7 @@ Extreme configurations get dedicated treatment:
   coordinate whose far limit is infinite raises instead);
 * coordinates unbounded on both sides are split off and reassembled from
   the truncated block via the conditional-scale constant, integrating only
-  over the truncated block.
+  over the truncated block, whose recursion also gives the constant.
 """
 
 from __future__ import annotations
@@ -156,73 +156,47 @@ def moment_flags(family: str, nu, tbox: TruncationBox) -> ExistenceFlags:
 
 
 # ---------------------------------------------------------------------------
-# Moment engine.  Rectangle probabilities are issued on limits centred on
-# the law's location, so every path that needs the same integral shares
-# one cache entry.
+# Face identity.  Fixing x_k = t leaves a law one dimension down times a
+# one-dimensional weight.
 # ---------------------------------------------------------------------------
 
-class _Engine:
-    """Carries the QMC settings and the per-invocation rectangle cache."""
+def _norm_pdf(t, var):
+    if not np.isfinite(t):
+        return 0.0
+    return float(np.exp(-0.5 * t * t / var) / np.sqrt(2.0 * np.pi * var))
 
-    def __init__(self, settings: RectangleProbSettings):
-        self.settings = settings
-        self.cache: dict = {}
 
-    def prob(self, nu, sigma, lo, hi):
-        """Centred rectangle probability; exact in one to three dimensions."""
-        key = (nu, sigma.tobytes(), lo.tobytes(), hi.tobytes())
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        keep = np.flatnonzero(~(np.isinf(lo) & np.isinf(hi) & (lo < hi)))
-        # Face probabilities keep the single-pass budget: the assembled
-        # moments are insensitive to per-face refinement and the shared
-        # cache keeps both extreme-case paths on identical integrals.
-        out, _ = rect_prob_qmc(
-            sigma[np.ix_(keep, keep)], lo[keep], hi[keep], df=nu,
-            max_points=self.settings.max_points,
-            num_shifts=self.settings.num_shifts,
-            seed=self.settings.seed)
-        self.cache[key] = out
-        return out
+def _t_face_constant(p, nu, var_k, t):
+    """Scaled Student-t face weight for a p-dim problem at ``x_k = t``.
 
-    @staticmethod
-    def _norm_pdf(t, var):
-        if not np.isfinite(t):
-            return 0.0
-        return float(np.exp(-0.5 * t * t / var) / np.sqrt(2.0 * np.pi * var))
+    This is the one-dimensional factor multiplying the (p-1)-dim
+    conditional rectangle probability with ``nu - 1`` degrees of
+    freedom; it decays like ``|t|^{-(nu-1)}``.
+    """
+    if not np.isfinite(t):
+        return 0.0
+    log_k = (
+        gammaln(0.5 * (nu + p)) + gammaln(0.5 * (nu - 1.0))
+        - gammaln(0.5 * nu) - gammaln(0.5 * (nu + p - 2.0))
+        - 0.5 * np.log(np.pi) + 0.5 * (nu - 2.0) * np.log(nu)
+    )
+    return float(np.exp(log_k - 0.5 * np.log(var_k)
+                        - 0.5 * (nu - 1.0) * np.log(nu + t * t / var_k)))
 
-    @staticmethod
-    def _t_face_constant(p, nu, var_k, t):
-        """Scaled Student-t face weight for a p-dim problem at ``x_k = t``.
 
-        This is the one-dimensional factor multiplying the (p-1)-dim
-        conditional rectangle probability with ``nu - 1`` degrees of
-        freedom; it decays like ``|t|^{-(nu-1)}``.
-        """
-        if not np.isfinite(t):
-            return 0.0
-        log_k = (
-            gammaln(0.5 * (nu + p)) + gammaln(0.5 * (nu - 1.0))
-            - gammaln(0.5 * nu) - gammaln(0.5 * (nu + p - 2.0))
-            - 0.5 * np.log(np.pi) + 0.5 * (nu - 2.0) * np.log(nu)
-        )
-        return float(np.exp(log_k - 0.5 * np.log(var_k)
-                            - 0.5 * (nu - 1.0) * np.log(nu + t * t / var_k)))
-
-    def _face_parts(self, nu, sigma, k, t):
-        """Conditional location/dispersion/df one dimension down at x_k = t."""
-        p = sigma.shape[0]
-        others = [i for i in range(p) if i != k]
-        var_k = sigma[k, k]
-        mu_c = sigma[others, k] * (t / var_k)
-        schur = sigma[np.ix_(others, others)] - np.outer(sigma[others, k],
-                                                         sigma[k, others]) / var_k
-        schur = 0.5 * (schur + schur.T)
-        if nu is None:
-            return others, mu_c, schur, None, self._norm_pdf(t, var_k)
-        scale = schur * ((nu + t * t / var_k) / (nu - 1.0))
-        return others, mu_c, scale, nu - 1.0, self._t_face_constant(p, nu, var_k, t)
+def _face_parts(nu, sigma, k, t):
+    """Conditional location/dispersion/df one dimension down at x_k = t."""
+    p = sigma.shape[0]
+    others = [i for i in range(p) if i != k]
+    var_k = sigma[k, k]
+    mu_c = sigma[others, k] * (t / var_k)
+    schur = sigma[np.ix_(others, others)] - np.outer(sigma[others, k],
+                                                     sigma[k, others]) / var_k
+    schur = 0.5 * (schur + schur.T)
+    if nu is None:
+        return others, mu_c, schur, None, _norm_pdf(t, var_k)
+    scale = schur * ((nu + t * t / var_k) / (nu - 1.0))
+    return others, mu_c, scale, nu - 1.0, _t_face_constant(p, nu, var_k, t)
 
 
 def _lower_order(k, j):
@@ -237,35 +211,51 @@ class _Moments:
     kernel's gradient identity ``(x - mu) f = -w Sigma grad g``, integrated
     against ``x^k`` by parts, gives every order ``|k| + 1`` moment from
     order ``|k| - 1`` moments under ``g`` and order ``|k|`` moments on the
-    box faces, one dimension down.  Normal kernel: ``g = f`` and every weight is one.  Student-t:
-    ``g`` is the t(nu - 2) law with dispersion ``nu Sigma / (nu - 2)`` and
-    weight ``nu / (nu - 2)``, and the face terms carry ``nu / (nu + p - 2)``
-    and laws with ``nu - 1`` degrees of freedom.  A top-level ``nu`` above
-    the total order keeps every node's degrees of freedom above its own
-    order; below that only a one-dimensional finite box is served, by
-    quadrature.
+    box faces, one dimension down.  Normal kernel: ``g = f`` and every
+    weight is one.  Student-t: ``g`` is the t(nu - 2) law with dispersion
+    ``nu Sigma / (nu - 2)`` and weight ``nu / (nu - 2)``, and the face terms
+    carry ``nu / (nu + p - 2)`` and laws with ``nu - 1`` degrees of freedom.
+    A top-level ``nu`` above the total order keeps every node's degrees of
+    freedom above its own order; below that only a one-dimensional finite
+    box is served, by quadrature.  Each node memoises its moments, its face
+    and gradient-law nodes and its box probability (:meth:`mass`).
     """
 
-    def __init__(self, eng: _Engine, nu, mu, sigma, lo, hi):
-        self.eng, self.nu, self.mu, self.sigma = eng, nu, mu, sigma
+    def __init__(self, settings: RectangleProbSettings, nu, mu, sigma, lo, hi):
+        self.settings, self.nu, self.mu, self.sigma = settings, nu, mu, sigma
         self.lo, self.hi = lo, hi
         self.dim = mu.size
+        self._mass: Optional[float] = None
         self._up: dict = {}
         self._faces: dict = {}
         self._down = self if nu is None else None
+
+    def mass(self) -> float:
+        """Box probability on limits centred on ``mu``; exact in one to three dimensions."""
+        if self._mass is None:
+            lo, hi = self.lo - self.mu, self.hi - self.mu
+            keep = np.flatnonzero(~(np.isinf(lo) & np.isinf(hi) & (lo < hi)))
+            # Face probabilities keep the single-pass budget: the assembled
+            # moments are insensitive to per-face refinement.
+            self._mass, _ = rect_prob_qmc(
+                self.sigma[np.ix_(keep, keep)], lo[keep], hi[keep], df=self.nu,
+                max_points=self.settings.max_points,
+                num_shifts=self.settings.num_shifts,
+                seed=self.settings.seed)
+        return self._mass
 
     def raw(self, k: tuple) -> float:
         if self.dim == 0:
             return 1.0
         if not any(k):
-            return self.eng.prob(self.nu, self.sigma, self.lo - self.mu, self.hi - self.mu)
+            return self.mass()
         i = next(idx for idx, ki in enumerate(k) if ki > 0)
         return self.up(_lower_order(k, i))[i]
 
     def down(self):
         if self._down is None:
             nu = self.nu
-            self._down = _Moments(self.eng, nu - 2.0, self.mu,
+            self._down = _Moments(self.settings, nu - 2.0, self.mu,
                                   self.sigma * (nu / (nu - 2.0)), self.lo, self.hi)
         return self._down
 
@@ -273,9 +263,9 @@ class _Moments:
         """The law on the face ``x_j = t`` and its weight."""
         hit = self._faces.get((j, t))
         if hit is None:
-            others, mu_c, disp, df_c, weight = self.eng._face_parts(
+            others, mu_c, disp, df_c, weight = _face_parts(
                 self.nu, self.sigma, j, t - self.mu[j])
-            hit = (_Moments(self.eng, df_c, self.mu[others] + mu_c, disp,
+            hit = (_Moments(self.settings, df_c, self.mu[others] + mu_c, disp,
                             self.lo[others], self.hi[others]), weight)
             self._faces[(j, t)] = hit
         return hit
@@ -406,7 +396,7 @@ def _point_mass_report(dim, point, flags, method, notes=()):
 _ALL_OOB_NOTE = "all blocks out of bounds; degenerate point mass at the limits"
 
 
-def _condition_embed(joint, tbox, eng, idx, values, prob, tag, note,
+def _condition_embed(joint, tbox, settings, idx, values, prob, tag, note,
                      force_direct=False):
     """Moments with the coordinates ``idx`` held at ``values``.
 
@@ -433,7 +423,7 @@ def _condition_embed(joint, tbox, eng, idx, values, prob, tag, note,
                                   (tag,), (note,))
     keep = np.setdiff1d(np.arange(joint.dim), idx)
     rep = truncated_mean_cov(conditional(joint, idx, values), tbox.subset(keep),
-                             eng.settings, force_direct=force_direct, _engine=eng)
+                             settings, force_direct=force_direct)
     mean = cov = second = None
     if rep.mean is not None:
         mean = _embed_vector(joint.dim, (keep, idx), (rep.mean, values))
@@ -446,8 +436,7 @@ def _condition_embed(joint, tbox, eng, idx, values, prob, tag, note,
 
 def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
                        settings: RectangleProbSettings = DEFAULT_SETTINGS,
-                       *, force_direct: bool = False,
-                       _engine: Optional[_Engine] = None) -> MomentReport:
+                       *, force_direct: bool = False) -> MomentReport:
     """Mean and covariance of ``X | lower <= X <= upper``.
 
     Routes through the degenerate / out-of-bounds / double-infinite paths
@@ -457,12 +446,11 @@ def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
     """
     if tbox.dim != joint.dim:
         raise SpecError("box dimension does not match the joint")
-    eng = _engine if _engine is not None else _Engine(settings)
 
     # Degenerate coordinates: condition them away.
     deg = np.flatnonzero(tbox.is_degenerate())
     if deg.size:
-        return _condition_embed(joint, tbox, eng, deg, tbox.lower[deg], None,
+        return _condition_embed(joint, tbox, settings, deg, tbox.lower[deg], None,
                                 "degenerate", "all coordinates degenerate", force_direct)
 
     # Out-of-bounds coordinates: collapse onto the near limit (the box mass
@@ -471,8 +459,8 @@ def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
     # see _oob_target).
     oob = _scan_out_of_bounds(joint, tbox)
     if oob:
-        return _condition_embed(joint, tbox, eng, oob, _oob_target(joint, tbox, oob), 0.0,
-                                "out-of-bounds", _ALL_OOB_NOTE, force_direct)
+        return _condition_embed(joint, tbox, settings, oob, _oob_target(joint, tbox, oob),
+                                0.0, "out-of-bounds", _ALL_OOB_NOTE, force_direct)
 
     flags = moment_flags(joint.family, joint.nu, tbox)
     both_inf = np.flatnonzero(tbox.both_infinite())
@@ -487,9 +475,9 @@ def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
         return MomentReport(1.0, mean, second, cov, flags, ("untruncated",))
 
     if both_inf.size and not force_direct:
-        return _double_infinite_report(joint, tbox, eng, flags, force_direct)
+        return _double_infinite_report(joint, tbox, settings, flags)
 
-    return _direct_report(joint, tbox, eng, flags)
+    return _direct_report(joint, tbox, settings, flags)[0]
 
 
 def _needs_mc_fallback(joint, flags):
@@ -502,14 +490,19 @@ def _needs_mc_fallback(joint, flags):
     return False
 
 
-def _direct_report(joint, tbox, eng, flags):
+def _root(joint, tbox, settings):
+    """The recursion for ``joint`` on ``tbox``, run about the location."""
+    return _Moments(settings, joint.nu, np.zeros(joint.dim), joint.omega,
+                    tbox.lower - joint.xi, tbox.upper - joint.xi)
+
+
+def _direct_report(joint, tbox, settings, flags):
+    """The report and root node of the face recursion, run about ``xi`` (the
+    origin enters every face limit, so it fixes the last bits)."""
+    top = _root(joint, tbox, settings)
     if _needs_mc_fallback(joint, flags):
-        return _gibbs_report(joint, tbox, eng, flags)
-    # Moments about the location: omega_12 then finds both of its rectangle
-    # probabilities in the engine cache.
+        return _gibbs_report(joint, tbox, settings, flags, top.mass()), top
     p = joint.dim
-    top = _Moments(eng, joint.nu, np.zeros(p), joint.omega,
-                   tbox.lower - joint.xi, tbox.upper - joint.xi)
     zero = (0,) * p
     L = top.raw(zero)
     m1 = top.up(zero) if flags.mean else None
@@ -523,7 +516,7 @@ def _direct_report(joint, tbox, eng, flags):
         # flagged; collapse the whole box like the out-of-bounds case.
         corner = _oob_target(joint, tbox, list(range(joint.dim)))
         return _point_mass_report(joint.dim, corner, flags, ("out-of-bounds",),
-                                  ("joint probability underflowed",))
+                                  ("joint probability underflowed",)), top
     mean = second = cov = None
     if m1 is not None:
         mean = joint.xi + m1 / L
@@ -534,16 +527,15 @@ def _direct_report(joint, tbox, eng, flags):
         second = 0.5 * (second + second.T)
         cov = second - np.outer(mean, mean)
         cov = 0.5 * (cov + cov.T)
-    return MomentReport(min(max(L, 0.0), 1.0), mean, second, cov, flags, ("direct",))
+    return MomentReport(min(max(L, 0.0), 1.0), mean, second, cov, flags, ("direct",)), top
 
 
-def _gibbs_report(joint, tbox, eng, flags, n_draws=400_000):
-    """Low-degrees-of-freedom fallback served by the Gibbs oracle."""
+def _gibbs_report(joint, tbox, settings, flags, L, n_draws=400_000):
+    """Low-degrees-of-freedom fallback served by the Gibbs oracle; ``L`` is the box mass."""
     from .oracle import estimate_mean_cov, sample_truncated_gibbs
 
-    batch = sample_truncated_gibbs(joint, tbox, n_draws, seed=eng.settings.seed)
+    batch = sample_truncated_gibbs(joint, tbox, n_draws, seed=settings.seed)
     est = estimate_mean_cov(batch)
-    L = eng.prob(joint.nu, joint.omega, tbox.lower - joint.xi, tbox.upper - joint.xi)
     mean = est["mean"].value if flags.mean else None
     cov = est["cov"].value if flags.second else None
     second = cov + np.outer(mean, mean) if flags.second else None
@@ -554,40 +546,42 @@ def _gibbs_report(joint, tbox, eng, flags, n_draws=400_000):
 
 
 def omega_12(block_joint: EllipticalJoint, block_box: TruncationBox,
-             settings: RectangleProbSettings = DEFAULT_SETTINGS,
-             *, _engine: Optional[_Engine] = None) -> float:
+             settings: RectangleProbSettings = DEFAULT_SETTINGS) -> float:
     """Expected conditional-scale inflation of an untruncated block.
 
     For the Student-t kernel this is the ratio of two rectangle
     probabilities: the truncated block evaluated under a dispersion scaled
     by ``nu / (nu - 2)`` with ``nu - 2`` degrees of freedom, against the
     plain block probability, times ``nu / (nu - 2)``.  Equals one for the
-    normal kernel; undefined for ``nu <= 2``.  Both probabilities also
-    appear in the block's own moment computation, so a shared engine
-    recycles them.
+    normal kernel; undefined for ``nu <= 2``.  Both are box masses of the
+    block's moment recursion (its root and gradient law), which the
+    double-infinite split reuses; this builds a fresh one.
     """
     if block_joint.family == NORMAL:
         return 1.0
-    nu = block_joint.nu
-    if nu <= 2.0:
+    if block_joint.nu <= 2.0:
         raise MomentNotDefinedError("conditional-scale constant requires nu > 2")
-    eng = _engine if _engine is not None else _Engine(settings)
-    lo = block_box.lower - block_joint.xi
-    hi = block_box.upper - block_joint.xi
-    num = eng.prob(nu - 2.0, block_joint.omega * (nu / (nu - 2.0)), lo, hi)
-    den = eng.prob(nu, block_joint.omega, lo, hi)
+    return _omega_12_of(_root(block_joint, block_box, settings))
+
+
+def _omega_12_of(top):
+    nu = top.nu
+    den = top.mass()
     if den <= 0.0:
         raise NumericalError("block probability underflowed in omega_12")
-    return float((nu / (nu - 2.0)) * num / den)
+    return float((nu / (nu - 2.0)) * top.down().mass() / den)
 
 
-def _double_infinite_report(joint, tbox, eng, flags, force_direct):
-    """Split off coordinates with two infinite limits and reassemble."""
+def _double_infinite_report(joint, tbox, settings, flags):
+    """Split off coordinates with two infinite limits and reassemble; the
+    block takes the direct route, as the full box has no degenerate or
+    out-of-bounds coordinate."""
     idx1 = np.flatnonzero(tbox.both_infinite())
     idx2 = np.flatnonzero(~tbox.both_infinite())
     sub2 = marginal(joint, idx2)
-    rep2 = truncated_mean_cov(sub2, tbox.subset(idx2), eng.settings,
-                              force_direct=force_direct, _engine=eng)
+    box2 = tbox.subset(idx2)
+    rep2, top2 = _direct_report(sub2, box2, settings,
+                                moment_flags(sub2.family, sub2.nu, box2))
     dim = joint.dim
     omega = joint.omega
     o22 = omega[np.ix_(idx2, idx2)]
@@ -609,7 +603,7 @@ def _double_infinite_report(joint, tbox, eng, flags, force_direct):
         if joint.family == NORMAL:
             w = 1.0
         elif joint.nu > 2.0:
-            w = omega_12(sub2, tbox.subset(idx2), eng.settings, _engine=eng)
+            w = _omega_12_of(top2)
         else:
             # nu <= 2 but the moment exists thanks to finite coordinates:
             # use the equivalent trace form of the expectation directly.
@@ -658,7 +652,7 @@ def moments_out_of_bounds(joint: EllipticalJoint, tbox: TruncationBox,
     idx2 = list(partition.set_two)
     if not idx2:
         raise SpecError("out-of-bounds partition must name a nonempty block")
-    return _condition_embed(joint, tbox, _Engine(settings), idx2,
+    return _condition_embed(joint, tbox, settings, idx2,
                             _oob_target(joint, tbox, idx2), 0.0, "out-of-bounds",
                             _ALL_OOB_NOTE)
 
@@ -698,7 +692,7 @@ def _product_moment(joint: EllipticalJoint, tbox: TruncationBox, k,
     keep = np.setdiff1d(np.arange(joint.dim), deg)
     if deg.size:
         joint = conditional(joint, deg, values)
-    top = _Moments(_Engine(settings), joint.nu, joint.xi, joint.omega,
+    top = _Moments(settings, joint.nu, joint.xi, joint.omega,
                    tbox.lower[keep], tbox.upper[keep])
     L = top.raw((0,) * keep.size)
     if L <= 0.0:
@@ -707,8 +701,7 @@ def _product_moment(joint: EllipticalJoint, tbox: TruncationBox, k,
 
 
 def tmvn_product_moment(joint: EllipticalJoint, tbox: TruncationBox, order,
-                        settings: RectangleProbSettings = DEFAULT_SETTINGS,
-                        order_cap: int = DEFAULT_ORDER_CAP) -> float:
+                        settings: RectangleProbSettings = DEFAULT_SETTINGS) -> float:
     """``E[X^order | lower <= X <= upper]`` for the normal kernel.
 
     ``order`` is a vector of per-coordinate exponents; the empty order
@@ -720,7 +713,7 @@ def tmvn_product_moment(joint: EllipticalJoint, tbox: TruncationBox, order,
         raise SpecError("tmvn_product_moment requires a normal kernel")
     if tbox.dim != joint.dim:
         raise SpecError("box dimension does not match the joint")
-    k = _check_order(order, joint.dim, cap=order_cap)
+    k = _check_order(order, joint.dim)
     if k.sum() == 0:
         return 1.0
     return _product_moment(joint, tbox, k, settings)

@@ -198,6 +198,18 @@ class TestJobs:
         assert payload["values"]["prob"] == num / 0.5
         assert payload["diagnostics"]["error_estimate"] == err / 0.5
 
+    @pytest.mark.parametrize("dim, lower, upper, path", [
+        (2, [0.0, 0.0], ["inf", "inf"], "exact"),
+        (4, [-1.0] * 4, [1.0] * 4, "qmc"),
+    ])
+    def test_prob_reports_its_path(self, tmp_path, capsys, dim, lower, upper, path):
+        sigma = (0.5 * np.eye(dim) + 0.5).tolist()
+        job = {"distribution": {"family": "normal", "mu": [0.0] * dim, "sigma": sigma},
+               "box": {"lower": lower, "upper": upper}}
+        code, out, _ = run_cli(capsys, "prob", "--spec", write_job(tmp_path, job))
+        assert code == 0
+        assert json.loads(out)["method"] == [path]
+
     def test_result_json_roundtrip(self, tmp_path, capsys):
         path = os.path.join(EXAMPLES, "sun_moments.json")
         code, out, _ = run_cli(capsys, "moments", "--spec", path)

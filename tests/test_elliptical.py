@@ -659,11 +659,11 @@ class TestUnivariateUpperTail:
         from scipy.special import ndtr, stdtr
 
         from tse.qmc import rect_prob_qmc
-        from tse.truncated import _Engine
+        from tse.truncated import _Moments
 
         exact = ndtr(-10.0) if nu is None else stdtr(nu, -10.0)
         p, _ = rect_prob_qmc([[1.0]], [10.0], [np.inf], nu)
         assert p == pytest.approx(exact, rel=1e-12, abs=0)
-        p = _Engine(RectangleProbSettings()).prob(
-            nu, np.diag([4.0, 1.0]), np.array([20.0, -np.inf]), np.array([np.inf, np.inf]))
+        p = _Moments(RectangleProbSettings(), nu, np.zeros(2), np.diag([4.0, 1.0]),
+                     np.array([20.0, -np.inf]), np.array([np.inf, np.inf])).mass()
         assert p == pytest.approx(exact, rel=1e-12, abs=0)

@@ -24,6 +24,7 @@ from tse.selection import (
     est_pdf,
     limiting_t,
     marginal_outcome,
+    se_logpdf,
     se_pdf,
     selection_probability,
     sn_pdf,
@@ -161,6 +162,19 @@ class TestDensities:
         s_sn = build_selection(SutParams(mu, sig, lam, [0.0], [[1.0]], None))
         np.testing.assert_allclose(se_pdf(s_sn, pts),
                                    sn_pdf(pts, mu, sig, lam), atol=1e-12)
+
+    @pytest.mark.parametrize("extension", [0.0, 0.6])
+    def test_univariate_selection_keeps_upper_tail(self, extension):
+        # Far left of SN/ESN(lambda = 2) the conditional selection
+        # probability is an upper-tail mass, lost when formed as 1 - cdf.
+        mu, sig, lam = np.array([0.0]), np.array([[1.0]]), np.array([2.0])
+        spec = build_selection(SutParams(mu, sig, lam, [extension], [[1.0]], None))
+        y = np.array([[-3.0], [-5.0], [-8.0], [-10.0]])
+        if extension == 0.0:
+            expected = np.log(sn_pdf(y, mu, sig, lam))
+        else:
+            expected = np.log(esn_pdf(y, mu, sig, lam, extension))
+        np.testing.assert_allclose(se_logpdf(spec, y), expected, rtol=1e-12, atol=0)
 
     def test_sut_pdf_normalizes(self):
         # two-dimensional selection block: per-point conditional rectangle

@@ -6,11 +6,13 @@ from scipy.stats import norm, t as tdist
 from tse.elliptical import (
     IndexPartition,
     TruncationBox,
+    marginal,
     normal_joint,
     student_joint,
 )
 from tse.errors import MomentNotDefinedError, NumericalError, SpecError
 from tse.oracle import estimate_mean_cov, sample_truncated_gibbs
+from tse.qmc import rect_prob_qmc
 from tse.truncated import (
     existence_check,
     moment_flags,
@@ -258,6 +260,28 @@ class TestDoubleInfinite:
         j = normal_joint([0.0], [[1.0]])
         with pytest.raises(SpecError):
             moments_with_double_infinite(j, TruncationBox([0.0], [1.0]))
+
+    def test_split_issues_no_extra_probabilities(self, monkeypatch):
+        # The conditional-scale constant comes from the block's own
+        # recursion, so the split costs what the truncated block costs.
+        import tse.truncated
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rect_prob_qmc(*args, **kwargs)
+
+        monkeypatch.setattr(tse.truncated, "rect_prob_qmc", counted)
+        omega = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.4], [-0.2, 0.4, 1.0]])
+        j = student_joint([0.1, -0.2, 0.3], omega, 6.0)
+        b = TruncationBox([-np.inf, -0.5, -1.0], [np.inf, 1.0, 0.8])
+        rep = truncated_mean_cov(j, b)
+        assert rep.method == ("direct", "double-infinite")
+        split_calls = len(calls)
+        calls.clear()
+        truncated_mean_cov(marginal(j, [1, 2]), b.subset([1, 2]))
+        assert split_calls == len(calls) == 6
 
 
 class TestOutOfBounds:

@@ -30,3 +30,52 @@ def test_guard_catches_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _private_definitions(stmt) -> list:
+    """Private names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _unreferenced_privates(sources: dict) -> list:
+    """Private top-level names of ``sources`` (module name -> source) that no
+    statement other than their own definition refers to, in any module."""
+    defined = []
+    referenced = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = _private_definitions(stmt)
+            defined += [(module, name) for name in own]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name not in own:
+                    referenced.add(name)
+    return sorted((m, n) for m, n in defined if n not in referenced)
+
+
+def test_guard_catches_an_unreferenced_private():
+    sources = {
+        "a": "_USED = 1\n_LEFT = 2\ndef _recursive(n):\n    return _recursive(n - 1)\n",
+        "b": "from a import _USED\nx = _USED\n",
+    }
+    assert _unreferenced_privates(sources) == [("a", "_LEFT"), ("a", "_recursive")]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert _unreferenced_privates(sources) == []
