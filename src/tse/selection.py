@@ -362,13 +362,13 @@ def tse_moment(spec: SelectionSpec, tbox: Optional[TruncationBox], order,
     """``E[Y^order | box]`` for the truncated selection distribution.
 
     The moment is a product moment of the symmetric joint over the
-    augmented box, from the face recursion of :mod:`tse.truncated`: always
-    for the normal kernel, and for the Student-t kernel above total order
-    two whenever ``nu`` exceeds the total order (or the joint is univariate
-    on a finite box).  Student-t moments up to total order two come from
-    :func:`tse_mean_cov`, which also serves out-of-bounds and doubly
-    infinite boxes.  The rest (Student-t, at least two joint dimensions,
-    ``nu`` at most the total order) is estimated from 10^6 draws of
+    augmented box, from the face recursion of :mod:`tse.truncated`, which
+    holds degenerate, out-of-bounds and underflowed coordinates at a point
+    as :func:`tse_mean_cov` does: always for the normal kernel, and for the
+    Student-t kernel whenever ``nu`` exceeds the total order or the joint
+    is univariate.  Below that (Student-t, at least two joint dimensions,
+    ``nu`` at most the total order) moments up to total order two come from
+    :func:`tse_mean_cov`, and higher ones are estimated from 10^6 draws of
     :func:`sample_se` seeded with ``settings.seed``.
     """
     return _tse_moment_path(spec, tbox, order, settings)[0]
@@ -393,7 +393,10 @@ def _tse_moment_path(spec, tbox, order, settings):
             f"moment of order {tuple(int(v) for v in k)} does not exist for these limits")
     if k.sum() == 0:
         return 1.0, ("direct",), None
-    if spec.family == STUDENT_T and k.sum() <= 2:
+    if spec.family == NORMAL or spec.nu > k.sum() or spec.joint.dim == 1:
+        value, method = _product_moment(spec.joint, aug_box, aug_order, settings)
+        return value, method, None
+    if k.sum() <= 2:
         rep = tse_mean_cov(spec, tbox, settings)
         nz = np.flatnonzero(k)
         if k.sum() == 1:
@@ -401,8 +404,6 @@ def _tse_moment_path(spec, tbox, order, settings):
         else:
             value = rep.require_second_moment()[nz[0], nz[-1]]
         return float(value), rep.method, rep.mc_stderr
-    if spec.family == NORMAL or spec.nu > k.sum() or spec.joint.dim == 1:
-        return _product_moment(spec.joint, aug_box, aug_order, settings), ("direct",), None
     from .oracle import estimate_moments, sample_se
 
     batch = sample_se(spec, tbox, _MC_DRAWS, settings.seed)

@@ -11,20 +11,25 @@ order keeps every node well defined.  The same recursion serves the mean
 and covariance of :func:`truncated_mean_cov`, :func:`tmvn_product_moment`
 and the product moments of ``tse.selection.tse_moment``.
 
-Extreme configurations get dedicated treatment:
+Extreme configurations hold coordinates at a point and condition the rest
+of the law on it.  One helper (:func:`_held`) picks them, in this order,
+for every moment:
 
-* degenerate coordinates (``lower == upper``) are removed by conditioning;
-* coordinates whose marginal box probability underflows are collapsed onto
-  their near limit and the rest is conditioned on that point (a Student-t
-  coordinate whose far limit is infinite raises instead);
-* coordinates unbounded on both sides are split off and reassembled from
-  the truncated block via the conditional-scale constant, integrating only
-  over the truncated block, whose recursion also gives the constant.
+* degenerate coordinates (``lower == upper``), at their value;
+* coordinates whose marginal box probability underflows, at their near
+  limit (a Student-t coordinate whose far limit is not close to the near
+  one raises instead, see :func:`_oob_target`);
+* when the whole box mass underflows though no single coordinate's does,
+  the coordinate with the least marginal mass, at its near limit.
+
+Coordinates unbounded on both sides are split off the mean and covariance
+and reassembled from the truncated block via the conditional-scale
+constant, integrating only over the truncated block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -161,8 +166,6 @@ def moment_flags(family: str, nu, tbox: TruncationBox) -> ExistenceFlags:
 # ---------------------------------------------------------------------------
 
 def _norm_pdf(t, var):
-    if not np.isfinite(t):
-        return 0.0
     return float(np.exp(-0.5 * t * t / var) / np.sqrt(2.0 * np.pi * var))
 
 
@@ -173,8 +176,6 @@ def _t_face_constant(p, nu, var_k, t):
     conditional rectangle probability with ``nu - 1`` degrees of
     freedom; it decays like ``|t|^{-(nu-1)}``.
     """
-    if not np.isfinite(t):
-        return 0.0
     log_k = (
         gammaln(0.5 * (nu + p)) + gammaln(0.5 * (nu - 1.0))
         - gammaln(0.5 * nu) - gammaln(0.5 * (nu + p - 2.0))
@@ -319,8 +320,8 @@ class _Moments:
 
 
 # ---------------------------------------------------------------------------
-# Report pipeline: degenerate reduction, out-of-bounds collapse,
-# double-infinite split, then the direct face-identity computation.
+# Report pipeline: held coordinates, the double-infinite split, then the
+# direct face-identity computation.
 # ---------------------------------------------------------------------------
 
 def _embed_vector(dim, idx_parts, vec_parts):
@@ -370,41 +371,50 @@ def _oob_target(joint, tbox, idx):
     return target
 
 
-def _scan_out_of_bounds(joint, tbox):
-    flagged = []
+def _log_masses(joint, tbox):
+    """Log marginal box probability of each coordinate."""
     scale = np.sqrt(np.diag(joint.omega))
-    for i in range(joint.dim):
-        lo = (tbox.lower[i] - joint.xi[i]) / scale[i]
-        hi = (tbox.upper[i] - joint.xi[i]) / scale[i]
-        if _uv_interval_logprob(lo, hi, joint.nu) < OOB_LOG_THRESHOLD:
-            flagged.append(i)
-    return flagged
+    lo = (tbox.lower - joint.xi) / scale
+    hi = (tbox.upper - joint.xi) / scale
+    return np.array([_uv_interval_logprob(a, b, joint.nu) for a, b in zip(lo, hi)])
 
 
-def _point_mass_report(dim, point, flags, method, notes=()):
-    return MomentReport(
-        prob_mass=0.0,
-        mean=np.array(point, dtype=float),
-        second_moment=np.outer(point, point),
-        covariance=np.zeros((dim, dim)),
-        existence=flags,
-        method=method,
-        notes=notes,
-    )
+def _held(joint, tbox, underflowed=False):
+    """The coordinates a moment holds at a point: ``(idx, values, tag)`` or ``None``.
+
+    Degenerate coordinates are held at their value; otherwise coordinates
+    whose marginal box mass underflows, at their near limit; otherwise, when
+    the caller's box mass ``underflowed``, the coordinate with the least
+    marginal mass, at its near limit.  Near limits come from
+    :func:`_oob_target`, which refuses Student-t blocks it cannot collapse.
+    """
+    deg = np.flatnonzero(tbox.is_degenerate())
+    if deg.size:
+        return deg, tbox.lower[deg], "degenerate"
+    log_mass = _log_masses(joint, tbox)
+    idx = np.flatnonzero(log_mass < OOB_LOG_THRESHOLD)
+    if not idx.size:
+        if not underflowed:
+            return None
+        idx = np.array([np.argmin(log_mass)])
+    return idx, _oob_target(joint, tbox, idx), "out-of-bounds"
 
 
-_ALL_OOB_NOTE = "all blocks out of bounds; degenerate point mass at the limits"
+_ALL_HELD_NOTE = {
+    "degenerate": "all coordinates degenerate",
+    "out-of-bounds": "all blocks out of bounds; degenerate point mass at the limits",
+}
 
 
-def _condition_embed(joint, tbox, settings, idx, values, prob, tag, note,
-                     force_direct=False):
-    """Moments with the coordinates ``idx`` held at ``values``.
+def _condition_embed(joint, tbox, settings, held, force_direct=False):
+    """Moments with the coordinates ``idx`` held at ``values``; ``held`` is
+    ``(idx, values, tag)`` as :func:`_held` returns it.
 
     The other coordinates get the truncated moments of the law conditioned
-    on that point, embedded next to the held values.  ``prob`` is the
-    reported box mass (``None`` takes the conditioned report's), ``tag``
-    is appended to its method, and holding every coordinate gives a point
-    mass labelled ``note``.
+    on that point, embedded next to the held values, and ``tag`` is
+    appended to the method.  Holding every coordinate gives a point mass.
+    A degenerate hold reports the conditioned box mass; an out-of-bounds
+    one reports zero, as the held block's mass underflows.
 
     A held Student-t coordinate is always fully finite: a degenerate one
     has ``lower == upper`` and a collapsed one a far limit within
@@ -416,11 +426,13 @@ def _condition_embed(joint, tbox, settings, idx, values, prob, tag, note,
     report's existence flags and missing moments therefore carry over
     unchanged.
     """
-    idx = np.asarray(idx)
+    idx, values, tag = held
     if idx.size == joint.dim:
-        return _point_mass_report(joint.dim, values,
-                                  moment_flags(joint.family, joint.nu, tbox),
-                                  (tag,), (note,))
+        point = np.array(values, dtype=float)
+        return MomentReport(0.0, point, np.outer(point, point),
+                            np.zeros((joint.dim, joint.dim)),
+                            moment_flags(joint.family, joint.nu, tbox),
+                            (tag,), (_ALL_HELD_NOTE[tag],))
     keep = np.setdiff1d(np.arange(joint.dim), idx)
     rep = truncated_mean_cov(conditional(joint, idx, values), tbox.subset(keep),
                              settings, force_direct=force_direct)
@@ -430,8 +442,9 @@ def _condition_embed(joint, tbox, settings, idx, values, prob, tag, note,
     if rep.covariance is not None:
         cov = _embed_matrix(joint.dim, {(tuple(keep), tuple(keep)): rep.covariance})
         second = cov + np.outer(mean, mean)
-    return MomentReport(rep.prob_mass if prob is None else prob, mean, second, cov,
-                        rep.existence, rep.method + (tag,), rep.notes)
+    prob = rep.prob_mass if tag == "degenerate" else 0.0
+    return MomentReport(prob, mean, second, cov, rep.existence, rep.method + (tag,),
+                        rep.notes)
 
 
 def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
@@ -439,28 +452,16 @@ def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
                        *, force_direct: bool = False) -> MomentReport:
     """Mean and covariance of ``X | lower <= X <= upper``.
 
-    Routes through the degenerate / out-of-bounds / double-infinite paths
-    as the box demands, otherwise evaluates the face identities directly.
-    ``force_direct`` disables the double-infinite split (used to validate
-    that both paths agree).
+    Holds the coordinates :func:`_held` picks and conditions the rest on
+    them, splits off doubly infinite coordinates, and otherwise evaluates
+    the face identities directly.  ``force_direct`` disables the
+    double-infinite split (used to validate that both paths agree).
     """
     if tbox.dim != joint.dim:
         raise SpecError("box dimension does not match the joint")
-
-    # Degenerate coordinates: condition them away.
-    deg = np.flatnonzero(tbox.is_degenerate())
-    if deg.size:
-        return _condition_embed(joint, tbox, settings, deg, tbox.lower[deg], None,
-                                "degenerate", "all coordinates degenerate", force_direct)
-
-    # Out-of-bounds coordinates: collapse onto the near limit (the box mass
-    # underflows, so the block is numerically a point; Student-t blocks whose
-    # far limit is not within OOB_T_REL_WIDTH of the near one raise instead,
-    # see _oob_target).
-    oob = _scan_out_of_bounds(joint, tbox)
-    if oob:
-        return _condition_embed(joint, tbox, settings, oob, _oob_target(joint, tbox, oob),
-                                0.0, "out-of-bounds", _ALL_OOB_NOTE, force_direct)
+    held = _held(joint, tbox)
+    if held is not None:
+        return _condition_embed(joint, tbox, settings, held, force_direct)
 
     flags = moment_flags(joint.family, joint.nu, tbox)
     both_inf = np.flatnonzero(tbox.both_infinite())
@@ -477,7 +478,7 @@ def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
     if both_inf.size and not force_direct:
         return _double_infinite_report(joint, tbox, settings, flags)
 
-    return _direct_report(joint, tbox, settings, flags)[0]
+    return _direct_report(joint, tbox, settings, flags)
 
 
 def _needs_mc_fallback(joint, flags):
@@ -497,37 +498,33 @@ def _root(joint, tbox, settings):
 
 
 def _direct_report(joint, tbox, settings, flags):
-    """The report and root node of the face recursion, run about ``xi`` (the
-    origin enters every face limit, so it fixes the last bits)."""
+    """The report of the face recursion, run about ``xi`` (the origin enters
+    every face limit, so it fixes the last bits)."""
     top = _root(joint, tbox, settings)
+    L = top.mass()
+    if L <= 0.0:
+        # The box mass underflowed though no single coordinate's did: hold
+        # the coordinate with the least marginal mass and condition on it.
+        rep = _condition_embed(joint, tbox, settings, _held(joint, tbox, underflowed=True))
+        return replace(rep, notes=rep.notes + ("joint probability underflowed",))
     if _needs_mc_fallback(joint, flags):
-        return _gibbs_report(joint, tbox, settings, flags, top.mass()), top
+        return _gibbs_report(joint, tbox, settings, flags, L)
     p = joint.dim
     zero = (0,) * p
-    L = top.raw(zero)
-    m1 = top.up(zero) if flags.mean else None
-    M2 = None
+    mean = second = cov = None
+    if flags.mean:
+        m0 = top.up(zero) / L
+        mean = joint.xi + m0
     if flags.second:
         M2 = np.column_stack([top.up(tuple(int(i == j) for i in range(p)))
                               for j in range(p)])
         M2 = 0.5 * (M2 + M2.T)
-    if L <= 0.0:
-        # The QMC estimate underflowed even though no single coordinate was
-        # flagged; collapse the whole box like the out-of-bounds case.
-        corner = _oob_target(joint, tbox, list(range(joint.dim)))
-        return _point_mass_report(joint.dim, corner, flags, ("out-of-bounds",),
-                                  ("joint probability underflowed",)), top
-    mean = second = cov = None
-    if m1 is not None:
-        mean = joint.xi + m1 / L
-    if M2 is not None:
-        m0 = m1 / L
         second = M2 / L + np.outer(joint.xi, m0) + np.outer(m0, joint.xi) \
             + np.outer(joint.xi, joint.xi)
         second = 0.5 * (second + second.T)
         cov = second - np.outer(mean, mean)
         cov = 0.5 * (cov + cov.T)
-    return MomentReport(min(max(L, 0.0), 1.0), mean, second, cov, flags, ("direct",)), top
+    return MomentReport(min(L, 1.0), mean, second, cov, flags, ("direct",))
 
 
 def _gibbs_report(joint, tbox, settings, flags, L, n_draws=400_000):
@@ -554,18 +551,16 @@ def omega_12(block_joint: EllipticalJoint, block_box: TruncationBox,
     by ``nu / (nu - 2)`` with ``nu - 2`` degrees of freedom, against the
     plain block probability, times ``nu / (nu - 2)``.  Equals one for the
     normal kernel; undefined for ``nu <= 2``.  Both are box masses of the
-    block's moment recursion (its root and gradient law), which the
-    double-infinite split reuses; this builds a fresh one.
+    block's moment recursion: its root and its gradient law.  The
+    double-infinite split uses the equal trace form instead (see
+    :func:`_double_infinite_report`).
     """
     if block_joint.family == NORMAL:
         return 1.0
-    if block_joint.nu <= 2.0:
+    nu = block_joint.nu
+    if nu <= 2.0:
         raise MomentNotDefinedError("conditional-scale constant requires nu > 2")
-    return _omega_12_of(_root(block_joint, block_box, settings))
-
-
-def _omega_12_of(top):
-    nu = top.nu
+    top = _root(block_joint, block_box, settings)
     den = top.mass()
     if den <= 0.0:
         raise NumericalError("block probability underflowed in omega_12")
@@ -573,15 +568,20 @@ def _omega_12_of(top):
 
 
 def _double_infinite_report(joint, tbox, settings, flags):
-    """Split off coordinates with two infinite limits and reassemble; the
-    block takes the direct route, as the full box has no degenerate or
-    out-of-bounds coordinate."""
+    """Split off coordinates with two infinite limits and reassemble.
+
+    The block takes the direct route, as the full box has no degenerate or
+    out-of-bounds coordinate.  The conditional-scale weight of the free
+    coordinates is the expectation of ``(nu + d2) / (nu + r2 - 2)`` over
+    the truncated block, ``d2`` being the block's Mahalanobis distance;
+    its trace form needs only the block's mean and covariance, and equals
+    :func:`omega_12` where that exists (``nu > 2``).
+    """
     idx1 = np.flatnonzero(tbox.both_infinite())
     idx2 = np.flatnonzero(~tbox.both_infinite())
     sub2 = marginal(joint, idx2)
     box2 = tbox.subset(idx2)
-    rep2, top2 = _direct_report(sub2, box2, settings,
-                                moment_flags(sub2.family, sub2.nu, box2))
+    rep2 = _direct_report(sub2, box2, settings, moment_flags(sub2.family, sub2.nu, box2))
     dim = joint.dim
     omega = joint.omega
     o22 = omega[np.ix_(idx2, idx2)]
@@ -600,17 +600,11 @@ def _double_infinite_report(joint, tbox, settings, flags):
     if flags.second and rep2.covariance is not None:
         s22 = rep2.covariance
         gain = np.linalg.solve(o22, o12.T).T
-        if joint.family == NORMAL:
-            w = 1.0
-        elif joint.nu > 2.0:
-            w = _omega_12_of(top2)
-        else:
-            # nu <= 2 but the moment exists thanks to finite coordinates:
-            # use the equivalent trace form of the expectation directly.
+        w = 1.0
+        if joint.family != NORMAL:
             centred = s22 + np.outer(mu2 - xi2, mu2 - xi2)
-            r2 = idx2.size
             w = (joint.nu + float(np.trace(np.linalg.solve(o22, centred)))) \
-                / (joint.nu + r2 - 2.0)
+                / (joint.nu + idx2.size - 2.0)
         c11 = w * (o11 - gain @ o12.T) + gain @ s22 @ gain.T
         c12 = gain @ s22
         cov = _embed_matrix(dim, {
@@ -649,12 +643,11 @@ def moments_out_of_bounds(joint: EllipticalJoint, tbox: TruncationBox,
     A Student-t block whose far limit is not within ``OOB_T_REL_WIDTH`` of
     its near limit (see :func:`_oob_target`) raises ``NumericalError``.
     """
-    idx2 = list(partition.set_two)
-    if not idx2:
+    idx2 = np.array(partition.set_two, dtype=int)
+    if not idx2.size:
         raise SpecError("out-of-bounds partition must name a nonempty block")
-    return _condition_embed(joint, tbox, settings, idx2,
-                            _oob_target(joint, tbox, idx2), 0.0, "out-of-bounds",
-                            _ALL_OOB_NOTE)
+    return _condition_embed(joint, tbox, settings,
+                            (idx2, _oob_target(joint, tbox, idx2), "out-of-bounds"))
 
 
 def tmvn_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
@@ -678,26 +671,30 @@ def tmvt_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
 # ---------------------------------------------------------------------------
 
 def _product_moment(joint: EllipticalJoint, tbox: TruncationBox, k,
-                    settings: RectangleProbSettings) -> float:
-    """``E[X^k | box]`` for either kernel; degenerate coordinates are conditioned away.
+                    settings: RectangleProbSettings):
+    """``E[X^k | box]`` and the method tags of its path, for either kernel.
 
-    A Student-t kernel needs ``nu`` above the total order unless the box is
+    Coordinates that :func:`_held` picks contribute fixed powers of their
+    held value, and the rest is the moment of the law conditioned on them;
+    a box whose mass underflows holds one coordinate more.  A Student-t
+    kernel needs ``nu`` above the total order unless the box is
     one-dimensional and finite (see :class:`_Moments`).
     """
-    deg = np.flatnonzero(tbox.is_degenerate())
-    values = tbox.lower[deg]
-    factor = float(np.prod(values ** k[deg]))
-    if deg.size == joint.dim:
-        return factor
-    keep = np.setdiff1d(np.arange(joint.dim), deg)
-    if deg.size:
-        joint = conditional(joint, deg, values)
-    top = _Moments(settings, joint.nu, joint.xi, joint.omega,
-                   tbox.lower[keep], tbox.upper[keep])
-    L = top.raw((0,) * keep.size)
-    if L <= 0.0:
-        raise NumericalError("box probability underflowed; no product-moment path")
-    return float(factor * top.raw(tuple(int(v) for v in k[keep])) / L)
+    held = _held(joint, tbox)
+    if held is None:
+        top = _Moments(settings, joint.nu, joint.xi, joint.omega, tbox.lower, tbox.upper)
+        L = top.mass()
+        if L > 0.0:
+            return float(top.raw(tuple(int(v) for v in k)) / L), ("direct",)
+        held = _held(joint, tbox, underflowed=True)
+    idx, values, tag = held
+    factor = float(np.prod(values ** k[idx]))
+    if idx.size == joint.dim:
+        return factor, (tag,)
+    keep = np.setdiff1d(np.arange(joint.dim), idx)
+    value, method = _product_moment(conditional(joint, idx, values), tbox.subset(keep),
+                                    k[keep], settings)
+    return factor * value, method + (tag,)
 
 
 def tmvn_product_moment(joint: EllipticalJoint, tbox: TruncationBox, order,
@@ -706,8 +703,8 @@ def tmvn_product_moment(joint: EllipticalJoint, tbox: TruncationBox, order,
 
     ``order`` is a vector of per-coordinate exponents; the empty order
     returns one exactly.  The moment comes from the face recursion that
-    also serves :func:`truncated_mean_cov`; degenerate coordinates
-    contribute fixed powers of their pinned value.
+    also serves :func:`truncated_mean_cov`, and holds the same coordinates
+    at a point: held coordinates contribute fixed powers of their value.
     """
     if joint.family != NORMAL:
         raise SpecError("tmvn_product_moment requires a normal kernel")
@@ -716,4 +713,4 @@ def tmvn_product_moment(joint: EllipticalJoint, tbox: TruncationBox, order,
     k = _check_order(order, joint.dim)
     if k.sum() == 0:
         return 1.0
-    return _product_moment(joint, tbox, k, settings)
+    return _product_moment(joint, tbox, k, settings)[0]

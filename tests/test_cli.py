@@ -128,6 +128,17 @@ class TestJobs:
         assert payload["method"] == ["direct"]
         assert payload["diagnostics"] == {}
 
+    def test_moments_order_labelled_out_of_bounds(self, tmp_path, capsys):
+        job = {"distribution": {"family": "normal", "mu": [0.0, 0.0],
+                                "sigma": [[1.0, 0.2], [0.2, 1.0]]},
+               "box": {"lower": [-1.0, -50.0], "upper": [1.0, -49.0]},
+               "order": [1, 1]}
+        payload = self._order_job(tmp_path, capsys, job)
+        # The second coordinate is held at -49, which pulls the first
+        # towards its lower limit.
+        assert payload["method"] == ["direct", "out-of-bounds"]
+        assert 0.0 < payload["values"]["moment"] < 49.0
+
     def test_moments_order_labelled_mc_rejection(self, tmp_path, capsys):
         # nu = 2.5 at total order 3 on a two-dimensional augmented box.
         job = {"distribution": {"family": "ST", "mu": [0.0], "sigma": [[1.0]],

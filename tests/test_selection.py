@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
-from scipy.special import gammaln
+from scipy.special import gammaln, log_ndtr
 from scipy.stats import norm
 
 from tse.elliptical import (
     RectangleProbSettings,
     TruncationBox,
+    conditional,
     rectangle_prob,
     student_joint,
 )
@@ -175,6 +176,24 @@ class TestDensities:
         else:
             expected = np.log(esn_pdf(y, mu, sig, lam, extension))
         np.testing.assert_allclose(se_logpdf(spec, y), expected, rtol=1e-12, atol=0)
+
+    def test_independent_selection_component_factors_out(self):
+        # The q >= 3 branch forms one conditional rectangle probability per
+        # row.  A third selection component with a zero shape row and no
+        # correlation with the other two is independent of everything else,
+        # so it scales numerator and selection probability alike.
+        mu = np.array([0.2, -0.3])
+        sig = np.array([[1.0, 0.3], [0.3, 1.4]])
+        shape = np.array([[0.8, -0.5], [0.3, 0.6]])
+        psi = np.array([[1.0, 0.4], [0.4, 1.0]])
+        two = build_selection(SutParams(mu, sig, shape, [0.3, -0.2], psi, None))
+        psi3 = np.eye(3)
+        psi3[:2, :2] = psi
+        three = build_selection(SutParams(mu, sig, np.vstack([shape, np.zeros(2)]),
+                                          [0.3, -0.2, 0.7], psi3, None))
+        y = np.array([[0.0, 0.0], [1.2, -0.7], [-2.0, 1.5], [0.4, 2.5]])
+        np.testing.assert_allclose(se_logpdf(three, y), se_logpdf(two, y),
+                                   rtol=0, atol=1e-12)
 
     def test_sut_pdf_normalizes(self):
         # two-dimensional selection block: per-point conditional rectangle
@@ -460,6 +479,79 @@ class TestStudentProductMoments:
         value, method, stderr = _tse_moment_path(spec, EX5_BOX, [3, 0],
                                                  RectangleProbSettings())
         assert method == ("direct",) and stderr is None
+
+
+class TestHeldCoordinates:
+    """``tse_moment`` holds the coordinates ``tse_mean_cov`` holds."""
+
+    def test_underflowed_box_holds_least_mass_coordinate(self):
+        # Neither coordinate's marginal mass underflows, but the augmented
+        # box mass does: the selection coordinate is held at its near limit,
+        # which pushes the outcome to the top of its box.
+        lam, tau = 2.0, -45.0
+        spec = build_selection(SutParams([0.0], [[1.0]], [lam], [tau], [[1.0]], None))
+        b = TruncationBox([-1.0], [1.0])
+        rep = tse_mean_cov(spec, b)
+
+        def weight(y):  # ESN density up to a constant, kept in range
+            return np.exp(norm.logpdf(y) + log_ndtr(tau + lam * y)
+                          - norm.logpdf(1.0) - log_ndtr(tau + lam))
+
+        ref = quad(lambda y: y * weight(y), -1.0, 1.0)[0] / quad(weight, -1.0, 1.0)[0]
+        assert ref == pytest.approx(0.98826, abs=1e-5)
+        assert -1.0 <= rep.mean[0] <= 1.0
+        assert abs(rep.mean[0] - ref) < 0.02
+        assert "joint probability underflowed" in rep.notes
+        assert tse_moment(spec, b, [1]) == pytest.approx(rep.mean[0], rel=1e-12)
+        assert tse_moment(spec, b, [2]) == pytest.approx(rep.second_moment[0, 0],
+                                                         rel=1e-12)
+
+    def test_low_df_mean_takes_recursion(self):
+        # nu = 1.5 exceeds the order, so the recursion serves the mean even
+        # though tse_mean_cov needs its Gibbs route for the second moments.
+        lam, nu = 1.5, 1.5
+        spec = build_selection(SutParams([0.0], [[1.0]], [lam], [0.0], [[1.0]], nu))
+        b = TruncationBox([-2.0], [2.0])
+        value, method, stderr = _tse_moment_path(spec, b, [1], RectangleProbSettings())
+
+        def f(y):
+            return st_pdf(np.array([[y]]), [0.0], [[1.0]], [lam], nu)[0]
+
+        opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+        ref = quad(lambda y: y * f(y), -2.0, 2.0, **opts)[0] / quad(f, -2.0, 2.0, **opts)[0]
+        assert method == ("direct",) and stderr is None
+        assert abs(value - ref) < 1e-10
+
+    def test_ex5_mean_entry_issues_only_its_recursion(self, monkeypatch):
+        import tse.truncated
+
+        calls = []
+        real = tse.truncated.rect_prob_qmc
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tse.truncated, "rect_prob_qmc", counted)
+        tse_moment(build_selection(EX5), EX5_BOX, [1, 0])
+        assert len(calls) == 7
+
+    def test_out_of_bounds_coordinate_is_held(self):
+        j = student_joint([0.0, 0.5, 0.0], [[1.0, 0.3, 0.2], [0.3, 1.5, -0.4],
+                                            [0.2, -0.4, 1.0]], 5.0)
+        b = TruncationBox([1e70, -1.0, 0.0], [1e70 * (1 + 1e-7), 2.0, np.inf])
+        spec = SelectionSpec(j, 0, 3, [], [])
+        rep = tse_mean_cov(spec, b)
+        settings = RectangleProbSettings()
+        value, method, _ = _tse_moment_path(spec, b, [0, 1, 0], settings)
+        assert "out-of-bounds" in rep.method and method == rep.method
+        assert value == pytest.approx(rep.mean[1], rel=1e-12)
+        assert tse_moment(spec, b, [1, 0, 0]) == rep.mean[0] == 1e70
+        # Order three exceeds what tse_mean_cov serves: the recursion runs
+        # on the law conditioned on the held coordinate.
+        cond = SelectionSpec(conditional(j, [0], [1e70]), 0, 2, [], [])
+        assert tse_moment(spec, b, [0, 3, 0]) == pytest.approx(
+            tse_moment(cond, b.subset([1, 2]), [3, 0]), rel=1e-12)
 
 
 class TestAffineClosure:

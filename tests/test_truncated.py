@@ -6,6 +6,7 @@ from scipy.stats import norm, t as tdist
 from tse.elliptical import (
     IndexPartition,
     TruncationBox,
+    conditional,
     marginal,
     normal_joint,
     student_joint,
@@ -157,6 +158,14 @@ class TestProductMoments:
         se = prods.std() / np.sqrt(prods.size)
         assert abs(val - prods.mean()) < 4 * se
 
+    def test_degenerate_coordinate_contributes_its_power(self):
+        j = normal_joint([0.0, 0.2, -0.1], [[1.0, 0.4, 0.1], [0.4, 2.0, 0.3],
+                                            [0.1, 0.3, 1.0]])
+        b = TruncationBox([0.3, -1.0, 0.0], [0.3, 2.0, np.inf], allow_degenerate=True)
+        sub = tmvn_product_moment(conditional(j, [0], [0.3]), b.subset([1, 2]), [1, 1])
+        assert tmvn_product_moment(j, b, [2, 1, 1]) == pytest.approx(0.3 ** 2 * sub,
+                                                                     rel=1e-14)
+
     def test_consistency_with_mean_cov(self, rng):
         omega = _random_pd(rng, 3, diag=1.5)
         j = normal_joint(rng.standard_normal(3) * 0.5, omega)
@@ -262,8 +271,8 @@ class TestDoubleInfinite:
             moments_with_double_infinite(j, TruncationBox([0.0], [1.0]))
 
     def test_split_issues_no_extra_probabilities(self, monkeypatch):
-        # The conditional-scale constant comes from the block's own
-        # recursion, so the split costs what the truncated block costs.
+        # The conditional-scale weight comes from the block's mean and
+        # covariance, so the split costs what the truncated block costs.
         import tse.truncated
 
         calls = []
