@@ -68,7 +68,8 @@ class SelectionSpec:
     The first ``n_selection`` coordinates of ``joint`` form the selection
     block; the remaining ``n_outcome`` coordinates carry the distribution
     of interest.  ``n_selection == 0`` degenerates to the plain elliptical
-    law of the outcome block.
+    law of the outcome block.  The instance memoises its selection
+    probability per :class:`RectangleProbSettings`.
     """
 
     joint: EllipticalJoint
@@ -92,6 +93,7 @@ class SelectionSpec:
             raise SpecError("selection rectangle must have positive volume")
         object.__setattr__(self, "selection_lower", lo)
         object.__setattr__(self, "selection_upper", hi)
+        object.__setattr__(self, "_selection_probs", {})
 
     @property
     def family(self) -> str:
@@ -216,12 +218,15 @@ def build_selection(params: SutParams) -> SelectionSpec:
 
 def selection_probability(spec: SelectionSpec,
                           settings: RectangleProbSettings = DEFAULT_SETTINGS) -> float:
-    """Mass of the selection rectangle under the selection-block marginal."""
+    """Mass of the selection rectangle under the selection-block marginal,
+    computed once per spec and settings."""
     if spec.n_selection == 0:
         return 1.0
-    sel = spec.selection_marginal()
-    tb = TruncationBox(spec.selection_lower, spec.selection_upper)
-    prob, _ = rectangle_prob(sel, tb, settings)
+    prob = spec._selection_probs.get(settings)
+    if prob is None:
+        tb = TruncationBox(spec.selection_lower, spec.selection_upper)
+        prob, _ = rectangle_prob(spec.selection_marginal(), tb, settings)
+        spec._selection_probs[settings] = prob
     return prob
 
 

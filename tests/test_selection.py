@@ -120,6 +120,28 @@ class TestBoxMass:
         with pytest.raises(NumericalError):
             box_mass(spec, TruncationBox([0.0], [1.0]))
 
+    def test_selection_probability_computed_once_per_spec_and_settings(self, monkeypatch):
+        import tse.selection
+
+        spec = build_selection(EX5)
+        calls = []
+        real = tse.selection.rectangle_prob
+
+        def counted(joint, box, settings):
+            calls.append((joint.dim, settings))
+            return real(joint, box, settings)
+
+        monkeypatch.setattr(tse.selection, "rectangle_prob", counted)
+        y = np.array([0.3, -0.4])
+        first = se_logpdf(spec, y)
+        assert se_logpdf(spec, y) == first
+        assert calls == [(2, RectangleProbSettings())]
+        # Other settings are another integral; a new spec starts empty.
+        other = RectangleProbSettings(seed=3)
+        se_logpdf(spec, y, other)
+        se_logpdf(build_selection(EX5), y)
+        assert calls == [(2, RectangleProbSettings()), (2, other), (2, RectangleProbSettings())]
+
 
 class TestDensities:
     def test_symmetric_reduction_probability_telescopes(self):
