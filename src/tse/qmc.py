@@ -18,10 +18,16 @@ variable.  One kernel serves both laws; it walks the points in blocks of a
 fixed size, generating each block's lattice rows on the fly, so its memory
 does not grow with the point count.  A Kronecker sequence is extensible, so
 a refinement to four times the points adds the new points to the sums of
-the first pass.
+the first pass.  The random shifts are independent replicates, so the
+kernel splits them into one group per CPU the process may use and runs the
+groups on threads; every group walks the same blocks in the same order, so
+results do not depend on the number of threads.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import gammainccinv, gammaincinv, ndtr, ndtri, owens_t, stdtr, stdtrit
@@ -126,22 +132,56 @@ def _reordered_cholesky(sigma, lower, upper):
 
 
 # Lattice points per block of the kernel; its working set is about
-# 8 * n * num_shifts * _BLOCK bytes.  Measured on a 2-core Xeon (4 MiB L2)
-# with 12 shifts: blocks of 512 to 4096 points ran the 40-dimensional
-# orthant, and 4-, 5- and 8-dimensional boxes of both kernels, in equal
-# time; 8192 and 16384 were 9 % and 22 % slower on the orthant, whose peak
-# RSS was 64, 72 and 88 MB at 1024, 2048 and 4096 points.  2048 is the
-# smallest of these at which every job in job_examples/ prints the digits
-# that one sum over all 20 000 points gave (1024 moved sut_moments in the
-# 16th digit).
+# 8 * n * num_shifts * _BLOCK bytes, split among the shift groups.
+# Measured on a 2-core Xeon (4 MiB L2) with 12 shifts in one group: blocks
+# of 512 to 4096 points ran the 40-dimensional orthant, and 4-, 5- and
+# 8-dimensional boxes of both kernels, in equal time; 8192 and 16384 were
+# 9 % and 22 % slower on the orthant, whose peak RSS was 64, 72 and 88 MB
+# at 1024, 2048 and 4096 points.  2048 is the smallest of these at which
+# every job in job_examples/ prints the digits that one sum over all
+# 20 000 points gave (1024 moved sut_moments in the 16th digit).  Every
+# shift group walks the same blocks in the same order, so the per-shift
+# sums do not depend on the number of groups.
 _BLOCK = 2048
 
-# Chi scale factors are a pure function of (df, seed, num_shifts, qmc_dim,
-# n_points); a small FIFO cache avoids recomputing them across the many
-# rectangle probabilities one moment computation needs.  Entries are
-# read-only.
+# Chi scale tables, one per (df, seed, num_shifts, qmc_dim), each holding
+# points 1 .. n of the first lattice dimension for the largest n asked for
+# so far; a call that needs more points extends the table.  A small FIFO
+# cache avoids recomputing them across the many rectangle probabilities one
+# moment computation needs.  Entries are read-only.
 _CHI_CACHE: dict = {}
 _CACHE_CAP = 8
+
+# Threads that run every shift group but the caller's, and the process
+# that started them: a forked child has none of its parent's threads, so
+# it starts its own pool.
+_POOL = None
+_POOL_PID = None
+_POOL_SIZE = 0
+
+
+def _cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_groups(work, groups):
+    """``work(group)`` for every group: the caller runs the first, a thread
+    pool the others.  ``ndtr``, ``ndtri``, ``gammaincinv`` and BLAS release
+    the GIL, so the groups run in parallel."""
+    global _POOL, _POOL_PID, _POOL_SIZE
+    futures = []
+    if len(groups) > 1:
+        if _POOL_PID != os.getpid() or _POOL_SIZE < len(groups) - 1:
+            _POOL = ThreadPoolExecutor(len(groups) - 1, thread_name_prefix="tse-lattice")
+            _POOL_PID, _POOL_SIZE = os.getpid(), len(groups) - 1
+        futures = [_POOL.submit(work, g) for g in groups[1:]]
+    work(groups[0])
+    for f in futures:
+        f.result()
 
 
 def _tent_rows(first, stop, gen_j, shifts_j):
@@ -152,20 +192,18 @@ def _tent_rows(first, stop, gen_j, shifts_j):
     return np.abs(2.0 * z - 1.0)
 
 
-def _chi_scale(df, seed, shifts, gen, n_points):
-    """Chi mixing factors ``sqrt(chisq_df^{-1}(u)/df)`` at points
-    ``1 .. n_points`` of the first lattice dimension."""
-    key = (df, seed) + shifts.shape + (n_points,)
-    hit = _CHI_CACHE.get(key)
-    if hit is not None:
-        return hit
-    u0 = np.clip(_tent_rows(0, n_points, gen[0], shifts[:, 0]), _UNIT_EPS, 1.0 - _UNIT_EPS)
-    r = np.sqrt(2.0 * gammaincinv(0.5 * df, u0) / df)
-    r.flags.writeable = False
-    if len(_CHI_CACHE) >= _CACHE_CAP:
-        _CHI_CACHE.pop(next(iter(_CHI_CACHE)))
-    _CHI_CACHE[key] = r
-    return r
+def _chi_table(df, seed, shifts, stop):
+    """The cached chi table for these shifts and the number of its points
+    that are filled in, or a new table of ``stop`` points whose first
+    points are copied from a shorter cached one."""
+    old = _CHI_CACHE.get((df, seed) + shifts.shape)
+    have = 0 if old is None else old.shape[1]
+    if have >= stop:
+        return old, have
+    table = np.empty((shifts.shape[0], stop))
+    if old is not None:
+        table[:, :have] = old
+    return table, have
 
 
 def _lattice_sums(chol, lo, hi, df, seed, num_shifts, first, stop):
@@ -176,30 +214,59 @@ def _lattice_sums(chol, lo, hi, df, seed, num_shifts, first, stop):
     scale ``r``; the normal kernel is the same loop with ``r = 1`` and the
     conditioning coordinates on lattice dimensions one lower.  An infinite
     limit gives ``c = 0`` or ``d = 1`` without a cdf call.
+
+    The shifts are split into one group per CPU the process may use (at
+    most ``num_shifts``).  Each group fills its rows of a missing chi table
+    (``sqrt(chisq_df^{-1}(u)/df)``) and then walks every block for its
+    shifts only, into a buffer the caller allocates: thread-local malloc
+    arenas would keep it otherwise.
     """
     n = chol.shape[0]
     qmc_dim = n - 1 if df is None else n
     gen = _generators(qmc_dim)
     shifts = np.random.default_rng(seed).random((num_shifts, qmc_dim))
-    chi = None if df is None else _chi_scale(df, seed, shifts, gen, stop)
+    chi, have = (None, stop) if df is None else _chi_table(df, seed, shifts, stop)
     # The conditioned coordinates take the last n - 1 lattice dimensions.
-    gen, shifts = gen[1 - n:], shifts[:, 1 - n:]
+    gen_y, shifts_y = gen[1 - n:], shifts[:, 1 - n:]
+    k = min(_cpus(), num_shifts)
+    groups = []
+    for g in range(k):
+        rows = slice(num_shifts * g // k, num_shifts * (g + 1) // k)
+        size = (n - 1) * (rows.stop - rows.start) * min(_BLOCK, stop - first)
+        groups.append((rows, np.empty(size)))
     sums = np.zeros(num_shifts)
-    for a in range(first, stop, _BLOCK):
-        b = min(a + _BLOCK, stop)
-        r = 1.0 if chi is None else chi[:, a:b]
-        y = np.empty((n - 1, num_shifts, b - a))
-        s = 0.0
-        pv = np.ones((num_shifts, b - a))
-        for i in range(n):
-            if i > 0:
-                w = _tent_rows(a, b, gen[i - 1], shifts[:, i - 1])
-                y[i - 1] = ndtri(np.clip(c + w * (d - c), _UNIT_EPS, 1.0 - _UNIT_EPS))
-                s = np.tensordot(chol[i, :i], y[:i], axes=(0, 0))
-            c = 0.0 if lo[i] == -np.inf else ndtr(r * lo[i] - s)
-            d = 1.0 if hi[i] == np.inf else ndtr(r * hi[i] - s)
-            pv *= d - c
-        sums += pv.sum(axis=1)
+
+    def walk(group):
+        rows, buf = group
+        for a in range(have, stop, _BLOCK):
+            b = min(a + _BLOCK, stop)
+            u = np.clip(_tent_rows(a, b, gen[0], shifts[rows, 0]), _UNIT_EPS, 1.0 - _UNIT_EPS)
+            chi[rows, a:b] = np.sqrt(2.0 * gammaincinv(0.5 * df, u) / df)
+        m = rows.stop - rows.start
+        for a in range(first, stop, _BLOCK):
+            b = min(a + _BLOCK, stop)
+            r = 1.0 if chi is None else chi[rows, a:b]
+            y = buf[:(n - 1) * m * (b - a)].reshape(n - 1, m, b - a)
+            s = 0.0
+            pv = np.ones((m, b - a))
+            for i in range(n):
+                if i > 0:
+                    w = _tent_rows(a, b, gen_y[i - 1], shifts_y[rows, i - 1])
+                    y[i - 1] = ndtri(np.clip(c + w * (d - c), _UNIT_EPS, 1.0 - _UNIT_EPS))
+                    s = np.tensordot(chol[i, :i], y[:i], axes=(0, 0))
+                c = 0.0 if lo[i] == -np.inf else ndtr(r * lo[i] - s)
+                d = 1.0 if hi[i] == np.inf else ndtr(r * hi[i] - s)
+                pv *= d - c
+            sums[rows] += pv.sum(axis=1)
+
+    _run_groups(walk, groups)
+    if have < stop:
+        chi.flags.writeable = False
+        key = (df, seed) + shifts.shape
+        _CHI_CACHE.pop(key, None)
+        if len(_CHI_CACHE) >= _CACHE_CAP:
+            _CHI_CACHE.pop(next(iter(_CHI_CACHE)))
+        _CHI_CACHE[key] = chi
     return sums
 
 
@@ -513,7 +580,10 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=20_000,
         ``_BLOCK`` points.
     num_shifts : int
         Number of random shifts; the spread of the per-shift means yields
-        the error estimate.
+        the error estimate.  The shifts are split into one group per CPU in
+        ``os.sched_getaffinity(0)`` (at most ``num_shifts`` groups), run by
+        the calling thread and as many pool threads as there are other
+        groups; the result does not depend on the number of groups.
     seed : int
         Seed for the shift generator; fixes the result exactly.
     target_abs_error : float, optional

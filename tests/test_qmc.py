@@ -1,5 +1,9 @@
 """The lattice kernel of ``rect_prob_qmc`` (four dimensions and up)."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -87,3 +91,69 @@ def test_high_dimensional_orthant_memory():
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert abs(p - 1.0 / (d + 1)) <= err
+
+
+def test_refinement_extends_the_chi_table(monkeypatch):
+    # The refinement computes chi factors only for points 3001 .. 12000, and
+    # the longer table replaces the shorter one in the cache.
+    evals = []
+    gammaincinv = qmc_mod.gammaincinv
+    monkeypatch.setattr(qmc_mod, "gammaincinv",
+                        lambda a, u: evals.append(u.size) or gammaincinv(a, u))
+    (sigma, lo, hi, df, kw), expected = GOLDEN["t7-5d-refined"]
+    qmc_mod._CHI_CACHE.clear()
+    p, _ = rect_prob_qmc(sigma, lo, hi, df, **kw)
+    assert p == expected
+    assert sum(evals) == 12 * 4 * kw["max_points"]
+    assert [t.shape for t in qmc_mod._CHI_CACHE.values()] == [(12, 4 * kw["max_points"])]
+
+
+# Refined calls that end in partial blocks, for both kernels and a cold chi
+# table, split into shift groups of equal and unequal sizes.
+POOL_CASES = {
+    "normal-5d-refined": (_corr(5, 4),) + _UPPER_OPEN5
+    + (None, {"max_points": 2500, "target_abs_error": 1e-12}),
+    "t7-5d-refined": (_corr(5, 4),) + _UPPER_OPEN5
+    + (7.0, {"max_points": 2500, "target_abs_error": 1e-12}),
+    "t3-6d-odd-points": (_corr(6, 5),) + _MIXED6 + (3.0, {"max_points": 10_007}),
+}
+
+
+@pytest.mark.parametrize("case", POOL_CASES, ids=str)
+def test_result_does_not_depend_on_the_cpu_count(case, monkeypatch):
+    sigma, lo, hi, df, kw = POOL_CASES[case]
+    results = []
+    for cpus in (1, 2, 5):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)),
+                            raising=False)
+        qmc_mod._CHI_CACHE.clear()
+        results.append(rect_prob_qmc(sigma, lo, hi, df, **kw))
+    assert qmc_mod._POOL_SIZE >= 4
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_lattice_call_in_forked_child(monkeypatch):
+    # The child inherits the parent's pool object but none of its threads.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    sigma, (lo, hi) = _corr(5, 4), _UPPER_OPEN5
+    expected = rect_prob_qmc(sigma, lo, hi, 7.0, max_points=3000)
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.SimpleQueue()
+    child = ctx.Process(
+        target=lambda: queue.put(rect_prob_qmc(sigma, lo, hi, 7.0, max_points=3000)))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+    assert queue.get() == expected
+
+
+def test_import_starts_no_thread():
+    code = "import threading, tse.cli; print(threading.active_count())"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0
+    assert run.stdout.strip() == "1"

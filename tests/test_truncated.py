@@ -386,6 +386,54 @@ class TestOutOfBounds:
         assert abs(batch.draws.mean() + 49.0) < 0.05
 
 
+class TestNarrowBoxes:
+    """Coordinates narrower than ``NARROW_WIDTH`` standard scales are held
+    at their midpoint: the face recursion's cancellation would otherwise
+    exceed the midpoint's error of about w**2 / 12."""
+
+    def test_mean_stays_inside_a_narrow_box(self):
+        rep = truncated_mean_cov(normal_joint([0.0], [[1.0]]),
+                                 TruncationBox([1.0], [1.0 + 1e-11]))
+        assert rep.method == ("degenerate",)
+        assert any("midpoint" in note for note in rep.notes)
+        assert 1.0 <= rep.mean[0] <= 1.0 + 1e-11
+        # The box's own rectangle probability, about phi(1) * w.
+        assert rep.prob_mass == pytest.approx(norm.pdf(1.0) * 1e-11, rel=1e-4)
+
+    def test_variance_of_a_narrow_box_is_not_negative(self):
+        rep = truncated_mean_cov(normal_joint([0.0], [[1.0]]),
+                                 TruncationBox([0.0], [1e-9]))
+        assert rep.covariance[0, 0] >= 0.0
+
+    def test_student_narrow_box_at_the_location(self):
+        # Its near limit sits at the location, so the out-of-bounds collapse
+        # used to refuse it.
+        rep = truncated_mean_cov(student_joint([0.0], [[1.0]], 5.0),
+                                 TruncationBox([0.0], [1e-13]))
+        assert "degenerate" in rep.method
+        assert 0.0 <= rep.mean[0] <= 1e-13
+
+    def test_narrow_coordinate_conditions_the_rest(self):
+        j = normal_joint([0.0, 0.0], [[1.0, 0.5], [0.5, 4.0]])
+        b = TruncationBox([0.25, -1.0], [0.25 + 1e-8, 1.0])
+        mid = 0.5 * (b.lower[0] + b.upper[0])
+        rep = truncated_mean_cov(j, b)
+        sub = truncated_mean_cov(conditional(j, [0], [mid]), b.subset([1]))
+        assert rep.method == ("direct", "degenerate")
+        assert rep.mean[0] == mid
+        assert rep.mean[1] == sub.mean[0]
+        assert rep.prob_mass == pytest.approx(
+            rect_prob_qmc(j.omega, b.lower, b.upper)[0], rel=1e-12)
+
+    def test_width_above_the_threshold_stays_direct(self):
+        a, w = 1.0, 1e-4
+        rep = truncated_mean_cov(normal_joint([0.0], [[1.0]]), TruncationBox([a], [a + w]))
+        mass = quad(norm.pdf, a, a + w, epsabs=0.0, epsrel=1e-13)[0]
+        mean = -norm.pdf(a) * np.expm1(-0.5 * w * (2.0 * a + w)) / mass
+        assert rep.method == ("direct",)
+        assert abs(rep.mean[0] - mean) <= 1e-11
+
+
 class TestExistence:
     def test_bounded_box_any_order(self):
         b = TruncationBox([-1.0, 0.0], [1.0, 2.0])
