@@ -19,9 +19,10 @@ fixed size, generating each block's lattice rows on the fly, so its memory
 does not grow with the point count.  A Kronecker sequence is extensible, so
 a refinement to four times the points adds the new points to the sums of
 the first pass.  The random shifts are independent replicates, so the
-kernel splits them into one group per CPU the process may use and runs the
-groups on threads; every group walks the same blocks in the same order, so
-results do not depend on the number of threads.
+kernel of a call in ``_THREAD_MIN_DIM`` or more dimensions splits them into
+one group per CPU the process may use and runs the groups on threads;
+smaller calls run on the caller alone.  Every group walks the same blocks
+in the same order, so results do not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -152,6 +153,16 @@ _BLOCK = 2048
 _CHI_CACHE: dict = {}
 _CACHE_CAP = 8
 
+# Fewest dimensions at which a call splits its shifts into groups on
+# threads; smaller calls run in one group on the caller.  Each group hands
+# the GIL back and forth between numpy calls, and the fewer the dimensions
+# the shorter those calls.  Measured on a shared 2-vCPU Xeon VM with 12
+# shifts and 20 000 points of the normal kernel: two groups ran d = 4, 5,
+# 6 and 8 no faster than one (0.93 to 0.97 times the time) and spread up
+# to six times as widely from call to call, while d = 10, 12, 16 and 40 ran
+# 1.35, 1.48, 1.48 and 1.60 times faster.
+_THREAD_MIN_DIM = 12
+
 # Threads that run every shift group but the caller's, and the process
 # that started them: a forked child has none of its parent's threads, so
 # it starts its own pool.
@@ -215,11 +226,12 @@ def _lattice_sums(chol, lo, hi, df, seed, num_shifts, first, stop):
     conditioning coordinates on lattice dimensions one lower.  An infinite
     limit gives ``c = 0`` or ``d = 1`` without a cdf call.
 
-    The shifts are split into one group per CPU the process may use (at
-    most ``num_shifts``).  Each group fills its rows of a missing chi table
-    (``sqrt(chisq_df^{-1}(u)/df)``) and then walks every block for its
-    shifts only, into a buffer the caller allocates: thread-local malloc
-    arenas would keep it otherwise.
+    From ``_THREAD_MIN_DIM`` dimensions up, the shifts are split into one
+    group per CPU the process may use (at most ``num_shifts``); smaller
+    calls run in one group.  Each group fills its rows of a missing chi
+    table (``sqrt(chisq_df^{-1}(u)/df)``) and then walks every block for
+    its shifts only, into a buffer the caller allocates: thread-local
+    malloc arenas would keep it otherwise.
     """
     n = chol.shape[0]
     qmc_dim = n - 1 if df is None else n
@@ -228,7 +240,7 @@ def _lattice_sums(chol, lo, hi, df, seed, num_shifts, first, stop):
     chi, have = (None, stop) if df is None else _chi_table(df, seed, shifts, stop)
     # The conditioned coordinates take the last n - 1 lattice dimensions.
     gen_y, shifts_y = gen[1 - n:], shifts[:, 1 - n:]
-    k = min(_cpus(), num_shifts)
+    k = min(_cpus(), num_shifts) if n >= _THREAD_MIN_DIM else 1
     groups = []
     for g in range(k):
         rows = slice(num_shifts * g // k, num_shifts * (g + 1) // k)
@@ -580,7 +592,8 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=20_000,
         ``_BLOCK`` points.
     num_shifts : int
         Number of random shifts; the spread of the per-shift means yields
-        the error estimate.  The shifts are split into one group per CPU in
+        the error estimate.  From ``_THREAD_MIN_DIM`` (12) dimensions up,
+        the shifts are split into one group per CPU in
         ``os.sched_getaffinity(0)`` (at most ``num_shifts`` groups), run by
         the calling thread and as many pool threads as there are other
         groups; the result does not depend on the number of groups.

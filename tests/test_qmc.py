@@ -121,6 +121,9 @@ POOL_CASES = {
 
 @pytest.mark.parametrize("case", POOL_CASES, ids=str)
 def test_result_does_not_depend_on_the_cpu_count(case, monkeypatch):
+    # These calls are below the threading threshold; lower it so that they
+    # run in shift groups.
+    monkeypatch.setattr(qmc_mod, "_THREAD_MIN_DIM", 1)
     sigma, lo, hi, df, kw = POOL_CASES[case]
     results = []
     for cpus in (1, 2, 5):
@@ -137,6 +140,7 @@ def test_result_does_not_depend_on_the_cpu_count(case, monkeypatch):
 def test_lattice_call_in_forked_child(monkeypatch):
     # The child inherits the parent's pool object but none of its threads.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(qmc_mod, "_THREAD_MIN_DIM", 1)
     sigma, (lo, hi) = _corr(5, 4), _UPPER_OPEN5
     expected = rect_prob_qmc(sigma, lo, hi, 7.0, max_points=3000)
     ctx = multiprocessing.get_context("fork")
@@ -150,6 +154,19 @@ def test_lattice_call_in_forked_child(monkeypatch):
         child.join()
     assert child.exitcode == 0
     assert queue.get() == expected
+
+
+def test_only_calls_from_the_threshold_up_run_on_threads(monkeypatch):
+    sizes = []
+    run_groups = qmc_mod._run_groups
+    monkeypatch.setattr(qmc_mod, "_run_groups",
+                        lambda work, groups: sizes.append(len(groups)) or run_groups(work, groups))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    d = qmc_mod._THREAD_MIN_DIM
+    rect_prob_qmc(_corr(d - 1, 6), np.zeros(d - 1), np.full(d - 1, np.inf), 7.0,
+                  max_points=2048)
+    rect_prob_qmc(_corr(d, 6), np.zeros(d), np.full(d, np.inf), max_points=2048)
+    assert sizes == [1, 2]
 
 
 def test_import_starts_no_thread():
