@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .elliptical import RectangleProbSettings, TruncationBox
+from .elliptical import DEFAULT_SETTINGS, RectangleProbSettings, TruncationBox
 from .errors import MomentNotDefinedError, NumericalError, SpecError
 from .oracle import estimate_mean_cov, sample_se
 from .qmc import _EXACT_MAX_DIM
@@ -175,17 +175,21 @@ def parse_distribution(obj) -> tuple:
 
 
 def _settings_in(job, seed_override: Optional[int]) -> RectangleProbSettings:
+    """The job's QMC settings; fields it leaves out take the defaults of
+    :class:`RectangleProbSettings`.  ``qmc.max_points`` is used as given:
+    the Sobol' points of a shift are balanced when it is a power of two."""
     qmc = job.get("qmc", {})
     if not isinstance(qmc, dict):
         raise SpecError("qmc must be an object")
-    seed = qmc.get("seed", job.get("seed", 7))
+    d = DEFAULT_SETTINGS
+    seed = qmc.get("seed", job.get("seed", d.seed))
     if seed_override is not None:
         seed = seed_override
     return RectangleProbSettings(
-        max_points=_int_in(qmc.get("max_points", 20_000), "qmc.max_points"),
-        target_abs_error=_num_in(qmc.get("target_abs_error", 1e-6)),
+        max_points=_int_in(qmc.get("max_points", d.max_points), "qmc.max_points"),
+        target_abs_error=_num_in(qmc.get("target_abs_error", d.target_abs_error)),
         seed=_int_in(seed, "seed"),
-        num_shifts=_int_in(qmc.get("num_shifts", 12), "qmc.num_shifts"),
+        num_shifts=_int_in(qmc.get("num_shifts", d.num_shifts), "qmc.num_shifts"),
     )
 
 

@@ -138,9 +138,15 @@ class RectangleProbSettings:
 
     They apply from four dimensions up; one- to three-dimensional
     rectangles are computed deterministically and ignore them.
+    ``max_points`` scrambled Sobol' points are evaluated per scramble,
+    ``num_shifts`` scrambles are drawn from ``seed``, and a call whose
+    error estimate misses ``target_abs_error`` is refined once to
+    ``4 * max_points`` points.  Any ``max_points`` of at least 1000 is used
+    as given; Sobol' points are balanced at powers of two, such as the
+    default 8192.
     """
 
-    max_points: int = 20_000
+    max_points: int = 8192
     target_abs_error: float = 1e-6
     seed: int = 7
     num_shifts: int = 12

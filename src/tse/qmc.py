@@ -9,53 +9,199 @@ bivariate rectangle of two coordinates, conditional on the third, by
 tanh-sinh quadrature on the third coordinate's probability scale (Genz
 2004 again).
 
-Four and more dimensions use separation-of-variables integration: the box
+Four and more dimensions use separation-of-variables integration (Genz
+1992): every coordinate is reflected into its lower tail, the box
 probability is rewritten as an integral over the unit cube by sequentially
 conditioning along a reordered Cholesky factor, and the cube integral is
-evaluated with randomly shifted Richtmyer (Kronecker) lattice points.  The
-Student-t case adds one cube dimension that carries the chi scale mixing
-variable.  One kernel serves both laws; it walks the points in blocks of a
-fixed size, generating each block's lattice rows on the fly, so its memory
-does not grow with the point count.  A Kronecker sequence is extensible, so
-a refinement to four times the points adds the new points to the sums of
-the first pass.  The random shifts are independent replicates, so the
-kernel of a call in ``_THREAD_MIN_DIM`` or more dimensions splits them into
-one group per CPU the process may use and runs the groups on threads;
-smaller calls run on the caller alone.  Every group walks the same blocks
-in the same order, so results do not depend on the number of threads.
+evaluated with scrambled Sobol' points.  The direction numbers are Joe &
+Kuo's (2008, *SIAM J. Sci. Comput.* 30) for up to 100 dimensions; each
+random shift is an independent linear matrix scramble plus digital shift
+(Matousek 1998, *J. Complexity* 14).  The Student-t case adds one cube
+dimension that carries the chi scale mixing variable.  One kernel serves
+both laws; it walks the points in Gray-code order in blocks of a fixed
+size, generating each block's rows one dimension at a time, so its memory
+does not grow with the point count.  A Sobol' sequence is extensible, so a
+refinement to four times the points adds the new points to the sums of the
+first pass.  The scrambles are independent replicates, so the kernel of a
+call in ``_THREAD_MIN_DIM`` or more dimensions splits them into one group
+per CPU the process may use and runs the groups on threads; smaller calls
+run on the caller alone.  Every group walks the same blocks in the same
+order, so results do not depend on the number of threads.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import gammainccinv, gammaincinv, ndtr, ndtri, owens_t, stdtr, stdtrit
+from scipy.special import gammainccinv, gammaincinv, gammaln, ndtr, ndtri, owens_t, stdtr, stdtrit
 
 from .errors import NumericalError
 
 __all__ = ["bivariate_rect_prob", "rect_prob_qmc"]
 
-# Square roots of the first 100 primes (mod 1) are the classic Richtmyer
-# generating vector; fixed here so results depend only on the seed.
-_PRIMES = np.array([
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
-    67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
-    139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211,
-    223, 227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283,
-    293, 307, 311, 313, 317, 331, 337, 347, 349, 353, 359, 367, 373, 379,
-    383, 389, 397, 401, 409, 419, 421, 431, 433, 439, 443, 449, 457, 461,
-    463, 467, 479, 487, 491, 499, 503, 509, 521, 523, 541,
-])
+# Joe & Kuo (2008) direction numbers (new-joe-kuo-6.21201, as scipy ships
+# them) for Sobol' dimensions 2 .. 100: per dimension, its primitive
+# polynomial as an integer whose bits are the coefficients, and the initial
+# numbers m_1 .. m_s, s the degree.  The first dimension is the van der
+# Corput sequence in base 2.
+_JOE_KUO = (
+    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)), (143, (1, 1, 3, 13, 7, 35, 63)),
+    (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)),
+    (185, (1, 3, 5, 3, 3, 13, 69)), (191, (1, 1, 7, 13, 1, 19, 1)),
+    (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)), (213, (1, 3, 7, 3, 13, 59, 17)),
+    (229, (1, 3, 1, 3, 5, 53, 69)), (239, (1, 1, 5, 5, 23, 33, 13)),
+    (241, (1, 1, 7, 7, 1, 61, 123)), (247, (1, 1, 7, 9, 13, 61, 49)),
+    (253, (1, 3, 3, 5, 3, 55, 33)), (285, (1, 3, 1, 15, 31, 13, 49, 245)),
+    (299, (1, 3, 5, 15, 31, 59, 63, 97)),
+    (301, (1, 3, 1, 11, 11, 11, 77, 249)), (333, (1, 3, 1, 11, 27, 43, 71, 9)),
+    (351, (1, 1, 7, 15, 21, 11, 81, 45)), (355, (1, 3, 7, 3, 25, 31, 65, 79)),
+    (357, (1, 3, 1, 1, 19, 11, 3, 205)), (361, (1, 1, 5, 9, 19, 21, 29, 157)),
+    (369, (1, 3, 7, 11, 1, 33, 89, 185)), (391, (1, 3, 3, 3, 15, 9, 79, 71)),
+    (397, (1, 3, 7, 11, 15, 39, 119, 27)),
+    (425, (1, 1, 3, 1, 11, 31, 97, 225)), (451, (1, 1, 1, 3, 23, 43, 57, 177)),
+    (463, (1, 3, 7, 7, 17, 17, 37, 71)), (487, (1, 3, 1, 5, 27, 63, 123, 213)),
+    (501, (1, 1, 3, 5, 11, 43, 53, 133)),
+    (529, (1, 3, 5, 5, 29, 17, 47, 173, 479)),
+    (539, (1, 3, 3, 11, 3, 1, 109, 9, 69)),
+    (545, (1, 1, 1, 5, 17, 39, 23, 5, 343)),
+    (557, (1, 3, 1, 5, 25, 15, 31, 103, 499)),
+    (563, (1, 1, 1, 11, 11, 17, 63, 105, 183)),
+    (601, (1, 1, 5, 11, 9, 29, 97, 231, 363)),
+    (607, (1, 1, 5, 15, 19, 45, 41, 7, 383)),
+    (617, (1, 3, 7, 7, 31, 19, 83, 137, 221)),
+    (623, (1, 1, 1, 3, 23, 15, 111, 223, 83)),
+    (631, (1, 1, 5, 13, 31, 15, 55, 25, 161)),
+    (637, (1, 1, 3, 13, 25, 47, 39, 87, 257)),
+    (647, (1, 1, 1, 11, 21, 53, 125, 249, 293)),
+    (661, (1, 1, 7, 11, 11, 7, 57, 79, 323)),
+    (675, (1, 1, 5, 5, 17, 13, 81, 3, 131)),
+    (677, (1, 1, 7, 13, 23, 7, 65, 251, 475)),
+    (687, (1, 3, 5, 1, 9, 43, 3, 149, 11)),
+    (695, (1, 1, 3, 13, 31, 13, 13, 255, 487)),
+    (701, (1, 3, 3, 1, 5, 63, 89, 91, 127)),
+    (719, (1, 1, 3, 3, 1, 19, 123, 127, 237)),
+    (721, (1, 1, 5, 7, 23, 31, 37, 243, 289)),
+    (731, (1, 1, 5, 11, 17, 53, 117, 183, 491)),
+    (757, (1, 1, 1, 5, 1, 13, 13, 209, 345)),
+    (761, (1, 1, 3, 15, 1, 57, 115, 7, 33)),
+    (787, (1, 3, 1, 11, 7, 43, 81, 207, 175)),
+    (789, (1, 3, 1, 1, 15, 27, 63, 255, 49)),
+    (799, (1, 3, 5, 3, 27, 61, 105, 171, 305)),
+    (803, (1, 1, 5, 3, 1, 3, 57, 249, 149)),
+    (817, (1, 1, 3, 5, 5, 57, 15, 13, 159)),
+    (827, (1, 1, 1, 11, 7, 11, 105, 141, 225)),
+    (847, (1, 3, 3, 5, 27, 59, 121, 101, 271)),
+    (859, (1, 3, 5, 9, 11, 49, 51, 59, 115)),
+    (865, (1, 1, 7, 1, 23, 45, 125, 71, 419)),
+    (875, (1, 1, 3, 5, 23, 5, 105, 109, 75)),
+    (877, (1, 1, 7, 15, 7, 11, 67, 121, 453)),
+    (883, (1, 3, 7, 3, 9, 13, 31, 27, 449)),
+    (895, (1, 3, 1, 15, 19, 39, 39, 89, 15)),
+    (901, (1, 1, 1, 1, 1, 33, 73, 145, 379)),
+    (911, (1, 3, 1, 15, 15, 43, 29, 13, 483)),
+    (949, (1, 1, 7, 3, 19, 27, 85, 131, 431)),
+    (953, (1, 3, 3, 3, 5, 35, 23, 195, 349)),
+    (967, (1, 3, 3, 7, 9, 27, 39, 59, 297)),
+    (971, (1, 1, 3, 9, 11, 17, 13, 241, 157)),
+    (973, (1, 3, 7, 15, 25, 57, 33, 189, 213)),
+    (981, (1, 1, 7, 1, 9, 55, 73, 83, 217)),
+    (985, (1, 3, 3, 13, 19, 27, 23, 113, 249)),
+    (995, (1, 3, 5, 3, 23, 43, 3, 253, 479)),
+    (1001, (1, 1, 5, 5, 11, 5, 45, 117, 217)),
+)
 
-_UNIT_EPS = 1e-15
+# Bits per coordinate of the Sobol' points.
+_BITS = 32
 
 
-def _generators(dim: int) -> np.ndarray:
-    if dim > _PRIMES.size:
-        raise NumericalError(f"QMC generator table covers {_PRIMES.size} dims, got {dim}")
-    return np.mod(np.sqrt(_PRIMES[:dim].astype(float)), 1.0)
+@functools.cache
+def _direction_table():
+    """The ``(100, _BITS)`` direction numbers ``v_jk = m_jk * 2**(31 - k)``,
+    with ``m_jk`` from the Bratley & Fox (1988) recurrence on the table."""
+    m = [[1] * _BITS]
+    for poly, init in _JOE_KUO:
+        s = len(init)
+        mj = list(init)
+        for k in range(s, _BITS):
+            new = mj[k - s] ^ (mj[k - s] << s)
+            for i in range(1, s):
+                if poly >> (s - i) & 1:
+                    new ^= mj[k - i] << i
+            mj.append(new)
+        m.append(mj)
+    v = (np.array(m, dtype=np.uint64) << np.arange(_BITS - 1, -1, -1, dtype=np.uint64)
+         ).astype(np.uint32)
+    v.flags.writeable = False
+    return v
+
+
+def _scrambles(seed, num_shifts, dim):
+    """Direction numbers ``(num_shifts, dim, _BITS)`` and digital shifts
+    ``(num_shifts, dim)`` of one linear matrix scramble (Matousek 1998) per
+    shift and dimension, each shift drawn from its own child of
+    ``SeedSequence(seed)``.
+
+    Digit ``b`` (``b = 0`` the most significant) of a scrambled coordinate
+    is digit ``b`` plus a random combination of the digits above it,
+    modulo 2: a random lower unit-triangular matrix over GF(2), which is
+    invertible.  The matrix is linear, so scrambling the direction numbers
+    scrambles every point; the digital shift is the scrambled first point.
+    """
+    if dim > len(_JOE_KUO) + 1:
+        raise NumericalError(f"Sobol' table covers {len(_JOE_KUO) + 1} dims, got {dim}")
+    v = _direction_table()[:dim]
+    digit = np.uint32(1) << np.arange(_BITS - 1, -1, -1, dtype=np.uint32)
+    rows = np.empty((num_shifts, dim, _BITS), dtype=np.uint32)
+    shifts = np.empty((num_shifts, dim), dtype=np.uint32)
+    for s, child in enumerate(np.random.SeedSequence(seed).spawn(num_shifts)):
+        rng = np.random.default_rng(child)
+        rows[s] = rng.integers(0, 1 << _BITS, size=(dim, _BITS), dtype=np.uint32)
+        shifts[s] = rng.integers(0, 1 << _BITS, size=dim, dtype=np.uint32)
+    rows = rows & ~(digit - np.uint32(1)) | digit
+    odd = np.bitwise_count(rows[..., None] & v[:, None, :]) & np.uint8(1)
+    dirs = np.bitwise_or.reduce(odd.astype(np.uint32) * digit[:, None], axis=-2)
+    return dirs, shifts
+
+
+def _sobol_rows(dirs, shifts, first, stop):
+    """Points ``first .. stop-1`` of one Sobol' dimension in Gray-code order,
+    one row per scramble, as ``uint32`` digits: point ``i + 1`` is point
+    ``i`` XOR ``dirs[:, ctz(i + 1)]``, ``ctz`` the count of trailing zero
+    bits."""
+    x = np.empty((shifts.size, stop - first), dtype=np.uint32)
+    gray = first ^ (first >> 1)
+    start = shifts.copy()
+    for k in range(gray.bit_length()):
+        if gray >> k & 1:
+            start ^= dirs[:, k]
+    x[:, 0] = start
+    i = np.arange(first + 1, stop)
+    x[:, 1:] = dirs[:, np.bitwise_count((i & -i) - 1)]
+    return np.bitwise_xor.accumulate(x, axis=1, out=x)
+
+
+def _unit(x):
+    """Sobol' digits mapped to the centres of their cells in (0, 1)."""
+    return (x + 0.5) * 2.0 ** -_BITS
+
+
+# Conditional probabilities are clipped into [_TINY, _BELOW_ONE] before
+# ``ndtri``, which keeps every probability above the smallest normal double
+# at full relative accuracy.
+_TINY = np.finfo(float).tiny
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _standardise(sigma, lower, upper):
@@ -132,21 +278,21 @@ def _reordered_cholesky(sigma, lower, upper):
     return chol, lo, hi
 
 
-# Lattice points per block of the kernel; its working set is about
+# Sobol' points per block of the kernel; its working set is about
 # 8 * n * num_shifts * _BLOCK bytes, split among the shift groups.
-# Measured on a 2-core Xeon (4 MiB L2) with 12 shifts in one group: blocks
-# of 512 to 4096 points ran the 40-dimensional orthant, and 4-, 5- and
-# 8-dimensional boxes of both kernels, in equal time; 8192 and 16384 were
-# 9 % and 22 % slower on the orthant, whose peak RSS was 64, 72 and 88 MB
-# at 1024, 2048 and 4096 points.  2048 is the smallest of these at which
-# every job in job_examples/ prints the digits that one sum over all
-# 20 000 points gave (1024 moved sut_moments in the 16th digit).  Every
+# Measured with the Kronecker lattice this kernel replaced, on a 2-core
+# Xeon (4 MiB L2) with 12 shifts in one group: blocks of 512 to 4096 points
+# ran the 40-dimensional orthant, and 4-, 5- and 8-dimensional boxes of
+# both kernels, in equal time; 8192 and 16384 were 9 % and 22 % slower on
+# the orthant, whose peak RSS was 64, 72 and 88 MB at 1024, 2048 and 4096
+# points.  Being a power of two, 2048 makes every whole block a net of
+# each scramble, and the default 8192 points four whole blocks.  Every
 # shift group walks the same blocks in the same order, so the per-shift
 # sums do not depend on the number of groups.
 _BLOCK = 2048
 
 # Chi scale tables, one per (df, seed, num_shifts, qmc_dim), each holding
-# points 1 .. n of the first lattice dimension for the largest n asked for
+# points 0 .. n-1 of the first Sobol' dimension for the largest n asked for
 # so far; a call that needs more points extends the table.  A small FIFO
 # cache avoids recomputing them across the many rectangle probabilities one
 # moment computation needs.  Entries are read-only.
@@ -157,10 +303,11 @@ _CACHE_CAP = 8
 # threads; smaller calls run in one group on the caller.  Each group hands
 # the GIL back and forth between numpy calls, and the fewer the dimensions
 # the shorter those calls.  Measured on a shared 2-vCPU Xeon VM with 12
-# shifts and 20 000 points of the normal kernel: two groups ran d = 4, 5,
-# 6 and 8 no faster than one (0.93 to 0.97 times the time) and spread up
-# to six times as widely from call to call, while d = 10, 12, 16 and 40 ran
-# 1.35, 1.48, 1.48 and 1.60 times faster.
+# shifts and 20 000 points of the normal kernel on the Kronecker lattice
+# that preceded the Sobol' points: two groups ran d = 4, 5, 6 and 8 no
+# faster than one (0.93 to 0.97 times the time) and spread up to six times
+# as widely from call to call, while d = 10, 12, 16 and 40 ran 1.35, 1.48,
+# 1.48 and 1.60 times faster.
 _THREAD_MIN_DIM = 12
 
 # Threads that run every shift group but the caller's, and the process
@@ -195,23 +342,15 @@ def _run_groups(work, groups):
         f.result()
 
 
-def _tent_rows(first, stop, gen_j, shifts_j):
-    """Points ``first+1 .. stop`` of one lattice dimension, one row per shift:
-    ``frac(i * q_j + shift_j)`` followed by the tent (baker) transform."""
-    z = np.arange(first + 1, stop + 1)[None, :] * gen_j + shifts_j[:, None]
-    z -= np.floor(z)
-    return np.abs(2.0 * z - 1.0)
-
-
-def _chi_table(df, seed, shifts, stop):
-    """The cached chi table for these shifts and the number of its points
-    that are filled in, or a new table of ``stop`` points whose first
-    points are copied from a shorter cached one."""
-    old = _CHI_CACHE.get((df, seed) + shifts.shape)
+def _chi_table(key, num_shifts, stop):
+    """The cached chi table under ``key`` and the number of its points that
+    are filled in, or a new ``(num_shifts, stop)`` table whose first points
+    are copied from a shorter cached one."""
+    old = _CHI_CACHE.get(key)
     have = 0 if old is None else old.shape[1]
     if have >= stop:
         return old, have
-    table = np.empty((shifts.shape[0], stop))
+    table = np.empty((num_shifts, stop))
     if old is not None:
         table[:, :have] = old
     return table, have
@@ -219,11 +358,12 @@ def _chi_table(df, seed, shifts, stop):
 
 def _lattice_sums(chol, lo, hi, df, seed, num_shifts, first, stop):
     """Per-shift sums of the separation-of-variables integrand over the
-    lattice points ``first+1 .. stop``, walked in blocks of ``_BLOCK``.
+    points ``first .. stop-1`` of the scrambled Sobol' sequence, walked in
+    blocks of ``_BLOCK``.
 
-    The Student-t kernel spends the first lattice dimension on its chi
-    scale ``r``; the normal kernel is the same loop with ``r = 1`` and the
-    conditioning coordinates on lattice dimensions one lower.  An infinite
+    The Student-t kernel spends the first Sobol' dimension on its chi scale
+    ``r``; the normal kernel is the same loop with ``r = 1`` and the
+    conditioning coordinates on Sobol' dimensions one lower.  An infinite
     limit gives ``c = 0`` or ``d = 1`` without a cdf call.
 
     From ``_THREAD_MIN_DIM`` dimensions up, the shifts are split into one
@@ -235,11 +375,11 @@ def _lattice_sums(chol, lo, hi, df, seed, num_shifts, first, stop):
     """
     n = chol.shape[0]
     qmc_dim = n - 1 if df is None else n
-    gen = _generators(qmc_dim)
-    shifts = np.random.default_rng(seed).random((num_shifts, qmc_dim))
-    chi, have = (None, stop) if df is None else _chi_table(df, seed, shifts, stop)
-    # The conditioned coordinates take the last n - 1 lattice dimensions.
-    gen_y, shifts_y = gen[1 - n:], shifts[:, 1 - n:]
+    dirs, shifts = _scrambles(seed, num_shifts, qmc_dim)
+    key = (df, seed, num_shifts, qmc_dim)
+    chi, have = (None, stop) if df is None else _chi_table(key, num_shifts, stop)
+    # The conditioned coordinates take the last n - 1 Sobol' dimensions.
+    dirs_y, shifts_y = dirs[:, 1 - n:], shifts[:, 1 - n:]
     k = min(_cpus(), num_shifts) if n >= _THREAD_MIN_DIM else 1
     groups = []
     for g in range(k):
@@ -252,8 +392,8 @@ def _lattice_sums(chol, lo, hi, df, seed, num_shifts, first, stop):
         rows, buf = group
         for a in range(have, stop, _BLOCK):
             b = min(a + _BLOCK, stop)
-            u = np.clip(_tent_rows(a, b, gen[0], shifts[rows, 0]), _UNIT_EPS, 1.0 - _UNIT_EPS)
-            chi[rows, a:b] = np.sqrt(2.0 * gammaincinv(0.5 * df, u) / df)
+            x = _sobol_rows(dirs[rows, 0], shifts[rows, 0], a, b)
+            chi[rows, a:b] = np.sqrt(2.0 * gammaincinv(0.5 * df, _unit(x)) / df)
         m = rows.stop - rows.start
         for a in range(first, stop, _BLOCK):
             b = min(a + _BLOCK, stop)
@@ -263,8 +403,8 @@ def _lattice_sums(chol, lo, hi, df, seed, num_shifts, first, stop):
             pv = np.ones((m, b - a))
             for i in range(n):
                 if i > 0:
-                    w = _tent_rows(a, b, gen_y[i - 1], shifts_y[rows, i - 1])
-                    y[i - 1] = ndtri(np.clip(c + w * (d - c), _UNIT_EPS, 1.0 - _UNIT_EPS))
+                    w = _unit(_sobol_rows(dirs_y[rows, i - 1], shifts_y[rows, i - 1], a, b))
+                    y[i - 1] = ndtri(np.clip(c + w * (d - c), _TINY, _BELOW_ONE))
                     s = np.tensordot(chol[i, :i], y[:i], axes=(0, 0))
                 c = 0.0 if lo[i] == -np.inf else ndtr(r * lo[i] - s)
                 d = 1.0 if hi[i] == np.inf else ndtr(r * hi[i] - s)
@@ -274,7 +414,6 @@ def _lattice_sums(chol, lo, hi, df, seed, num_shifts, first, stop):
     _run_groups(walk, groups)
     if have < stop:
         chi.flags.writeable = False
-        key = (df, seed) + shifts.shape
         _CHI_CACHE.pop(key, None)
         if len(_CHI_CACHE) >= _CACHE_CAP:
             _CHI_CACHE.pop(next(iter(_CHI_CACHE)))
@@ -478,12 +617,37 @@ def bivariate_rect_prob(rho, lower, upper, df=None):
     return np.clip(prob, 0.0, 1.0), err
 
 
+# Intervals narrower than this, in units of max(1, |midpoint|), take the
+# midpoint rule for their mass.  The cdf difference loses about
+# eps / (width * max(1, |midpoint|)) of it to cancellation, while the rule's
+# fourth-order term stays below 1e-13 of it.
+_NARROW = 1e-3
+
+
 def _uv_mass(lower, upper, df=None):
     """Univariate interval probabilities of the standard normal (``df`` None)
     or Student-t law, each interval reflected into the lower tail first so
-    that upper-tail masses keep their relative accuracy."""
+    that upper-tail masses keep their relative accuracy.  Narrow intervals
+    take the density at the midpoint times the width, with its second-order
+    term ``f''(m) / f(m) * width**2 / 24``, free of cdf cancellation."""
     _, lo, hi = _lower_tail(lower, upper)
-    return _cdf(hi, df) - _cdf(lo, df)
+    mass = _cdf(hi, df) - _cdf(lo, df)
+    with np.errstate(invalid="ignore"):
+        mid, width = 0.5 * (lo + hi), hi - lo
+        narrow = width * np.maximum(1.0, np.abs(mid)) < _NARROW
+    if not np.any(narrow):
+        return mass
+    m2 = mid * mid
+    if df is None:
+        log_f = -0.5 * m2 - 0.5 * np.log(2.0 * np.pi)
+        curv = m2 - 1.0
+    else:
+        log_f = (gammaln(0.5 * (df + 1.0)) - gammaln(0.5 * df) - 0.5 * np.log(df * np.pi)
+                 - 0.5 * (df + 1.0) * np.log1p(m2 / df))
+        curv = (df + 1.0) * ((df + 2.0) * m2 - df) / (df + m2) ** 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        rule = np.exp(log_f) * width * (1.0 + curv * width * width / 24.0)
+    return np.where(narrow, rule, mass)
 
 
 # -- exact three-dimensional probabilities -----------------------------------
@@ -569,14 +733,16 @@ def _trivariate_rect(corr, lower, upper, df=None):
 _EXACT_MAX_DIM = 3
 
 
-def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=20_000,
+def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=8192,
                   num_shifts=12, seed=7, target_abs_error=None):
     """Probability that a centred normal / Student-t vector lies in a box.
 
     One to three dimensions are exact (the univariate cdf,
     :func:`bivariate_rect_prob`, and tanh-sinh quadrature of the bivariate
-    form in three); the lattice settings ``max_points``, ``num_shifts``,
-    ``seed`` and ``target_abs_error`` apply from four dimensions up.
+    form in three); the Sobol' settings ``max_points``, ``num_shifts``,
+    ``seed`` and ``target_abs_error`` apply from four dimensions up, and
+    at most 100 Sobol' dimensions are available: ``n - 1`` for the normal
+    kernel, ``n`` for the Student-t.
 
     Parameters
     ----------
@@ -588,17 +754,19 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=20_000,
     df : float, optional
         Student-t degrees of freedom; ``None`` selects the normal kernel.
     max_points : int
-        Lattice points per randomization shift, evaluated in blocks of
-        ``_BLOCK`` points.
+        Sobol' points per scramble, evaluated in blocks of ``_BLOCK``
+        points.  Any count is accepted; the points of a scramble are
+        balanced (a net) when it is a power of two.
     num_shifts : int
-        Number of random shifts; the spread of the per-shift means yields
-        the error estimate.  From ``_THREAD_MIN_DIM`` (12) dimensions up,
+        Number of independent scrambles (random shifts), each drawn from
+        its own child of ``SeedSequence(seed)``; the spread of the
+        per-scramble means yields the error estimate.  From ``_THREAD_MIN_DIM`` (12) dimensions up,
         the shifts are split into one group per CPU in
         ``os.sched_getaffinity(0)`` (at most ``num_shifts`` groups), run by
         the calling thread and as many pool threads as there are other
         groups; the result does not depend on the number of groups.
     seed : int
-        Seed for the shift generator; fixes the result exactly.
+        Seed of the scrambles; fixes the result exactly.
     target_abs_error : float, optional
         Absolute error goal; when the first pass misses it, one refinement
         extends it to ``4 * max_points`` points of the same sequence: only
@@ -609,8 +777,9 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=20_000,
     -------
     (prob, err) : pair of floats
         Estimated probability (clipped to ``[0, 1]``) and an error bound:
-        three standard errors of the shift means from four dimensions up,
-        the quadrature estimate in two and three.
+        from four dimensions up, three standard errors of the scramble
+        means plus a relative rounding floor; the quadrature estimate in
+        two and three.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -633,17 +802,19 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=20_000,
             prob, err = _trivariate_rect(corr, lo, hi, df)
         return float(min(max(prob, 0.0), 1.0)), float(err)
 
-    chol, lo, hi = _reordered_cholesky(sigma, lower, upper)
+    flip, lower, upper = _lower_tail(lower, upper)
+    sign = np.where(flip, -1.0, 1.0)
+    chol, lo, hi = _reordered_cholesky(sigma * np.outer(sign, sign), lower, upper)
 
     def estimate(means):
         prob = min(max(float(means.mean()), 0.0), 1.0)
-        return prob, 3.0 * float(means.std(ddof=1)) / np.sqrt(num_shifts)
+        return prob, 3.0 * float(means.std(ddof=1)) / np.sqrt(num_shifts) + _TAIL_ROUND * prob
 
     sums = _lattice_sums(chol, lo, hi, df, seed, num_shifts, 0, max_points)
     prob, err = estimate(sums / max_points)
     if target_abs_error is not None and err > target_abs_error:
-        # The Kronecker sequence extends, so the refinement adds the points
-        # max_points+1 .. 4 max_points to the sums of the first pass.
+        # The Sobol' sequence extends, so the refinement adds the points
+        # max_points .. 4 max_points - 1 to the sums of the first pass.
         sums += _lattice_sums(chol, lo, hi, df, seed, num_shifts, max_points, 4 * max_points)
         prob, err = estimate(sums / (4 * max_points))
     return prob, err

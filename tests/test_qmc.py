@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import tse.qmc as qmc_mod
-from tse.qmc import rect_prob_qmc
+from tse.elliptical import RectangleProbSettings
+from tse.errors import NumericalError
+from tse.qmc import _uv_mass, rect_prob_qmc
 
 
 def _corr(d, seed):
@@ -26,20 +28,22 @@ _UPPER_OPEN5 = (np.array([-0.5, 0.2, -1.0, 0.0, -0.3]), np.full(5, np.inf))
 _MIXED6 = (np.array([-np.inf, -1.0, -0.5, -np.inf, -2.0, 0.1]),
            np.array([1.0, np.inf, 1.5, 0.4, 2.0, np.inf]))
 
-# (sigma, lower, upper, df, keyword settings) and the probability the
-# kernel gave when it held every lattice point of a pass at once.
+# (sigma, lower, upper, df, keyword settings) and the probability of the
+# scrambled Sobol' kernel.  Each value lies within its own error estimate of
+# a reference at 2**18 points per shift (seed 12345), and within the error
+# bound of the value that the Kronecker lattice it replaced gave.
 GOLDEN = {
     "normal-4d-box": ((_corr(4, 3) * np.outer(_SCALES4, _SCALES4),) + _BOX4 + (None, {}),
-                      0.2298159378333965),
-    "t7-5d-upper-open": ((_corr(5, 4),) + _UPPER_OPEN5 + (7.0, {}), 0.0631370814568742),
+                      0.22981480367568777),
+    "t7-5d-upper-open": ((_corr(5, 4),) + _UPPER_OPEN5 + (7.0, {}), 0.06314165860016169),
     "t7-5d-refined": ((_corr(5, 4),) + _UPPER_OPEN5
                       + (7.0, {"max_points": 3000, "target_abs_error": 1e-9}),
-                      0.06313566972366493),
+                      0.06314085603851616),
     "normal-4d-refined": ((_corr(4, 3) * np.outer(_SCALES4, _SCALES4),) + _BOX4
                           + (None, {"max_points": 2000, "target_abs_error": 1e-9}),
-                          0.22981531371461952),
+                          0.22981530466721525),
     "normal-6d-odd-points": ((_corr(6, 5),) + _MIXED6 + (None, {"max_points": 10_007}),
-                             0.10834624552527233),
+                             0.10834523909151904),
 }
 
 
@@ -52,7 +56,7 @@ def test_golden_values(case):
 
 
 def test_golden_settings_cover_partial_blocks_and_refinement():
-    assert any(kw.get("max_points", 20_000) % qmc_mod._BLOCK
+    assert any(kw.get("max_points", RectangleProbSettings().max_points) % qmc_mod._BLOCK
                for (*_, kw), _ in GOLDEN.values())
     for case in ("t7-5d-refined", "normal-4d-refined"):
         (sigma, lo, hi, df, kw), _ = GOLDEN[case]
@@ -62,8 +66,9 @@ def test_golden_settings_cover_partial_blocks_and_refinement():
 
 @pytest.mark.parametrize("df", [None, 7.0])
 def test_refinement_extends_the_first_pass(df):
-    # A Kronecker sequence is extensible: the refined call at N points is
-    # the unrefined call at 4N points, up to the order of the sums.
+    # A Sobol' sequence in Gray-code order is extensible: the refined call
+    # at N points is the unrefined call at 4N points, up to the order of the
+    # sums.
     sigma, (lo, hi) = _corr(5, 4), _UPPER_OPEN5
     n = 2500
     refined, _ = rect_prob_qmc(sigma, lo, hi, df, max_points=n, target_abs_error=1e-12)
@@ -174,3 +179,89 @@ def test_import_starts_no_thread():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0
     assert run.stdout.strip() == "1"
+
+
+def test_unscrambled_points_match_scipy():
+    from scipy.stats import qmc
+
+    n = 4096
+    v = qmc_mod._direction_table()
+    ours = np.stack([qmc_mod._sobol_rows(v[None, j], np.zeros(1, np.uint32), 0, n)[0]
+                     for j in range(v.shape[0])], axis=1)
+    expected = qmc.Sobol(v.shape[0], scramble=False, bits=32).random(n)
+    assert np.array_equal(ours * 2.0 ** -32, expected)
+
+
+def test_points_are_walked_in_blocks_of_the_same_sequence():
+    dirs, shifts = qmc_mod._scrambles(7, 12, 3)
+    whole = qmc_mod._sobol_rows(dirs[:, 2], shifts[:, 2], 0, 3000)
+    parts = [qmc_mod._sobol_rows(dirs[:, 2], shifts[:, 2], a, b)
+             for a, b in ((0, 1000), (1000, 2048), (2048, 3000))]
+    assert np.array_equal(whole, np.concatenate(parts, axis=1))
+    # Every scramble of a 2**k-point prefix puts one point in each of 2**k cells.
+    cells = np.sort(whole[:, :2048] >> np.uint32(21), axis=1)
+    assert np.array_equal(cells, np.broadcast_to(np.arange(2048), cells.shape))
+
+
+def test_dimension_cap():
+    # The table covers 100 Sobol' dimensions; the Student-t kernel takes one
+    # per coordinate.
+    d = len(qmc_mod._JOE_KUO) + 2
+    with pytest.raises(NumericalError, match="100 dims"):
+        rect_prob_qmc(np.eye(d), np.zeros(d), np.full(d, np.inf), 5.0, max_points=1024)
+
+
+def test_import_and_lattice_calls_leave_scipy_stats_unloaded():
+    code = ("import sys, numpy as np, tse.cli\n"
+            "from tse.qmc import rect_prob_qmc\n"
+            "rect_prob_qmc(0.5 * np.eye(4) + 0.5, np.zeros(4), np.full(4, np.inf))\n"
+            "rect_prob_qmc(0.5 * np.eye(4) + 0.5, np.zeros(4), np.full(4, np.inf), 5.0)\n"
+            "rect_prob_qmc(0.5 * np.eye(40) + 0.5, np.zeros(40), np.full(40, np.inf),\n"
+            "              max_points=2048)\n"
+            "print('scipy.stats' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
+def test_upper_tail_box():
+    # X_1 >= 10, X_2..4 <= 1 for independent coordinates: Q(10) Phi(1)**3.
+    p, err = rect_prob_qmc(np.eye(4), [10.0, -np.inf, -np.inf, -np.inf],
+                           [np.inf, 1.0, 1.0, 1.0])
+    exact = 7.619853024160526e-24 * 0.8413447460685429 ** 3
+    assert abs(p - exact) <= err
+    assert err < 1e-9 * exact
+
+
+def test_deep_joint_tail_box():
+    # X <= (-6, -9, -1, 5), equicorrelated at 0.3.  The exact three-dimensional
+    # value of the first three coordinates exceeds the four-dimensional one by
+    # at most P(X_2 <= -9, X_4 > 5).
+    sigma = 0.7 * np.eye(4) + 0.3
+    upper = np.array([-6.0, -9.0, -1.0, 5.0])
+    p, err = rect_prob_qmc(sigma, np.full(4, -np.inf), upper)
+    p3, err3 = rect_prob_qmc(sigma[:3, :3], np.full(3, -np.inf), upper[:3])
+    p24, _ = rect_prob_qmc(sigma[np.ix_([1, 3], [1, 3])], [-np.inf, 5.0], [-9.0, np.inf])
+    assert p3 == pytest.approx(3.48256e-23, rel=1e-5, abs=0)
+    assert p24 < 1e-6 * err
+    assert abs(p - p3) <= err + err3 + p24
+    assert err < 1e-4 * p3
+
+
+def test_narrow_interval_keeps_relative_accuracy():
+    # N(0, 1) on [1, 1 + 1e-11], against mpmath at 50 digits.
+    lo = 1.0
+    hi = lo + 1e-11
+    exact = 2.4197074453868e-12
+    assert _uv_mass(lo, hi) == pytest.approx(exact, rel=1e-12, abs=0)
+    assert rect_prob_qmc([[1.0]], [lo], [hi])[0] == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_wide_intervals_keep_the_cdf_difference():
+    lo = np.array([-1.0, 0.3, 1.0, -np.inf, 2.0])
+    hi = np.array([0.5, 0.3 + 2e-3, np.inf, 0.7, 2.0 + 1e-3])
+    for df in (None, 5.0):
+        flip = lo + hi > 0
+        a, b = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+        assert np.array_equal(_uv_mass(lo, hi, df),
+                              qmc_mod._cdf(b, df) - qmc_mod._cdf(a, df))
