@@ -21,6 +21,7 @@ from tse.elliptical import (
 )
 from tse.errors import NumericalError, SpecError
 from tse.oracle import sample_joint
+from tse.qmc import _DS_MAX_DF
 
 from conftest import z_within
 
@@ -375,7 +376,12 @@ def _quad_rect(rho, lo, hi, nu=None):
 
 
 class TestBivariateExact:
-    """Two-dimensional rectangles: Owen's T form and chi-quantile quadrature."""
+    """Two-dimensional rectangles: Owen's T form, the Dunnett-Sobel series
+    (integer df up to ``_DS_MAX_DF``, both parities, and the cap itself)
+    and chi-quantile quadrature (any other df, and the cap plus one)."""
+
+    # Integer df of both parities, the series' cap and the first df past it.
+    INTEGER_DF = [1.0, 2.0, 3.0, 6.0, 7.0, float(_DS_MAX_DF), float(_DS_MAX_DF + 1)]
 
     BOXES = [
         ([-0.7, -1.2], [1.1, 0.4]),
@@ -391,7 +397,8 @@ class TestBivariateExact:
         p, e = bivariate_rect_prob(rho, np.array([lo], float), np.array([hi], float), nu)
         return p[0], e[0]
 
-    @pytest.mark.parametrize("nu", [None, 0.5, 3.0, 30.0])
+    @pytest.mark.parametrize("nu", [None, 0.5, 3.0, 30.0] + [
+        v for v in INTEGER_DF if v != 3.0])
     @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.5, 0.999999])
     def test_orthant_closed_form(self, nu, rho):
         exact = 0.25 + np.arcsin(rho) / (2 * np.pi)
@@ -400,7 +407,8 @@ class TestBivariateExact:
         p, _ = self._prob(rho, [-np.inf, -np.inf], [0.0, 0.0], nu)
         assert p == pytest.approx(exact, abs=1e-14)
 
-    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.5, 4.0, 30.0, 1e6])
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.5, 4.0, 30.0, 1e6] + [
+        v for v in INTEGER_DF if v != 1.0])
     def test_student_against_quadrature(self, nu):
         tol = 1e-12 if nu <= 300 else 1e-9
         for rho in (-0.6, 0.35):
@@ -419,7 +427,7 @@ class TestBivariateExact:
                 assert abs(p - ref) <= err + ref_err + 1e-15
                 assert abs(p - ref) <= 1e-14
 
-    @pytest.mark.parametrize("nu", [None, 4.0])
+    @pytest.mark.parametrize("nu", [None, 4.0, 5.0])
     def test_zero_and_infinite_limits(self, nu):
         from scipy.stats import norm
 
@@ -451,7 +459,7 @@ class TestBivariateExact:
             ([-np.inf, k], [h, np.inf]), ([h, k], [np.inf, np.inf])))
         assert total == pytest.approx(1.0, abs=1e-14)
 
-    @pytest.mark.parametrize("nu", [None, 4.0])
+    @pytest.mark.parametrize("nu", [None, 4.0, 5.0])
     def test_zero_width_box_is_zero(self, nu):
         p, err = self._prob(0.3, [0.5, -1.0], [0.5, 2.0], nu)
         assert p == 0.0
@@ -470,12 +478,46 @@ class TestBivariateExact:
             assert p == pytest.approx(ref, rel=1e-9, abs=0)
             assert abs(p - ref) <= err + ref_err
 
+    @pytest.mark.parametrize("nu, rho, lo, hi", [
+        (4.0, 0.5, [-np.inf, -np.inf], [-50.0, -60.0]),
+        (5.0, 0.3, [-30.0, -40.0], [-20.0, -25.0]),
+    ])
+    def test_student_deep_tails_lie_within_estimate(self, nu, rho, lo, hi):
+        # The series' rounding floor swamps these probabilities; the result
+        # must still lie within its own estimate of the quadrature value.
+        p, err = self._prob(rho, lo, hi, nu)
+        ref, ref_err = _quad_rect(rho, np.array(lo), np.array(hi), nu)
+        assert p > 0.0
+        assert abs(p - ref) <= err + ref_err
+        assert err < 1e-6 * p
+
+    @pytest.mark.parametrize("nu", [3.0, 4.0])
+    def test_student_huge_finite_limits(self, nu):
+        # Limits far beyond any mass act as infinite ones.
+        p, _ = self._prob(0.4, [-1e20, -1e20], [1e20, 1e20], nu)
+        assert p == pytest.approx(1.0, abs=1e-14)
+        p, _ = self._prob(0.4, [-1e20, -3.0], [1e20, 2.0], nu)
+        assert p == pytest.approx(tdist.cdf(2.0, nu) - tdist.cdf(-3.0, nu), abs=1e-14)
+
+    @pytest.mark.parametrize("nu", [4.0, 5.0])
+    def test_student_narrow_box_takes_smaller_chi_estimate(self, nu):
+        from tse.qmc import _bv_rect
+
+        # The series' four corners cancel on this narrow strip, so the chi
+        # rule's smaller estimate is kept.
+        lo, hi = [-np.inf, -1.8], [-2.3, -1.8 + 1e-5]
+        _, floor = _bv_rect(np.array([lo]), np.array([hi]), 0.9, int(nu))
+        p, err = self._prob(0.9, lo, hi, nu)
+        ref, ref_err = _quad_rect(0.9, np.array(lo), np.array(hi), nu)
+        assert err < 0.5 * floor[0]
+        assert abs(p - ref) <= err + ref_err
+
     def test_stack_matches_rows_and_is_deterministic(self):
         from tse.qmc import bivariate_rect_prob
 
         lo = np.array([b[0] for b in self.BOXES], float)
         hi = np.array([b[1] for b in self.BOXES], float)
-        for nu in (None, 4.0):
+        for nu in (None, 4.0, 5.0):
             p, e = bivariate_rect_prob(0.35, lo, hi, nu)
             p2, e2 = bivariate_rect_prob(0.35, lo, hi, nu)
             assert np.array_equal(p, p2) and np.array_equal(e, e2)

@@ -257,6 +257,21 @@ def test_narrow_interval_keeps_relative_accuracy():
     assert rect_prob_qmc([[1.0]], [lo], [hi])[0] == pytest.approx(exact, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("nu, h, k, r, exact", [
+    (1, -73.4, 0.65, -0.92, 1.7495139742472494e-4),
+    (1, -541.0, 2.78, 0.25, 3.6844047653164297e-4),
+    (1, 0.4, 1.5, -0.3, 0.49166554688074317),
+    (2, -3.0, 1.0, 0.5, 0.041297930416045959),
+    (3, -100.0, -300.0, 0.9, 3.9969150059076775e-8),
+])
+def test_student_series_corner_within_its_floor(nu, h, k, r, exact):
+    # Bivariate Student-t lower orthants, against mpmath quadrature of the
+    # conditional form at 50 digits.  The first two lie beyond the floor of
+    # the terms alone: the odd-df angle's rounding error is absolute.
+    val, mag = qmc_mod._bvt_lower(nu, h, k, r)
+    assert abs(val - exact) <= qmc_mod._ROUND * mag
+
+
 def test_wide_intervals_keep_the_cdf_difference():
     lo = np.array([-1.0, 0.3, 1.0, -np.inf, 2.0])
     hi = np.array([0.5, 0.3 + 2e-3, np.inf, 0.7, 2.0 + 1e-3])
