@@ -27,7 +27,7 @@ from . import __version__
 from .elliptical import DEFAULT_SETTINGS, RectangleProbSettings, TruncationBox
 from .errors import MomentNotDefinedError, NumericalError, SpecError
 from .oracle import estimate_mean_cov, sample_se
-from .qmc import _EXACT_MAX_DIM
+from .qmc import _exact
 from .risk import _tce_with_quantile, mtce, mtce_at_level, tce_sum_decomposed
 from .selection import (
     SelectionSpec,
@@ -234,7 +234,7 @@ def run(job: dict, command: str, seed_override: Optional[int] = None) -> dict:
         if tbox is None:
             raise SpecError("prob requires a box")
         prob, err, sel_prob = box_mass(spec, tbox, settings)
-        exact = np.count_nonzero(~spec.augmented_box(tbox).both_infinite()) <= _EXACT_MAX_DIM
+        exact = _exact(np.count_nonzero(~spec.augmented_box(tbox).both_infinite()), spec.joint.nu)
         return _result({"prob": prob}, ("exact" if exact else "qmc",),
                        {"error_estimate": err, "selection_prob": sel_prob})
 

@@ -136,8 +136,9 @@ class IndexPartition:
 class RectangleProbSettings:
     """Budget and determinism knobs for the QMC rectangle integrator.
 
-    They apply from four dimensions up; one- to three-dimensional
-    rectangles are computed deterministically and ignore them.
+    They apply to lattice calls only: rectangles that ``qmc._exact``
+    computes deterministically (up to three dimensions, and four for the
+    normal kernel or an integer df up to 30) ignore them.
     ``max_points`` scrambled Sobol' points are evaluated per scramble,
     ``num_shifts`` scrambles are drawn from ``seed``, and a call whose
     error estimate misses ``target_abs_error`` is refined once to
@@ -372,8 +373,9 @@ def rectangle_prob(joint: EllipticalJoint, tbox: TruncationBox,
 
     Coordinates whose limits are infinite on both sides are marginalised
     out before integration.  One remaining dimension is handled exactly via
-    the univariate cdf, two via the exact bivariate routine and three by
-    quadrature of that routine; higher dimensions go through the
+    the univariate cdf, two via the exact bivariate routine, and three, as
+    well as four for the normal kernel or an integer df up to 30, by the
+    nested conditional rule over it; the rest go through the
     separation-of-variables QMC integrator.
     Results are deterministic for a fixed seed.
     """
@@ -387,13 +389,7 @@ def rectangle_prob(joint: EllipticalJoint, tbox: TruncationBox,
     sub = marginal(joint, keep)
     lo = tbox.lower[keep] - sub.xi
     hi = tbox.upper[keep] - sub.xi
-    return rect_prob_qmc(
-        sub.omega, lo, hi, df=sub.nu,
-        max_points=settings.max_points,
-        num_shifts=settings.num_shifts,
-        seed=settings.seed,
-        target_abs_error=settings.target_abs_error,
-    )
+    return rect_prob_qmc(sub.omega, lo, hi, df=sub.nu, **vars(settings))
 
 
 def _uv_interval_logprob(lo, hi, nu=None):

@@ -1,20 +1,22 @@
 """Rectangle probabilities of centred normal and Student-t vectors.
 
-One to three dimensions are computed deterministically.  One dimension is
-the univariate cdf.  Two dimensions use the exact bivariate normal cdf
-through Owen's T function (Owen 1956).  The Student-t case with an integer
-number of degrees of freedom up to ``_DS_MAX_DF`` sums the finite series of
-Dunnett & Sobel (1954, *Biometrika* 41) in the form of Genz's ``BVTL``
-(Genz 2004, *Stat. Comput.* 14); any other Student-t, and the deep joint
-tails where the series' rounding floor swamps the probability, integrate
-the normal cdf against the chi mixing law by tanh-sinh quadrature in the
-chi quantile (Genz 2004).  Three dimensions integrate the exact
-bivariate rectangle of two coordinates, conditional on the third, by
-tanh-sinh quadrature on the third coordinate's probability scale (Genz
-2004 again).
+Up to three dimensions, and four for the normal kernel or an integer number
+of degrees of freedom up to ``_DS_MAX_DF - 2`` (:func:`_exact`), are
+computed deterministically.  One dimension is the univariate cdf.  Two
+dimensions use the exact bivariate normal cdf through Owen's T function
+(Owen 1956).  The Student-t case with an integer number of degrees of
+freedom up to ``_DS_MAX_DF`` sums the finite series of Dunnett & Sobel
+(1954, *Biometrika* 41) in the form of Genz's ``BVTL`` (Genz 2004, *Stat.
+Comput.* 14); any other Student-t integrates the normal cdf against the chi
+mixing law by tanh-sinh quadrature in the chi quantile (Genz 2004).  Three
+and four dimensions, and the deep joint tails of two where the rounding
+floor of Owen's form or of the series swamps the probability, take one
+nested conditional rule (Genz 2004 again): one coordinate is integrated on
+its probability scale by tanh-sinh quadrature, and the others, given it,
+go in one stacked call to the exact routine one dimension down.
 
-Four and more dimensions use separation-of-variables integration (Genz
-1992): every coordinate is reflected into its lower tail, the box
+All other boxes use separation-of-variables integration (Genz 1992):
+every coordinate is reflected into its lower tail, the box
 probability is rewritten as an integral over the unit cube by sequentially
 conditioning along a reordered Cholesky factor, and the cube integral is
 evaluated with scrambled Sobol' points.  The direction numbers are Joe &
@@ -44,7 +46,7 @@ from scipy.special import gammainccinv, gammaincinv, gammaln, ndtr, ndtri, owens
 
 from .errors import NumericalError
 
-__all__ = ["bivariate_rect_prob", "rect_prob_qmc"]
+__all__ = ["bivariate_rect_prob", "rect_prob_qmc", "rect_probs"]
 
 # Joe & Kuo (2008) direction numbers (new-joe-kuo-6.21201, as scipy ships
 # them) for Sobol' dimensions 2 .. 100: per dimension, its primitive
@@ -437,13 +439,12 @@ _TAIL_REL = 1e-9
 _TAIL_ROUND = 4096.0 * np.finfo(float).eps
 
 
-def _tanh_sinh(step=1.0 / 16.0, half=51):
+def _tanh_sinh(step, half):
     """Tanh-sinh rule on (0, 1) with nodes ``t = k * step``, ``|k| <= half``.
 
     Returns, per node, whether it lies below 1/2, its distance to the nearer
     end of the interval (free of cancellation at either end), its weight,
-    and whether it also belongs to the rule with twice the step.  With the
-    defaults, ``|t| <= 3.2`` and the mass left out is about 2e-17.
+    and whether it also belongs to the rule with twice the step.
     """
     k = np.arange(-half, half + 1)
     t = step * k
@@ -452,14 +453,23 @@ def _tanh_sinh(step=1.0 / 16.0, half=51):
     return t < 0.0, 1.0 / (1.0 + np.exp(2.0 * np.abs(y))), weight, k % 2 == 0
 
 
-_TS_LOW, _TS_DIST, _TS_WEIGHT, _TS_COARSE = _tanh_sinh()
+# The chi rule and the 2-D and 3-D levels of the nested rule take step 1/16
+# (103 nodes, |t| <= 3.2, about 2e-17 of the mass left out), the outer level
+# of a 4-D box step 1/8 (51 nodes), which halves its inner rows.  Against
+# step 1/32 at every level, on random, orthant, deep-tail and strongly
+# correlated boxes, step 1/8 there moved 4-D values by at most 1.2e-13
+# (normal) and 9e-15 (integer df 1 to 30), and at the 3-D level it would
+# have moved Student-t values by up to 1.4e-10 (df 0.5).
+_TS = _tanh_sinh(1.0 / 16.0, 51)
+_TS_4D = _tanh_sinh(1.0 / 8.0, 25)
 
 
-def _ts_sum(values, scale=1.0):
+def _ts_sum(values, scale=1.0, rule=_TS):
     """Tanh-sinh sums over the last axis: the estimate and its gap to the
     rule with twice the step."""
-    fine = scale * (values @ _TS_WEIGHT)
-    coarse = 2.0 * scale * (values[..., _TS_COARSE] @ _TS_WEIGHT[_TS_COARSE])
+    _, _, weight, coarse = rule
+    fine = scale * (values @ weight)
+    coarse = 2.0 * scale * (values[..., coarse] @ weight[coarse])
     return fine, np.abs(fine - coarse)
 
 
@@ -586,8 +596,7 @@ def _lower_tail(lower, upper):
     """Reflect each interval that leans into the upper tail, so that its
     limits sit in the accurate lower tail of the cdf.  Returns which
     intervals were reflected and the new limits."""
-    with np.errstate(invalid="ignore"):
-        flip = (lower + upper) > 0.0
+    flip = lower > -upper
     return flip, np.where(flip, -upper, lower), np.where(flip, -lower, upper)
 
 
@@ -596,62 +605,35 @@ def _cdf(z, df=None):
     return ndtr(z) if df is None else stdtr(df, z)
 
 
-def _reflect(lower, upper, r):
-    """:func:`_lower_tail` for ``(..., 2)`` limits, with the correlation
-    ``r`` negated where exactly one coordinate was reflected."""
-    flip, lo, hi = _lower_tail(lower, upper)
-    return lo, hi, r * np.where(flip[..., 0] ^ flip[..., 1], -1.0, 1.0)
-
-
 def _bv_rect(lower, upper, r, df=None):
     """``P(lower <= Z <= upper)`` for standard bivariate normal rows
     (``df`` None, Owen's form) or Student-t rows (integer ``df``, the
     Dunnett-Sobel series).
 
     ``lower`` and ``upper`` are ``(..., 2)``; ``r`` broadcasts against the
-    leading shape.  Returns the probabilities and their rounding floors.
+    leading shape.  Each row is reflected into the lower tail first, which
+    negates ``r`` where exactly one coordinate flips.  Returns the
+    probabilities and their rounding floors.
     """
-    lo, hi, r = _reflect(lower, upper, r)
+    flip, lo, hi = _lower_tail(lower, upper)
+    r = r * np.where(flip[..., 0] ^ flip[..., 1], -1.0, 1.0)
     h = np.stack([hi[..., 0], lo[..., 0], hi[..., 0], lo[..., 0]])
     k = np.stack([hi[..., 1], hi[..., 1], lo[..., 1], lo[..., 1]])
     val, mag = _bvn_lower(h, k, r) if df is None else _bvt_lower(df, h, k, r)
     return val[0] - val[1] - val[2] + val[3], _ROUND * mag.sum(axis=0)
 
 
-def _bvn_rect_conditional(lower, upper, r):
-    """The normal rectangles of :func:`_bv_rect` for ``(m, 2)`` rows and a
-    scalar correlation, by tanh-sinh quadrature of the conditional form.
-
-    The coordinate with the smaller mass is integrated on its probability
-    scale against the conditional interval probability of the other.  Every
-    node term is positive, so probabilities far below the rounding floor of
-    Owen's form keep their relative accuracy.
-    """
-    lo, hi, r = _reflect(lower, upper, r)
-    mass = ndtr(hi) - ndtr(lo)
-    order = np.where((mass[:, 0] > mass[:, 1])[:, None], [1, 0], [0, 1])
-    lo, hi, mass = (np.take_along_axis(v, order, axis=1) for v in (lo, hi, mass))
-    d = mass[:, :1]
-    v = np.where(_TS_LOW, ndtr(lo[:, :1]) + d * _TS_DIST, ndtr(hi[:, :1]) - d * _TS_DIST)
-    # End nodes can round to v = 0 or 1; keep x finite there.
-    x = np.clip(ndtri(v), -40.0, 40.0)
-    r = r[:, None]
-    c = np.sqrt((1.0 - r) * (1.0 + r))
-    zl = (lo[:, 1:] - r * x) / c
-    zh = (hi[:, 1:] - r * x) / c
-    with np.errstate(invalid="ignore"):
-        up = (zl + zh) > 0.0
-    inner = np.where(up, ndtr(-zl) - ndtr(-zh), ndtr(zh) - ndtr(zl))
-    prob, gap = _ts_sum(inner, d[:, 0])
-    return prob, gap + _TAIL_ROUND * prob
-
-
+@functools.lru_cache(maxsize=32)
 def _chi_scales(df):
-    """``w = sqrt(chisq_df^{-1}(u) / df)`` at the tanh-sinh nodes."""
-    s = np.empty_like(_TS_DIST)
-    s[_TS_LOW] = gammaincinv(0.5 * df, _TS_DIST[_TS_LOW])
-    s[~_TS_LOW] = gammainccinv(0.5 * df, _TS_DIST[~_TS_LOW])
-    return np.sqrt(2.0 * s / df)
+    """``w = sqrt(chisq_df^{-1}(u) / df)`` at the tanh-sinh nodes, computed
+    once per ``df`` and read-only."""
+    low, dist, _, _ = _TS
+    s = np.empty_like(dist)
+    s[low] = gammaincinv(0.5 * df, dist[low])
+    s[~low] = gammainccinv(0.5 * df, dist[~low])
+    w = np.sqrt(2.0 * s / df)
+    w.flags.writeable = False
+    return w
 
 
 def _chi_rect(lower, upper, rho, df):
@@ -665,19 +647,7 @@ def _chi_rect(lower, upper, rho, df):
         hi = np.where(np.isinf(upper), upper, w * upper)
     vals, floor = _bv_rect(lo, hi, rho)
     prob, gap = _ts_sum(vals.T)
-    return prob, gap + floor.T @ _TS_WEIGHT
-
-
-def _tail_rule(prob, err, rule):
-    """Give the rows whose estimate ``err`` exceeds ``_TAIL_REL * prob``
-    (or is not a number) the value and estimate of ``rule(rows)`` wherever
-    that estimate is smaller; ``prob`` and ``err`` are updated in place."""
-    tail = np.flatnonzero(~(err <= _TAIL_REL * prob))
-    if tail.size:
-        p_tail, e_tail = rule(tail)
-        better = e_tail < err[tail]
-        prob[tail[better]] = p_tail[better]
-        err[tail[better]] = e_tail[better]
+    return prob, gap + floor.T @ _TS[2]
 
 
 def bivariate_rect_prob(rho, lower, upper, df=None):
@@ -697,30 +667,50 @@ def bivariate_rect_prob(rho, lower, upper, df=None):
     -------
     (prob, err) : pair of (m,) arrays
         Probabilities clipped to ``[0, 1]`` and error estimates.  The normal
-        kernel uses Owen's form, exact up to a rounding floor proportional to
-        the magnitude of the terms it sums; rows whose probability lies far
-        below that floor (deep joint tails) take the conditional tanh-sinh
-        rule instead when its estimate is smaller.  A Student-t kernel with
-        integer ``df`` up to ``_DS_MAX_DF`` sums Dunnett & Sobel's finite
-        series, exact up to its own rounding floor; its deep-tail rows take
-        the chi rule below in the same way.  Any other ``df`` integrates the
-        normal rectangle over the chi quantile by tanh-sinh quadrature (the
-        chi rule); its estimate adds the gap to the rule with twice the
-        step, on the same nodes, to the rounding floor.
+        kernel uses Owen's form, and a Student-t kernel with integer ``df``
+        up to ``_DS_MAX_DF`` sums Dunnett & Sobel's finite series; each is
+        exact up to a rounding floor proportional to the magnitude of the
+        terms it sums.  Rows whose probability lies far below that floor
+        (deep joint tails) take the two-dimensional level of the nested
+        conditional rule instead when its estimate is smaller.  Any other
+        ``df`` integrates the normal rectangle over the chi quantile by
+        tanh-sinh quadrature (the chi rule); its estimate adds the gap to
+        the rule with twice the step, on the same nodes, to the rounding
+        floor.
     """
     lower = np.atleast_2d(np.asarray(lower, dtype=float))
     upper = np.atleast_2d(np.asarray(upper, dtype=float))
-    rho = float(rho)
+    return _bivariate(float(rho), lower, upper, df)
+
+
+def _bivariate(rho, lower, upper, df=None, weight=None):
+    """:func:`bivariate_rect_prob` of ``(m, 2)`` float rows.  A row takes
+    the tail rule where its estimate exceeds ``_TAIL_REL`` of its
+    probability.  Given the outer ``weight`` of the nested rule's inner rows
+    (one row per outer piece), such a row keeps the closed form, with twice
+    its value added to its estimate, where that bound, weighted, stays
+    within ``_TAIL_REL`` of the mean weighted value of the rows that need no
+    tail rule: nodes of negligible weight."""
     if not 1.0 - rho * rho > 1e-14:
         raise NumericalError("dispersion matrix is numerically singular")
-    if df is None:
-        prob, err = _bv_rect(lower, upper, rho)
-        _tail_rule(prob, err, lambda rows: _bvn_rect_conditional(lower[rows], upper[rows], rho))
-    elif float(df).is_integer() and 1 <= df <= _DS_MAX_DF:
-        prob, err = _bv_rect(lower, upper, rho, int(df))
-        _tail_rule(prob, err, lambda rows: _chi_rect(lower[rows], upper[rows], rho, df))
-    else:
+    if not (df is None or float(df).is_integer() and 1 <= df <= _DS_MAX_DF):
         prob, err = _chi_rect(lower, upper, rho, df)
+        return np.clip(prob, 0.0, 1.0), err
+    prob, err = _bv_rect(lower, upper, rho, None if df is None else int(df))
+    sure = err <= _TAIL_REL * prob
+    if weight is not None and not sure.all():
+        share = np.mean(weight * np.where(sure, prob, 0.0).reshape(weight.shape), axis=1, keepdims=True)
+        bound = 2.0 * np.abs(prob) + err
+        small = ~sure & (weight * bound.reshape(weight.shape) <= _TAIL_REL * share).ravel()
+        err[small] = bound[small]
+        sure |= small
+    tail = np.flatnonzero(~sure)
+    if tail.size:
+        corr = np.array([[1.0, rho], [rho, 1.0]])
+        p_tail, e_tail = _nested_rect(corr, lower[tail], upper[tail], df)
+        better = e_tail < err[tail]
+        prob[tail[better]] = p_tail[better]
+        err[tail[better]] = e_tail[better]
     return np.clip(prob, 0.0, 1.0), err
 
 
@@ -731,33 +721,36 @@ def bivariate_rect_prob(rho, lower, upper, df=None):
 _NARROW = 1e-3
 
 
-def _uv_mass(lower, upper, df=None):
+def _uv_mass(lower, upper, df=None, floor=False):
     """Univariate interval probabilities of the standard normal (``df`` None)
     or Student-t law, each interval reflected into the lower tail first so
     that upper-tail masses keep their relative accuracy.  Narrow intervals
     take the density at the midpoint times the width, with its second-order
-    term ``f''(m) / f(m) * width**2 / 24``, free of cdf cancellation."""
+    term ``f''(m) / f(m) * width**2 / 24``, free of cdf cancellation.  With
+    ``floor``, also returns each mass's rounding floor: ``_ROUND`` times
+    the cdf of the reflected upper limit, the larger of the two."""
     _, lo, hi = _lower_tail(lower, upper)
-    mass = _cdf(hi, df) - _cdf(lo, df)
+    upper_cdf = _cdf(hi, df)
+    mass = upper_cdf - _cdf(lo, df)
     with np.errstate(invalid="ignore"):
         mid, width = 0.5 * (lo + hi), hi - lo
         narrow = width * np.maximum(1.0, np.abs(mid)) < _NARROW
-    if not np.any(narrow):
-        return mass
-    m2 = mid * mid
-    if df is None:
-        log_f = -0.5 * m2 - 0.5 * np.log(2.0 * np.pi)
-        curv = m2 - 1.0
-    else:
-        log_f = (gammaln(0.5 * (df + 1.0)) - gammaln(0.5 * df) - 0.5 * np.log(df * np.pi)
-                 - 0.5 * (df + 1.0) * np.log1p(m2 / df))
-        curv = (df + 1.0) * ((df + 2.0) * m2 - df) / (df + m2) ** 2
-    with np.errstate(invalid="ignore", over="ignore"):
-        rule = np.exp(log_f) * width * (1.0 + curv * width * width / 24.0)
-    return np.where(narrow, rule, mass)
+    if narrow.any():
+        with np.errstate(invalid="ignore", over="ignore"):
+            m2 = mid * mid
+            if df is None:
+                log_f = -0.5 * m2 - 0.5 * np.log(2.0 * np.pi)
+                curv = m2 - 1.0
+            else:
+                log_f = (gammaln(0.5 * (df + 1.0)) - gammaln(0.5 * df)
+                         - 0.5 * np.log(df * np.pi) - 0.5 * (df + 1.0) * np.log1p(m2 / df))
+                curv = (df + 1.0) * ((df + 2.0) * m2 - df) / (df + m2) ** 2
+            rule = np.exp(log_f) * width * (1.0 + curv * width * width / 24.0)
+        mass = np.where(narrow, rule, mass)
+    return (mass, _ROUND * upper_cdf) if floor else mass
 
 
-# -- exact three-dimensional probabilities -----------------------------------
+# -- the nested conditional rule ---------------------------------------------
 
 # Largest |x| kept at the outer Student-t nodes: end nodes whose probability
 # rounds to 0 or 1 would otherwise map to an infinite coordinate.
@@ -769,90 +762,125 @@ _STEP_WIDTH = 0.25
 _STEP_SPAN = 8.0
 
 
-def _trivariate_rect(corr, lower, upper, df=None):
-    """``P(lower <= Z <= upper)`` for a standardised trivariate law.
+def _nested_rect(corr, lower, upper, df=None):
+    """``P(lower <= Z <= upper)`` for ``(m, n)`` rows, ``n`` from 2 to 4, of
+    a standardised law with correlation ``corr``, by the nested conditional
+    form (Genz 2004).
 
-    Every coordinate is reflected into its lower tail, and the one with the
-    smallest marginal mass is integrated on its probability scale by the
-    tanh-sinh rule.  Given ``Z_1 = x`` the other two are bivariate with
-    correlation ``(r23 - r21 r31) / (s2 s3)``, ``s_j = sqrt(1 - r_j1**2)``,
-    centred at ``r_j1 x`` with scales ``s_j``; for the Student-t kernel they
-    have ``df + 1`` degrees of freedom and scales multiplied by
-    ``sqrt((df + x**2) / (df + 1))``.  The correlation is the same at every
-    node, so one :func:`bivariate_rect_prob` call covers the inner integral.
-    Where a strong correlation makes an inner limit step sharply in ``x``,
-    the outer interval is split at the step and on either side of it, so
-    that each piece of the rule sees a smooth integrand.  The error
-    estimate is the outer step gaps plus the weighted inner estimates and a
-    relative rounding floor.
+    The coordinate of smallest mass summed over the rows (at ``n = 2``,
+    where a swap keeps the correlation, each row's own) is integrated on
+    its probability scale by the tanh-sinh rule, reflected into its lower
+    tail per row; pieces take their masses from :func:`_uv_mass`, free of
+    cdf cancellation.  Given it at ``x``, the others are centred at ``r_j x``,
+    with scales ``s_j = sqrt(1 - r_j**2)`` and correlations
+    ``(r_jk - r_j r_k) / (s_j s_k)``, which the reflection leaves alone; for
+    the Student-t they have ``df + 1`` degrees of freedom and scales times
+    ``sqrt((df + x**2) / (df + 1))``.  So one stacked call one level down
+    serves every node of every row.  Where an inner limit's conditional cdf
+    steps sharply in ``x``, the outer interval is split at the step and on
+    either side of it.  Returns the probabilities and their estimates: the
+    outer step gaps plus the weighted inner estimates, the rounding floors
+    of the cdf differences and a relative rounding floor.
     """
-    flip, lo, hi = _lower_tail(lower, upper)
-    sign = np.where(flip, -1.0, 1.0)
-    corr = corr * np.outer(sign, sign)
-    mass = _cdf(hi, df) - _cdf(lo, df)
-    first = int(np.argmin(mass))
-    if not mass[first] > 0.0:
-        return 0.0, 0.0
-    rest = [j for j in range(3) if j != first]
-    r = corr[rest, first]
+    m, n = lower.shape
+    mass = _uv_mass(lower, upper, df)
+    order = np.argsort(mass if n == 2 else mass.sum(axis=0, keepdims=True), axis=1, kind="stable")
+    rows = np.arange(m)[:, None]
+    lower, upper, width = lower[rows, order], upper[rows, order], mass[rows, order[:, :1]]
+    corr = corr[order[0]][:, order[0]]
+    r = corr[1:, 0]
     s2 = (1.0 - r) * (1.0 + r)
-    if np.any(s2 <= 1e-14):
+    if (s2 <= 1e-14).any():
         raise NumericalError("dispersion matrix is numerically singular")
     s = np.sqrt(s2)
-    rho = (corr[rest[0], rest[1]] - r[0] * r[1]) / (s[0] * s[1])
+    inner_corr = (corr[1:, 1:] - r[:, None] * r) / (s[:, None] * s)
+    # Steps at x = limit / r_j, of width s_j / |r_j| in x times the Student-t
+    # scale factor there, which is at least sqrt(df / (df + 1)).
+    sharp = s < _STEP_WIDTH * np.abs(r) * (1.0 if df is None else (1.0 + 1.0 / df) ** 0.5)
+    flip, lo, hi = _lower_tail(lower[:, 0], upper[:, 0])
+    r = r * np.where(flip, -1.0, 1.0)[:, None]
 
-    steps = []
-    for j in range(2):
-        for limit in (lo[rest[j]], hi[rest[j]]):
-            if not (np.isfinite(limit) and r[j] != 0.0):
-                continue
-            at = limit / r[j]
-            step = s[j] / abs(r[j])
-            if df is not None:
-                step *= np.sqrt((df + at * at) / (df + 1.0))
-            if step < _STEP_WIDTH:
-                steps += [at - _STEP_SPAN * step, at, at + _STEP_SPAN * step]
-    steps = np.unique([x for x in steps if lo[first] < x < hi[first]])
-    edges = _cdf(np.concatenate([lo[first:first + 1], steps, hi[first:first + 1]]), df)
-    width = np.diff(edges)
-    v = np.where(_TS_LOW, edges[:-1, None] + width[:, None] * _TS_DIST,
-                 edges[1:, None] - width[:, None] * _TS_DIST).ravel()
+    edges = np.stack([lo, hi], axis=1)
+    if sharp.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            at = np.stack([lower[:, 1:], upper[:, 1:]], axis=-1) / r[..., None]
+            step = (s / np.abs(r))[..., None] * (
+                1.0 if df is None else np.sqrt((df + at * at) / (df + 1.0)))
+            cuts = at[..., None] + step[..., None] * np.array([-_STEP_SPAN, 0.0, _STEP_SPAN])
+        inside = (np.isfinite(at) & (step < _STEP_WIDTH))[..., None] \
+            & (lo[:, None, None, None] < cuts) & (cuts < hi[:, None, None, None])
+        cuts = np.sort(np.where(inside, cuts, np.inf).reshape(m, -1), axis=1)
+        edges = np.concatenate([edges[:, :1], np.minimum(cuts, hi[:, None]), edges[:, 1:]], axis=1)
+        width = _uv_mass(edges[:, :-1], edges[:, 1:], df)
+    edges = _cdf(edges, df)
+    # Only pieces of positive mass are integrated, each on its own row.
+    row, piece = np.nonzero(width > 0.0)
+    start, stop, width = edges[row, piece], edges[row, piece + 1], width[row, piece]
+
+    rule = _TS_4D if n == 4 else _TS
+    low, dist, weight, _ = rule
+    v = np.where(low, start[:, None] + width[:, None] * dist, stop[:, None] - width[:, None] * dist)
     if df is None:
+        # End nodes can round to v = 0 or 1; keep x finite there.
         x = np.clip(ndtri(v), -40.0, 40.0)
         scale = s
     else:
         # stdtrit maps a probability of exactly 0 to +inf.
-        x = stdtrit(df, np.maximum(v, np.finfo(float).tiny))
-        x = np.clip(x, -_T_NODE_CAP, _T_NODE_CAP)
-        scale = s * np.sqrt((df + x * x) / (df + 1.0))[:, None]
-    shift = r * x[:, None]
-    inner, inner_err = bivariate_rect_prob(
-        rho, (lo[rest] - shift) / scale, (hi[rest] - shift) / scale,
-        None if df is None else df + 1.0)
-    shape = (width.size, _TS_WEIGHT.size)
-    prob, gap = _ts_sum(inner.reshape(shape), width)
-    inner_err = width * (inner_err.reshape(shape) @ _TS_WEIGHT)
-    prob = prob.sum()
-    return prob, gap.sum() + inner_err.sum() + _TAIL_ROUND * prob
+        x = np.clip(stdtrit(df, np.maximum(v, _TINY)), -_T_NODE_CAP, _T_NODE_CAP)
+        scale = s * np.sqrt((df + x * x) / (df + 1.0))[..., None]
+        df = df + 1.0
+    shift = r[row, None, :] * x[..., None]
+    ilo = ((lower[row, None, 1:] - shift) / scale).reshape(-1, n - 1)
+    ihi = ((upper[row, None, 1:] - shift) / scale).reshape(-1, n - 1)
+    if n == 3:
+        inner, inner_err = _bivariate(inner_corr[0, 1], ilo, ihi, df, width[:, None] * weight)
+    else:
+        inner, inner_err = rect_probs(inner_corr, ilo, ihi, df)
+    inner, inner_err = inner.reshape(v.shape), inner_err.reshape(v.shape) @ weight
+    prob, gap = _ts_sum(inner, width, rule)
+    # The pieces' masses round like those of _uv_mass.
+    floor = _ROUND * np.minimum(stop, 1.0 - start) * (inner @ weight)
+    prob = np.bincount(row, prob, m)
+    return prob, np.bincount(row, gap + width * inner_err + floor, m) + _TAIL_ROUND * prob
 
 
-# Largest dimension computed exactly; the lattice serves the rest.
-_EXACT_MAX_DIM = 3
+def _exact(n, df=None):
+    """Whether an ``n``-dimensional box is exact rather than a lattice call:
+    up to three dimensions, and four for the normal kernel or an integer
+    ``df`` whose inner rectangles (``df + 2``) take the series."""
+    return n <= 3 or n == 4 and (df is None or float(df).is_integer() and df + 2 <= _DS_MAX_DF)
+
+
+def rect_probs(corr, lower, upper, df=None, **lattice):
+    """``P(lower <= Z <= upper)`` and error estimates for ``(m, n)`` rows of
+    standardised limits that share the correlation ``corr``.  Where
+    :func:`_exact` holds, one stacked exact call serves every row;
+    otherwise each row is a lattice call of :func:`rect_prob_qmc` with the
+    keyword settings ``lattice``."""
+    m, n = lower.shape
+    if not _exact(n, df):
+        out = [rect_prob_qmc(corr, a, b, df, **lattice) for a, b in zip(lower, upper)]
+        return np.reshape(out, (m, 2)).T
+    if n == 1:
+        return _uv_mass(lower[:, 0], upper[:, 0], df, floor=True)
+    if n == 2:
+        return bivariate_rect_prob(corr[0, 1], lower, upper, df)
+    return _nested_rect(corr, lower, upper, df)
 
 
 def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=8192,
                   num_shifts=12, seed=7, target_abs_error=None):
     """Probability that a centred normal / Student-t vector lies in a box.
 
-    One to three dimensions are exact (the univariate cdf;
-    :func:`bivariate_rect_prob`, which sums Owen's form, or for an integer
-    ``df`` up to ``_DS_MAX_DF`` the Dunnett-Sobel series, or else takes the
-    chi rule; and tanh-sinh quadrature of the bivariate form in three, whose
-    inner Student-t rectangles have ``df + 1`` degrees of freedom); the
-    Sobol' settings ``max_points``, ``num_shifts``,
-    ``seed`` and ``target_abs_error`` apply from four dimensions up, and
-    at most 100 Sobol' dimensions are available: ``n - 1`` for the normal
-    kernel, ``n`` for the Student-t.
+    Boxes for which :func:`_exact` holds are computed exactly by
+    :func:`rect_probs`: the univariate cdf in one dimension;
+    :func:`bivariate_rect_prob` in two, which sums Owen's form, or for an
+    integer ``df`` up to ``_DS_MAX_DF`` the Dunnett-Sobel series, or else
+    takes the chi rule; and the nested conditional rule in three and four.
+    The Sobol' settings ``max_points``, ``num_shifts``, ``seed`` and
+    ``target_abs_error`` apply to lattice calls only, and at most 100
+    Sobol' dimensions are available: ``n - 1`` for the normal kernel, ``n``
+    for the Student-t.
 
     Parameters
     ----------
@@ -870,11 +898,9 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=8192,
     num_shifts : int
         Number of independent scrambles (random shifts), each drawn from
         its own child of ``SeedSequence(seed)``; the spread of the
-        per-scramble means yields the error estimate.  From ``_THREAD_MIN_DIM`` (12) dimensions up,
-        the shifts are split into one group per CPU in
-        ``os.sched_getaffinity(0)`` (at most ``num_shifts`` groups), run by
-        the calling thread and as many pool threads as there are other
-        groups; the result does not depend on the number of groups.
+        per-scramble means yields the error estimate.  Calls of
+        ``_THREAD_MIN_DIM`` or more dimensions split them among threads
+        (:func:`_lattice_sums`); the result does not depend on it.
     seed : int
         Seed of the scrambles; fixes the result exactly.
     target_abs_error : float, optional
@@ -887,10 +913,10 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=8192,
     -------
     (prob, err) : pair of floats
         Estimated probability (clipped to ``[0, 1]``) and an error bound:
-        from four dimensions up, three standard errors of the scramble
-        means plus a relative rounding floor; in two dimensions the
-        rounding floor of Owen's form or of the series, or the chi rule's
-        estimate; in three the quadrature estimate.
+        on the lattice, three standard errors of the scramble means plus a
+        relative rounding floor; otherwise the rounding floor of the cdf
+        difference, of Owen's form or of the series, or the estimate of the
+        chi rule or of the nested rule.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -901,17 +927,10 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=8192,
         raise NumericalError("lower limit exceeds upper limit")
 
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if n <= _EXACT_MAX_DIM:
-        # One to three dimensions are exact; no randomization error.
+    if _exact(n, df):
         corr, lo, hi = _standardise(sigma, lower, upper)
-        if n == 1:
-            prob, err = _uv_mass(lo[0], hi[0], df), 1e-15
-        elif n == 2:
-            prob, err = bivariate_rect_prob(corr[0, 1], lo, hi, df)
-            prob, err = prob[0], err[0]
-        else:
-            prob, err = _trivariate_rect(corr, lo, hi, df)
-        return float(min(max(prob, 0.0), 1.0)), float(err)
+        prob, err = rect_probs(corr, lo[None], hi[None], df)
+        return float(min(max(prob[0], 0.0), 1.0)), float(err[0])
 
     flip, lower, upper = _lower_tail(lower, upper)
     sign = np.where(flip, -1.0, 1.0)

@@ -29,7 +29,7 @@ from .elliptical import (
     student_joint,
 )
 from .errors import MomentNotDefinedError, NumericalError, SpecError
-from .qmc import _cdf, _uv_mass, bivariate_rect_prob
+from .qmc import _cdf, rect_probs
 from .truncated import (
     MomentReport,
     _check_order,
@@ -285,31 +285,15 @@ def se_logpdf(spec: SelectionSpec, y,
         factors = (nu + delta) / (nu + spec.n_outcome)
         df_c = nu + spec.n_outcome
     else:
-        factors = np.ones(rows.shape[0])
-        df_c = None
+        factors, df_c = 1.0, None
 
-    lo = spec.selection_lower
-    hi = spec.selection_upper
-    if q == 1:
-        sd = np.sqrt(schur[0, 0] * factors)
-        znum_hi = (hi[0] - cond_mean[0]) / sd
-        znum_lo = (lo[0] - cond_mean[0]) / sd
-        num = _uv_mass(znum_lo, znum_hi, df_c)
-    elif q == 2:
-        # Every row shares the Schur correlation; only the standardised
-        # limits differ, so one call covers all rows.
-        sd = np.sqrt(np.diag(schur)[:, None] * factors)
-        rho = schur[0, 1] / np.sqrt(schur[0, 0] * schur[1, 1])
-        num, _ = bivariate_rect_prob(rho, ((lo[:, None] - cond_mean) / sd).T,
-                                     ((hi[:, None] - cond_mean) / sd).T, df_c)
-    else:
-        num = np.empty(rows.shape[0])
-        for i in range(rows.shape[0]):
-            if df_c is None:
-                cond = normal_joint(cond_mean[:, i], schur)
-            else:
-                cond = student_joint(cond_mean[:, i], schur * factors[i], df_c)
-            num[i], _ = rectangle_prob(cond, TruncationBox(lo, hi), settings)
+    # Every row shares the Schur correlation; only the standardised limits
+    # differ, so one call covers all rows.
+    sd = np.sqrt(np.diag(schur)[:, None] * factors)
+    corr = schur / np.sqrt(np.outer(np.diag(schur), np.diag(schur)))
+    num, _ = rect_probs(corr, ((spec.selection_lower[:, None] - cond_mean) / sd).T,
+                        ((spec.selection_upper[:, None] - cond_mean) / sd).T, df_c,
+                        **vars(settings))
     with np.errstate(divide="ignore"):
         out = log_f + np.log(np.maximum(num, 0.0)) - np.log(den)
     return out[0] if single else out

@@ -239,7 +239,7 @@ class _Moments:
         self._down = self if nu is None else None
 
     def mass(self) -> float:
-        """Box probability on limits centred on ``mu``; exact in one to three dimensions."""
+        """Box probability on limits centred on ``mu``; exact where ``qmc._exact`` holds."""
         if self._mass is None:
             lo, hi = self.lo - self.mu, self.hi - self.mu
             keep = np.flatnonzero(~(np.isinf(lo) & np.isinf(hi) & (lo < hi)))

@@ -211,11 +211,16 @@ class TestJobs:
 
     @pytest.mark.parametrize("dim, lower, upper, path", [
         (2, [0.0, 0.0], ["inf", "inf"], "exact"),
-        (4, [-1.0] * 4, [1.0] * 4, "qmc"),
+        (4, [-1.0] * 4, [1.0] * 4, "exact"),
+        (5, [-1.0] * 5, [1.0] * 5, "qmc"),
+        pytest.param((4, 2.5), [-1.0] * 4, [1.0] * 4, "qmc", id="4-t2.5-qmc"),
     ])
     def test_prob_reports_its_path(self, tmp_path, capsys, dim, lower, upper, path):
+        # dim is the dimension, or the dimension and a Student-t df.
+        dim, df = dim if isinstance(dim, tuple) else (dim, None)
         sigma = (0.5 * np.eye(dim) + 0.5).tolist()
-        job = {"distribution": {"family": "normal", "mu": [0.0] * dim, "sigma": sigma},
+        law = {"family": "normal"} if df is None else {"family": "t", "nu": df}
+        job = {"distribution": {**law, "mu": [0.0] * dim, "sigma": sigma},
                "box": {"lower": lower, "upper": upper}}
         code, out, _ = run_cli(capsys, "prob", "--spec", write_job(tmp_path, job))
         assert code == 0

@@ -503,13 +503,23 @@ class TestBivariateExact:
     def test_student_narrow_box_takes_smaller_chi_estimate(self, nu):
         from tse.qmc import _bv_rect
 
-        # The series' four corners cancel on this narrow strip, so the chi
+        # The series' four corners cancel on this narrow strip, so the tail
         # rule's smaller estimate is kept.
         lo, hi = [-np.inf, -1.8], [-2.3, -1.8 + 1e-5]
         _, floor = _bv_rect(np.array([lo]), np.array([hi]), 0.9, int(nu))
         p, err = self._prob(0.9, lo, hi, nu)
         ref, ref_err = _quad_rect(0.9, np.array(lo), np.array(hi), nu)
         assert err < 0.5 * floor[0]
+        assert abs(p - ref) <= err + ref_err
+
+    @pytest.mark.parametrize("nu, rho, lo, hi", [
+        (7.0, -0.2, [10.0, 12.0], [np.inf, np.inf]),
+        (23.0, -0.47, [5.66, -np.inf], [7.59, np.inf]),
+    ])
+    def test_student_upper_tails_lie_within_estimate(self, nu, rho, lo, hi):
+        # Rows on which the chi rule's estimate does not cover its error.
+        p, err = self._prob(rho, lo, hi, nu)
+        ref, ref_err = _quad_rect(rho, np.array(lo), np.array(hi), nu)
         assert abs(p - ref) <= err + ref_err
 
     def test_stack_matches_rows_and_is_deterministic(self):

@@ -1,4 +1,6 @@
-"""The lattice kernel of ``rect_prob_qmc`` (four dimensions and up)."""
+"""``rect_prob_qmc``: its lattice kernel (four dimensions with a non-integer
+df, five and up) and the nested four-dimensional rule that replaced it for
+the normal kernel and integer df."""
 
 import multiprocessing
 import os
@@ -30,18 +32,19 @@ _MIXED6 = (np.array([-np.inf, -1.0, -0.5, -np.inf, -2.0, 0.1]),
 
 # (sigma, lower, upper, df, keyword settings) and the probability of the
 # scrambled Sobol' kernel.  Each value lies within its own error estimate of
-# a reference at 2**18 points per shift (seed 12345), and within the error
-# bound of the value that the Kronecker lattice it replaced gave.
+# a reference at 2**18 points per shift and 16 shifts (seed 12345).  The
+# 5-D and 6-D values also lie within the error bound of the value that the
+# Kronecker lattice before them gave.
 GOLDEN = {
-    "normal-4d-box": ((_corr(4, 3) * np.outer(_SCALES4, _SCALES4),) + _BOX4 + (None, {}),
-                      0.22981480367568777),
+    "t2.5-4d-box": ((_corr(4, 3) * np.outer(_SCALES4, _SCALES4),) + _BOX4 + (2.5, {}),
+                    0.21032528089426883),
     "t7-5d-upper-open": ((_corr(5, 4),) + _UPPER_OPEN5 + (7.0, {}), 0.06314165860016169),
     "t7-5d-refined": ((_corr(5, 4),) + _UPPER_OPEN5
                       + (7.0, {"max_points": 3000, "target_abs_error": 1e-9}),
                       0.06314085603851616),
-    "normal-4d-refined": ((_corr(4, 3) * np.outer(_SCALES4, _SCALES4),) + _BOX4
+    "normal-5d-refined": ((_corr(5, 4),) + _UPPER_OPEN5
                           + (None, {"max_points": 2000, "target_abs_error": 1e-9}),
-                          0.22981530466721525),
+                          0.06635248677695733),
     "normal-6d-odd-points": ((_corr(6, 5),) + _MIXED6 + (None, {"max_points": 10_007}),
                              0.10834523909151904),
 }
@@ -58,7 +61,7 @@ def test_golden_values(case):
 def test_golden_settings_cover_partial_blocks_and_refinement():
     assert any(kw.get("max_points", RectangleProbSettings().max_points) % qmc_mod._BLOCK
                for (*_, kw), _ in GOLDEN.values())
-    for case in ("t7-5d-refined", "normal-4d-refined"):
+    for case in ("t7-5d-refined", "normal-5d-refined"):
         (sigma, lo, hi, df, kw), _ = GOLDEN[case]
         _, err = rect_prob_qmc(sigma, lo, hi, df, max_points=kw["max_points"])
         assert err > kw["target_abs_error"]
@@ -234,18 +237,84 @@ def test_upper_tail_box():
 
 
 def test_deep_joint_tail_box():
-    # X <= (-6, -9, -1, 5), equicorrelated at 0.3.  The exact three-dimensional
-    # value of the first three coordinates exceeds the four-dimensional one by
-    # at most P(X_2 <= -9, X_4 > 5).
+    # X <= (-6, -9, -1, 5, 5), equicorrelated at 0.3.  The exact three-dimensional
+    # value of the first three coordinates exceeds the five-dimensional one by
+    # at most P(X_2 <= -9, X_4 > 5) + P(X_2 <= -9, X_5 > 5).
+    sigma = 0.7 * np.eye(5) + 0.3
+    upper = np.array([-6.0, -9.0, -1.0, 5.0, 5.0])
+    p, err = rect_prob_qmc(sigma, np.full(5, -np.inf), upper)
+    p3, _ = rect_prob_qmc(sigma[:3, :3], np.full(3, -np.inf), upper[:3])
+    p24, _ = rect_prob_qmc(sigma[np.ix_([1, 3], [1, 3])], [-np.inf, 5.0], [-9.0, np.inf])
+    assert p3 == pytest.approx(3.48256e-23, rel=1e-5, abs=0)
+    assert 2 * p24 < 1e-6 * err
+    assert abs(p - p3) <= 1e-4 * p3
+    assert err < 1e-4 * p3
+
+
+def test_nested_deep_joint_tail_box():
+    # The four-dimensional box of the same law, which the nested rule
+    # serves: 0 <= p3 - p <= P(X_2 <= -9, X_4 > 5).
     sigma = 0.7 * np.eye(4) + 0.3
     upper = np.array([-6.0, -9.0, -1.0, 5.0])
     p, err = rect_prob_qmc(sigma, np.full(4, -np.inf), upper)
     p3, err3 = rect_prob_qmc(sigma[:3, :3], np.full(3, -np.inf), upper[:3])
     p24, _ = rect_prob_qmc(sigma[np.ix_([1, 3], [1, 3])], [-np.inf, 5.0], [-9.0, np.inf])
-    assert p3 == pytest.approx(3.48256e-23, rel=1e-5, abs=0)
-    assert p24 < 1e-6 * err
-    assert abs(p - p3) <= err + err3 + p24
-    assert err < 1e-4 * p3
+    assert -(err + err3) <= p3 - p <= p24 + err + err3
+    assert err < 1e-9 * p3
+
+
+# Lattice values and stated errors of a four-dimensional normal box that the
+# nested rule serves: at 8192 points, and refined from 2000 to 8000.
+_LATTICE_4D = ((0.22981480367568777, 2.235940876791944e-07),
+               (0.22981530466721525, 1.8045850045410792e-06))
+
+
+def test_nested_4d_box_within_the_lattice_errors():
+    p, err = rect_prob_qmc(_corr(4, 3) * np.outer(_SCALES4, _SCALES4), *_BOX4)
+    assert err < 1e-10
+    for value, bound in _LATTICE_4D:
+        assert abs(p - value) <= bound
+
+
+def test_four_dimensions_take_the_lattice_only_for_non_integer_df(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lattice reached")
+
+    sigma, (lo, hi) = _corr(4, 3), _BOX4
+    lattice = qmc_mod._lattice_sums
+    monkeypatch.setattr(qmc_mod, "_lattice_sums", refuse)
+    for df in (None, 1.0, 5.0, float(qmc_mod._DS_MAX_DF - 2)):
+        rect_prob_qmc(sigma, lo, hi, df)
+    calls = []
+    monkeypatch.setattr(qmc_mod, "_lattice_sums", lambda *a: calls.append(a) or lattice(*a))
+    for df in (2.5, float(qmc_mod._DS_MAX_DF - 1)):
+        rect_prob_qmc(sigma, lo, hi, df)
+    assert len(calls) == 2
+
+
+# Correlations at which a conditional limit steps sharply: two coordinates
+# almost equal, all four almost equal, and two almost opposite.
+_SHARP4 = {
+    "r12": np.array([[1.0, 0.999999, 0.3, 0.2], [0.999999, 1.0, 0.3, 0.2],
+                     [0.3, 0.3, 1.0, 0.1], [0.2, 0.2, 0.1, 1.0]]),
+    "equi": 0.001 * np.eye(4) + 0.999,
+    "r34": np.array([[1.0, 0.4, 0.3, -0.3], [0.4, 1.0, 0.2, -0.2],
+                     [0.3, 0.2, 1.0, -0.9995], [-0.3, -0.2, -0.9995, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("df", [None, 3.0, 6.0])
+@pytest.mark.parametrize("case", _SHARP4, ids=str)
+def test_nested_orthants_partition_the_space(case, df):
+    pt = np.array([0.3, -0.2, 0.5, 0.1])
+    total = bound = 0.0
+    for mask in range(16):
+        up = np.array([(mask >> k) & 1 for k in range(4)], bool)
+        p, err = rect_prob_qmc(_SHARP4[case], np.where(up, pt, -np.inf),
+                               np.where(up, np.inf, pt), df)
+        total += p
+        bound += err
+    assert abs(total - 1.0) <= bound
 
 
 def test_narrow_interval_keeps_relative_accuracy():

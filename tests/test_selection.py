@@ -1,3 +1,7 @@
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
@@ -8,6 +12,7 @@ from tse.elliptical import (
     RectangleProbSettings,
     TruncationBox,
     conditional,
+    log_density,
     rectangle_prob,
     student_joint,
 )
@@ -96,6 +101,25 @@ class TestBuildSelection:
     def test_unit_diagonal_enforced(self):
         with pytest.raises(SpecError):
             SutParams([0.0], [[1.0]], [[0.5]], [0.0], [[2.0]], None)
+
+
+class TestExampleReferences:
+    REFERENCES = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text())
+
+    @pytest.mark.parametrize("key, df", [("ex5_sut", 4.0), ("ex5_sun", None)])
+    def test_mean_cov_match_references_at_every_seed(self, key, df):
+        # Every rectangle probability of EX5 is exact, so the QMC seed
+        # cannot move the result.
+        spec = build_selection(replace(EX5, df=df))
+        ref = self.REFERENCES[key]
+        first = tse_mean_cov(spec, EX5_BOX)
+        np.testing.assert_allclose(first.mean, ref["mean"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(first.covariance, ref["cov"], rtol=0, atol=1e-12)
+        for seed in range(1, 9):
+            rep = tse_mean_cov(spec, EX5_BOX, RectangleProbSettings(seed=seed))
+            assert np.array_equal(rep.mean, first.mean)
+            assert np.array_equal(rep.covariance, first.covariance)
 
 
 class TestBoxMass:
@@ -200,10 +224,11 @@ class TestDensities:
         np.testing.assert_allclose(se_logpdf(spec, y), expected, rtol=1e-12, atol=0)
 
     def test_independent_selection_component_factors_out(self):
-        # The q >= 3 branch forms one conditional rectangle probability per
-        # row.  A third selection component with a zero shape row and no
-        # correlation with the other two is independent of everything else,
-        # so it scales numerator and selection probability alike.
+        # With q = 3 one stacked call forms every row's three-dimensional
+        # conditional rectangle probability.  A third selection component
+        # with a zero shape row and no correlation with the other two is
+        # independent of everything else, so it scales numerator and
+        # selection probability alike.
         mu = np.array([0.2, -0.3])
         sig = np.array([[1.0, 0.3], [0.3, 1.4]])
         shape = np.array([[0.8, -0.5], [0.3, 0.6]])
@@ -216,6 +241,23 @@ class TestDensities:
         y = np.array([[0.0, 0.0], [1.2, -0.7], [-2.0, 1.5], [0.4, 2.5]])
         np.testing.assert_allclose(se_logpdf(three, y), se_logpdf(two, y),
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("q", [3, 4])
+    @pytest.mark.parametrize("df", [None, 5.0])
+    def test_stacked_selection_probabilities_match_rowwise(self, rng, q, df):
+        # One stacked call over the rows against one rectangle_prob of each
+        # row's conditional law: within that call's bound, counted once for
+        # each side, and the rounding of the log and exp.
+        spec = build_selection(_random_valid_params(rng, 2, q, df))
+        y = rng.standard_normal((4, 2))
+        box = TruncationBox(spec.selection_lower, spec.selection_upper)
+        f = log_density(spec.outcome_marginal(), y)
+        den = selection_probability(spec)
+        got = np.exp(se_logpdf(spec, y) - f) * den
+        for i, point in enumerate(y):
+            cond = conditional(spec.joint, np.arange(q, q + 2), point)
+            num, err = rectangle_prob(cond, box)
+            assert abs(got[i] - num) <= 2 * err + 1e-15 * num
 
     def test_sut_pdf_normalizes(self):
         # two-dimensional selection block: per-point conditional rectangle
