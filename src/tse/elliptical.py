@@ -389,7 +389,13 @@ def rectangle_prob(joint: EllipticalJoint, tbox: TruncationBox,
     sub = marginal(joint, keep)
     lo = tbox.lower[keep] - sub.xi
     hi = tbox.upper[keep] - sub.xi
-    return rect_prob_qmc(sub.omega, lo, hi, df=sub.nu, **vars(settings))
+    return rect_prob_qmc(
+        sub.omega, lo, hi, df=sub.nu,
+        max_points=settings.max_points,
+        num_shifts=settings.num_shifts,
+        seed=settings.seed,
+        target_abs_error=settings.target_abs_error,
+    )
 
 
 def _uv_interval_logprob(lo, hi, nu=None):

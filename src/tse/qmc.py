@@ -546,7 +546,7 @@ def _bvt_lower(nu, h, k, r):
     out, mag, fin, h, k, r = _open_corners(h, k, r, nu)
     big = np.maximum(np.abs(h), np.abs(k)) > _DS_BIG
     # Row 0 carries the terms in h, row 1 those in k.
-    x = np.where(big, 0.0, np.stack([h, k]))
+    x = np.where(big, 0.0, np.array([h, k]))
     h, k = x
     sq = x * x
     ors = (1.0 - r) * (1.0 + r)
@@ -617,8 +617,8 @@ def _bv_rect(lower, upper, r, df=None):
     """
     flip, lo, hi = _lower_tail(lower, upper)
     r = r * np.where(flip[..., 0] ^ flip[..., 1], -1.0, 1.0)
-    h = np.stack([hi[..., 0], lo[..., 0], hi[..., 0], lo[..., 0]])
-    k = np.stack([hi[..., 1], hi[..., 1], lo[..., 1], lo[..., 1]])
+    h = np.array([hi[..., 0], lo[..., 0], hi[..., 0], lo[..., 0]])
+    k = np.array([hi[..., 1], hi[..., 1], lo[..., 1], lo[..., 1]])
     val, mag = _bvn_lower(h, k, r) if df is None else _bvt_lower(df, h, k, r)
     return val[0] - val[1] - val[2] + val[3], _ROUND * mag.sum(axis=0)
 
@@ -683,14 +683,14 @@ def bivariate_rect_prob(rho, lower, upper, df=None):
     return _bivariate(float(rho), lower, upper, df)
 
 
-def _bivariate(rho, lower, upper, df=None, weight=None):
+def _bivariate(rho, lower, upper, df=None, weight=None, group=None):
     """:func:`bivariate_rect_prob` of ``(m, 2)`` float rows.  A row takes
     the tail rule where its estimate exceeds ``_TAIL_REL`` of its
-    probability.  Given the outer ``weight`` of the nested rule's inner rows
-    (one row per outer piece), such a row keeps the closed form, with twice
-    its value added to its estimate, where that bound, weighted, stays
-    within ``_TAIL_REL`` of the mean weighted value of the rows that need no
-    tail rule: nodes of negligible weight."""
+    probability.  Given the nested rule's outer ``weight`` of each row and
+    the ``group`` (outermost row) it belongs to, such a row keeps the closed
+    form, with twice its value added to its estimate, where that bound,
+    weighted, stays within ``_TAIL_REL`` of the mean weighted value of its
+    group's rows that need no tail rule: nodes of negligible weight."""
     if not 1.0 - rho * rho > 1e-14:
         raise NumericalError("dispersion matrix is numerically singular")
     if not (df is None or float(df).is_integer() and 1 <= df <= _DS_MAX_DF):
@@ -699,9 +699,9 @@ def _bivariate(rho, lower, upper, df=None, weight=None):
     prob, err = _bv_rect(lower, upper, rho, None if df is None else int(df))
     sure = err <= _TAIL_REL * prob
     if weight is not None and not sure.all():
-        share = np.mean(weight * np.where(sure, prob, 0.0).reshape(weight.shape), axis=1, keepdims=True)
+        share = np.bincount(group, weight * np.where(sure, prob, 0.0)) / np.bincount(group)
         bound = 2.0 * np.abs(prob) + err
-        small = ~sure & (weight * bound.reshape(weight.shape) <= _TAIL_REL * share).ravel()
+        small = ~sure & (weight * bound <= _TAIL_REL * share[group])
         err[small] = bound[small]
         sure |= small
     tail = np.flatnonzero(~sure)
@@ -721,17 +721,14 @@ def _bivariate(rho, lower, upper, df=None, weight=None):
 _NARROW = 1e-3
 
 
-def _uv_mass(lower, upper, df=None, floor=False):
+def _uv_mass(lower, upper, df=None):
     """Univariate interval probabilities of the standard normal (``df`` None)
     or Student-t law, each interval reflected into the lower tail first so
     that upper-tail masses keep their relative accuracy.  Narrow intervals
     take the density at the midpoint times the width, with its second-order
-    term ``f''(m) / f(m) * width**2 / 24``, free of cdf cancellation.  With
-    ``floor``, also returns each mass's rounding floor: ``_ROUND`` times
-    the cdf of the reflected upper limit, the larger of the two."""
+    term ``f''(m) / f(m) * width**2 / 24``, free of cdf cancellation."""
     _, lo, hi = _lower_tail(lower, upper)
-    upper_cdf = _cdf(hi, df)
-    mass = upper_cdf - _cdf(lo, df)
+    mass = _cdf(hi, df) - _cdf(lo, df)
     with np.errstate(invalid="ignore"):
         mid, width = 0.5 * (lo + hi), hi - lo
         narrow = width * np.maximum(1.0, np.abs(mid)) < _NARROW
@@ -747,7 +744,7 @@ def _uv_mass(lower, upper, df=None, floor=False):
                 curv = (df + 1.0) * ((df + 2.0) * m2 - df) / (df + m2) ** 2
             rule = np.exp(log_f) * width * (1.0 + curv * width * width / 24.0)
         mass = np.where(narrow, rule, mass)
-    return (mass, _ROUND * upper_cdf) if floor else mass
+    return mass
 
 
 # -- the nested conditional rule ---------------------------------------------
@@ -762,29 +759,37 @@ _STEP_WIDTH = 0.25
 _STEP_SPAN = 8.0
 
 
-def _nested_rect(corr, lower, upper, df=None):
+def _nested_rect(corr, lower, upper, df=None, outer=None, group=None):
     """``P(lower <= Z <= upper)`` for ``(m, n)`` rows, ``n`` from 2 to 4, of
     a standardised law with correlation ``corr``, by the nested conditional
     form (Genz 2004).
 
-    The coordinate of smallest mass summed over the rows (at ``n = 2``,
-    where a swap keeps the correlation, each row's own) is integrated on
-    its probability scale by the tanh-sinh rule, reflected into its lower
-    tail per row; pieces take their masses from :func:`_uv_mass`, free of
-    cdf cancellation.  Given it at ``x``, the others are centred at ``r_j x``,
-    with scales ``s_j = sqrt(1 - r_j**2)`` and correlations
-    ``(r_jk - r_j r_k) / (s_j s_k)``, which the reflection leaves alone; for
-    the Student-t they have ``df + 1`` degrees of freedom and scales times
+    One coordinate is integrated on its probability scale by the tanh-sinh
+    rule, reflected into its lower tail per row: the one of smallest mass
+    summed over the rows (at ``n = 2``, where a swap keeps the correlation,
+    each row's own; at ``n = 4``, one of a pair correlated sharply enough to
+    step, whose partner's deep conditional tail is then integrated one level
+    down).  Pieces take their masses from :func:`_uv_mass`.  Given it at
+    ``x``, the others are centred at ``r_j x``, with scales
+    ``s_j = sqrt(1 - r_j**2)`` and correlations ``(r_jk - r_j r_k) /
+    (s_j s_k)``, which the reflection leaves alone; for the Student-t they
+    have ``df + 1`` degrees of freedom and scales times
     ``sqrt((df + x**2) / (df + 1))``.  So one stacked call one level down
-    serves every node of every row.  Where an inner limit's conditional cdf
-    steps sharply in ``x``, the outer interval is split at the step and on
-    either side of it.  Returns the probabilities and their estimates: the
-    outer step gaps plus the weighted inner estimates, the rounding floors
-    of the cdf differences and a relative rounding floor.
+    serves every node of every row; it carries each inner row's ``outer``
+    weight and ``group`` (outermost row) down to the bivariate level, which
+    leaves deep-tail rows of negligible weight to the closed form.  Where an
+    inner limit's conditional cdf steps sharply in ``x``, the outer interval
+    is split at the step and on either side of it.  Returns the
+    probabilities and their estimates: the outer step gaps plus the
+    weighted inner estimates, the rounding floors of the cdf differences and
+    a relative rounding floor.
     """
     m, n = lower.shape
     mass = _uv_mass(lower, upper, df)
-    order = np.argsort(mass if n == 2 else mass.sum(axis=0, keepdims=True), axis=1, kind="stable")
+    key = mass if n == 2 else mass.sum(axis=0, keepdims=True)
+    if n == 4:
+        key = key - m * (np.abs(corr - np.eye(n)).max(axis=0) * np.hypot(1.0, _STEP_WIDTH) > 1.0)
+    order = np.argsort(key, axis=1, kind="stable")
     rows = np.arange(m)[:, None]
     lower, upper, width = lower[rows, order], upper[rows, order], mass[rows, order[:, :1]]
     corr = corr[order[0]][:, order[0]]
@@ -800,7 +805,7 @@ def _nested_rect(corr, lower, upper, df=None):
     flip, lo, hi = _lower_tail(lower[:, 0], upper[:, 0])
     r = r * np.where(flip, -1.0, 1.0)[:, None]
 
-    edges = np.stack([lo, hi], axis=1)
+    edges = np.array([lo, hi]).T
     if sharp.any():
         with np.errstate(divide="ignore", invalid="ignore"):
             at = np.stack([lower[:, 1:], upper[:, 1:]], axis=-1) / r[..., None]
@@ -832,10 +837,13 @@ def _nested_rect(corr, lower, upper, df=None):
     shift = r[row, None, :] * x[..., None]
     ilo = ((lower[row, None, 1:] - shift) / scale).reshape(-1, n - 1)
     ihi = ((upper[row, None, 1:] - shift) / scale).reshape(-1, n - 1)
-    if n == 3:
-        inner, inner_err = _bivariate(inner_corr[0, 1], ilo, ihi, df, width[:, None] * weight)
-    else:
+    if n == 2:
         inner, inner_err = rect_probs(inner_corr, ilo, ihi, df)
+    else:
+        wt = (width[:, None] * weight * (1.0 if outer is None else outer[row, None])).ravel()
+        grp = np.repeat(row if group is None else group[row], weight.size)
+        inner, inner_err = (_bivariate(inner_corr[0, 1], ilo, ihi, df, wt, grp) if n == 3
+                            else _nested_rect(inner_corr, ilo, ihi, df, wt, grp))
     inner, inner_err = inner.reshape(v.shape), inner_err.reshape(v.shape) @ weight
     prob, gap = _ts_sum(inner, width, rule)
     # The pieces' masses round like those of _uv_mass.
@@ -862,7 +870,9 @@ def rect_probs(corr, lower, upper, df=None, **lattice):
         out = [rect_prob_qmc(corr, a, b, df, **lattice) for a, b in zip(lower, upper)]
         return np.reshape(out, (m, 2)).T
     if n == 1:
-        return _uv_mass(lower[:, 0], upper[:, 0], df, floor=True)
+        # The rounding floor is that of the larger cdf of the reflected interval.
+        _, lo, hi = _lower_tail(lower[:, 0], upper[:, 0])
+        return _uv_mass(lo, hi, df), _ROUND * _cdf(hi, df)
     if n == 2:
         return bivariate_rect_prob(corr[0, 1], lower, upper, df)
     return _nested_rect(corr, lower, upper, df)
@@ -898,9 +908,11 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=8192,
     num_shifts : int
         Number of independent scrambles (random shifts), each drawn from
         its own child of ``SeedSequence(seed)``; the spread of the
-        per-scramble means yields the error estimate.  Calls of
-        ``_THREAD_MIN_DIM`` or more dimensions split them among threads
-        (:func:`_lattice_sums`); the result does not depend on it.
+        per-scramble means yields the error estimate.  From ``_THREAD_MIN_DIM`` (12) dimensions up,
+        the shifts are split into one group per CPU in
+        ``os.sched_getaffinity(0)`` (at most ``num_shifts`` groups), run by
+        the calling thread and as many pool threads as there are other
+        groups; the result does not depend on the number of groups.
     seed : int
         Seed of the scrambles; fixes the result exactly.
     target_abs_error : float, optional

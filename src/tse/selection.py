@@ -293,7 +293,8 @@ def se_logpdf(spec: SelectionSpec, y,
     corr = schur / np.sqrt(np.outer(np.diag(schur), np.diag(schur)))
     num, _ = rect_probs(corr, ((spec.selection_lower[:, None] - cond_mean) / sd).T,
                         ((spec.selection_upper[:, None] - cond_mean) / sd).T, df_c,
-                        **vars(settings))
+                        max_points=settings.max_points, num_shifts=settings.num_shifts,
+                        seed=settings.seed, target_abs_error=settings.target_abs_error)
     with np.errstate(divide="ignore"):
         out = log_f + np.log(np.maximum(num, 0.0)) - np.log(den)
     return out[0] if single else out

@@ -236,19 +236,31 @@ def test_upper_tail_box():
     assert err < 1e-9 * exact
 
 
-def test_deep_joint_tail_box():
+def _deep_joint_tail():
     # X <= (-6, -9, -1, 5, 5), equicorrelated at 0.3.  The exact three-dimensional
     # value of the first three coordinates exceeds the five-dimensional one by
-    # at most P(X_2 <= -9, X_4 > 5) + P(X_2 <= -9, X_5 > 5).
+    # at most P(X_2 <= -9, X_4 > 5) + P(X_2 <= -9, X_5 > 5) = 2 p24.
     sigma = 0.7 * np.eye(5) + 0.3
     upper = np.array([-6.0, -9.0, -1.0, 5.0, 5.0])
     p, err = rect_prob_qmc(sigma, np.full(5, -np.inf), upper)
-    p3, _ = rect_prob_qmc(sigma[:3, :3], np.full(3, -np.inf), upper[:3])
+    p3, err3 = rect_prob_qmc(sigma[:3, :3], np.full(3, -np.inf), upper[:3])
     p24, _ = rect_prob_qmc(sigma[np.ix_([1, 3], [1, 3])], [-np.inf, 5.0], [-9.0, np.inf])
+    return p, err, p3, err3, p24
+
+
+def test_deep_joint_tail_box():
+    p, err, p3, _, p24 = _deep_joint_tail()
     assert p3 == pytest.approx(3.48256e-23, rel=1e-5, abs=0)
     assert 2 * p24 < 1e-6 * err
     assert abs(p - p3) <= 1e-4 * p3
     assert err < 1e-4 * p3
+
+
+@pytest.mark.xfail(strict=True, reason="the lattice's three-standard-error bound "
+                   "misses this deep joint tail: it is 1.06 of the bound off at seed 7")
+def test_deep_joint_tail_box_within_bound():
+    p, err, p3, err3, p24 = _deep_joint_tail()
+    assert abs(p - p3) <= err + err3 + 2 * p24
 
 
 def test_nested_deep_joint_tail_box():
