@@ -7,13 +7,12 @@ dimensions use the exact bivariate normal cdf through Owen's T function
 (Owen 1956).  The Student-t case with an integer number of degrees of
 freedom up to ``_DS_MAX_DF`` sums the finite series of Dunnett & Sobel
 (1954, *Biometrika* 41) in the form of Genz's ``BVTL`` (Genz 2004, *Stat.
-Comput.* 14); any other Student-t integrates the normal cdf against the chi
-mixing law by tanh-sinh quadrature in the chi quantile (Genz 2004).  Three
-and four dimensions, and the deep joint tails of two where the rounding
-floor of Owen's form or of the series swamps the probability, take one
-nested conditional rule (Genz 2004 again): one coordinate is integrated on
-its probability scale by tanh-sinh quadrature, and the others, given it,
-go in one stacked call to the exact routine one dimension down.
+Comput.* 14).  Every other box takes one nested conditional rule (Genz 2004
+again): three and four dimensions; two dimensions of any other Student-t;
+and the deep joint tails of two where the rounding floor of Owen's form or
+of the series swamps the probability.  One coordinate is integrated on its
+probability scale by tanh-sinh quadrature, and the others, given it, go in
+one stacked call to the exact routine one dimension down.
 
 All other boxes use separation-of-variables integration (Genz 1992):
 every coordinate is reflected into its lower tail, the box
@@ -42,7 +41,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import gammainccinv, gammaincinv, gammaln, ndtr, ndtri, owens_t, stdtr, stdtrit
+from scipy.special import gammaincinv, gammaln, ndtr, ndtri, owens_t, stdtr, stdtrit
 
 from .errors import NumericalError
 
@@ -453,8 +452,8 @@ def _tanh_sinh(step, half):
     return t < 0.0, 1.0 / (1.0 + np.exp(2.0 * np.abs(y))), weight, k % 2 == 0
 
 
-# The chi rule and the 2-D and 3-D levels of the nested rule take step 1/16
-# (103 nodes, |t| <= 3.2, about 2e-17 of the mass left out), the outer level
+# The 2-D and 3-D levels of the nested rule take step 1/16 (103 nodes,
+# |t| <= 3.2, about 2e-17 of the mass left out), the outer level
 # of a 4-D box step 1/8 (51 nodes), which halves its inner rows.  Against
 # step 1/32 at every level, on random, orthant, deep-tail and strongly
 # correlated boxes, step 1/8 there moved 4-D values by at most 1.2e-13
@@ -521,13 +520,15 @@ def _bvn_lower(h, k, r):
     return out, mag
 
 
-# Largest integer df that takes the Dunnett-Sobel series.  On one row its
-# cost met that of the chi rule's 103 nodes between df 32 and 44 for a
-# half-open box and near 50 for a finite one; the cap sits at the lower end.
+# Largest integer df that takes the Dunnett-Sobel series.  On one row (2-vCPU
+# Xeon) it took 0.77-0.81 times the time of the nested rule's 2-D level at
+# df 32, met it near df 45 on a half-open box and still took 0.93-0.97 times
+# it at df 47-48 on a finite one.  The cap also decides which 4-D boxes are
+# exact (:func:`_exact`), whose inner rows have df + 2.
 _DS_MAX_DF = 32
 # Corners with a finite limit beyond this magnitude leave the series to the
-# chi rule: there an odd-df angle just short of a full turn could no longer
-# be told from 0.
+# nested rule: there an odd-df angle just short of a full turn could no
+# longer be told from 0.
 _DS_BIG = 1e10
 
 
@@ -623,33 +624,6 @@ def _bv_rect(lower, upper, r, df=None):
     return val[0] - val[1] - val[2] + val[3], _ROUND * mag.sum(axis=0)
 
 
-@functools.lru_cache(maxsize=32)
-def _chi_scales(df):
-    """``w = sqrt(chisq_df^{-1}(u) / df)`` at the tanh-sinh nodes, computed
-    once per ``df`` and read-only."""
-    low, dist, _, _ = _TS
-    s = np.empty_like(dist)
-    s[low] = gammaincinv(0.5 * df, dist[low])
-    s[~low] = gammainccinv(0.5 * df, dist[~low])
-    w = np.sqrt(2.0 * s / df)
-    w.flags.writeable = False
-    return w
-
-
-def _chi_rect(lower, upper, rho, df):
-    """Student-t rectangles of ``(m, 2)`` rows by tanh-sinh quadrature of
-    the normal rectangle over the chi quantile: the probabilities and their
-    estimates, the gap to the rule with twice the step on the same nodes
-    plus the rounding floor."""
-    w = _chi_scales(df)[:, None, None]
-    with np.errstate(invalid="ignore"):
-        lo = np.where(np.isinf(lower), lower, w * lower)
-        hi = np.where(np.isinf(upper), upper, w * upper)
-    vals, floor = _bv_rect(lo, hi, rho)
-    prob, gap = _ts_sum(vals.T)
-    return prob, gap + floor.T @ _TS[2]
-
-
 def bivariate_rect_prob(rho, lower, upper, df=None):
     """Exact rectangle probabilities of a standardised bivariate law.
 
@@ -672,11 +646,10 @@ def bivariate_rect_prob(rho, lower, upper, df=None):
         exact up to a rounding floor proportional to the magnitude of the
         terms it sums.  Rows whose probability lies far below that floor
         (deep joint tails) take the two-dimensional level of the nested
-        conditional rule instead when its estimate is smaller.  Any other
-        ``df`` integrates the normal rectangle over the chi quantile by
-        tanh-sinh quadrature (the chi rule); its estimate adds the gap to
-        the rule with twice the step, on the same nodes, to the rounding
-        floor.
+        conditional rule instead when its estimate is smaller, and every
+        row of any other ``df`` takes that level.  Its estimate adds the
+        gap to the rule with twice the step, the weighted univariate
+        rounding floors and a relative rounding floor.
     """
     lower = np.atleast_2d(np.asarray(lower, dtype=float))
     upper = np.atleast_2d(np.asarray(upper, dtype=float))
@@ -684,9 +657,9 @@ def bivariate_rect_prob(rho, lower, upper, df=None):
 
 
 def _bivariate(rho, lower, upper, df=None, weight=None, group=None):
-    """:func:`bivariate_rect_prob` of ``(m, 2)`` float rows.  A row takes
-    the tail rule where its estimate exceeds ``_TAIL_REL`` of its
-    probability.  Given the nested rule's outer ``weight`` of each row and
+    """:func:`bivariate_rect_prob` of ``(m, 2)`` float rows.  A row of the
+    closed form takes the nested rule where its estimate exceeds
+    ``_TAIL_REL`` of its probability.  Given the nested rule's outer ``weight`` of each row and
     the ``group`` (outermost row) it belongs to, such a row keeps the closed
     form, with twice its value added to its estimate, where that bound,
     weighted, stays within ``_TAIL_REL`` of the mean weighted value of its
@@ -694,7 +667,7 @@ def _bivariate(rho, lower, upper, df=None, weight=None, group=None):
     if not 1.0 - rho * rho > 1e-14:
         raise NumericalError("dispersion matrix is numerically singular")
     if not (df is None or float(df).is_integer() and 1 <= df <= _DS_MAX_DF):
-        prob, err = _chi_rect(lower, upper, rho, df)
+        prob, err = _nested_rect(np.array([[1.0, rho], [rho, 1.0]]), lower, upper, df)
         return np.clip(prob, 0.0, 1.0), err
     prob, err = _bv_rect(lower, upper, rho, None if df is None else int(df))
     sure = err <= _TAIL_REL * prob
@@ -884,9 +857,10 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=8192,
 
     Boxes for which :func:`_exact` holds are computed exactly by
     :func:`rect_probs`: the univariate cdf in one dimension;
-    :func:`bivariate_rect_prob` in two, which sums Owen's form, or for an
-    integer ``df`` up to ``_DS_MAX_DF`` the Dunnett-Sobel series, or else
-    takes the chi rule; and the nested conditional rule in three and four.
+    :func:`bivariate_rect_prob` in two, which sums Owen's form or, for an
+    integer ``df`` up to ``_DS_MAX_DF``, the Dunnett-Sobel series; and the
+    nested conditional rule in three and four, and in two for any other
+    ``df`` and for deep joint tails.
     The Sobol' settings ``max_points``, ``num_shifts``, ``seed`` and
     ``target_abs_error`` apply to lattice calls only, and at most 100
     Sobol' dimensions are available: ``n - 1`` for the normal kernel, ``n``
@@ -928,7 +902,7 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=8192,
         on the lattice, three standard errors of the scramble means plus a
         relative rounding floor; otherwise the rounding floor of the cdf
         difference, of Owen's form or of the series, or the estimate of the
-        chi rule or of the nested rule.
+        nested rule.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)

@@ -378,7 +378,7 @@ def _quad_rect(rho, lo, hi, nu=None):
 class TestBivariateExact:
     """Two-dimensional rectangles: Owen's T form, the Dunnett-Sobel series
     (integer df up to ``_DS_MAX_DF``, both parities, and the cap itself)
-    and chi-quantile quadrature (any other df, and the cap plus one)."""
+    and the nested conditional rule (any other df, and the cap plus one)."""
 
     # Integer df of both parities, the series' cap and the first df past it.
     INTEGER_DF = [1.0, 2.0, 3.0, 6.0, 7.0, float(_DS_MAX_DF), float(_DS_MAX_DF + 1)]
@@ -481,10 +481,14 @@ class TestBivariateExact:
     @pytest.mark.parametrize("nu, rho, lo, hi", [
         (4.0, 0.5, [-np.inf, -np.inf], [-50.0, -60.0]),
         (5.0, 0.3, [-30.0, -40.0], [-20.0, -25.0]),
+        (7.5, -0.9, [-np.inf, -np.inf], [-50.0, -60.0]),
+        (12.5, -0.9, [-np.inf, -np.inf], [-50.0, -60.0]),
+        (12.5, 0.3, [-30.0, -40.0], [-20.0, -25.0]),
     ])
     def test_student_deep_tails_lie_within_estimate(self, nu, rho, lo, hi):
-        # The series' rounding floor swamps these probabilities; the result
-        # must still lie within its own estimate of the quadrature value.
+        # The series' rounding floor swamps these probabilities, and a
+        # non-integer df has no series; the result must still lie within its
+        # own estimate of the quadrature value.
         p, err = self._prob(rho, lo, hi, nu)
         ref, ref_err = _quad_rect(rho, np.array(lo), np.array(hi), nu)
         assert p > 0.0
@@ -500,7 +504,7 @@ class TestBivariateExact:
         assert p == pytest.approx(tdist.cdf(2.0, nu) - tdist.cdf(-3.0, nu), abs=1e-14)
 
     @pytest.mark.parametrize("nu", [4.0, 5.0])
-    def test_student_narrow_box_takes_smaller_chi_estimate(self, nu):
+    def test_student_narrow_box_takes_smaller_tail_estimate(self, nu):
         from tse.qmc import _bv_rect
 
         # The series' four corners cancel on this narrow strip, so the tail
@@ -515,9 +519,16 @@ class TestBivariateExact:
     @pytest.mark.parametrize("nu, rho, lo, hi", [
         (7.0, -0.2, [10.0, 12.0], [np.inf, np.inf]),
         (23.0, -0.47, [5.66, -np.inf], [7.59, np.inf]),
+        (33.0, -0.2, [10.0, 12.0], [np.inf, np.inf]),
+        (40.0, -0.2, [10.0, 12.0], [np.inf, np.inf]),
+        (49.0, -0.47, [5.66, -np.inf], [7.59, np.inf]),
+        (51.0, -0.47, [5.66, -np.inf], [7.59, np.inf]),
+        (7.5, 0.3, [1e6, -np.inf], [1e6 + 0.5, np.inf]),
     ])
     def test_student_upper_tails_lie_within_estimate(self, nu, rho, lo, hi):
-        # Rows on which the chi rule's estimate does not cover its error.
+        # Upper tails within and beyond the series' cap and at non-integer
+        # df, down to a strip of mass 1e-48: each result must lie within its
+        # own estimate of the quadrature value.
         p, err = self._prob(rho, lo, hi, nu)
         ref, ref_err = _quad_rect(rho, np.array(lo), np.array(hi), nu)
         assert abs(p - ref) <= err + ref_err
