@@ -146,8 +146,21 @@ def _rtnorm(rng, lo, hi, size):
     spirit of Robert's tail sampler, with a log-space inverse-cdf rescue
     for slices the proposal keeps rejecting.
     """
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), size).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), size).copy()
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if not ((hi < -_TAIL_CUT).any() or (lo > _TAIL_CUT).any()):
+        # Every interval is central: inverse cdf straight from the inputs,
+        # in place (maximum then minimum is what np.clip computes).
+        a = ndtr(lo)
+        u = rng.random(size)
+        u *= ndtr(hi) - a
+        u += a
+        np.maximum(u, 1e-16, out=u)
+        np.minimum(u, 1.0 - 1e-16, out=u)
+        return ndtri(u, out=u)
+
+    lo = np.broadcast_to(lo, size).copy()
+    hi = np.broadcast_to(hi, size).copy()
     out = np.empty(size)
 
     # Mirror left-tail boxes into the right tail.
@@ -208,6 +221,10 @@ def sample_truncated_gibbs(joint: EllipticalJoint, tbox: TruncationBox, n: int,
         raise SpecError("box dimension does not match the joint")
     if n < 1:
         raise SpecError("need at least one draw")
+    if burn_in < 0:
+        raise SpecError("burn_in must be nonnegative")
+    if n_chains < 1:
+        raise SpecError("need at least one chain")
     rng = np.random.default_rng(seed)
     p = joint.dim
     lo, hi = tbox.lower, tbox.upper
@@ -234,19 +251,25 @@ def sample_truncated_gibbs(joint: EllipticalJoint, tbox: TruncationBox, n: int,
     x = np.tile(start, (n_chains, 1))
     draws = np.empty((steps, n_chains, p))
     student = joint.family == STUDENT_T
+    xi = joint.xi
+    # Sweep invariants: each coordinate's conditional-mean terms over the
+    # other coordinates (an int array, so p = 1 indexes an empty set).
+    others = [np.array([j for j in range(p) if j != i], dtype=int) for i in range(p)]
+    xi_others = [xi[o] for o in others]
+    prec_others = [prec[o, i] for i, o in enumerate(others)]
+    shape = 0.5 * (joint.nu + p) if student else None
+    sd_scale = np.ones(n_chains)
 
     for sweep in range(burn_in + steps):
         if student:
-            diff = x - joint.xi
+            diff = x - xi
             delta = np.einsum("ni,ij,nj->n", diff, prec, diff)
-            w = rng.gamma(0.5 * (joint.nu + p), 2.0 / (joint.nu + delta))
+            # gamma(shape, scale) is scale times one standard-gamma draw.
+            w = rng.standard_gamma(shape, n_chains) * (2.0 / (joint.nu + delta))
             sd_scale = 1.0 / np.sqrt(w)
-        else:
-            sd_scale = np.ones(n_chains)
         for i in range(p):
-            others = [j for j in range(p) if j != i]
-            adj = (x[:, others] - joint.xi[others]) @ prec[others, i]
-            mean_i = joint.xi[i] - adj / prec[i, i]
+            adj = (x[:, others[i]] - xi_others[i]) @ prec_others[i]
+            mean_i = xi[i] - adj / prec[i, i]
             sd_i = cond_sd[i] * sd_scale
             z = _rtnorm(rng, (lo[i] - mean_i) / sd_i, (hi[i] - mean_i) / sd_i,
                         (n_chains,))
@@ -314,7 +337,15 @@ def estimate_mean_cov(batch: SampleBatch) -> dict:
     cov = centred.T @ centred / (n - 1)
     if chains > 1 and n >= chains:
         d = _whole_sweeps(centred, chains)
-        chain_prod = np.einsum("sci,scj->cij", d, d) / d.shape[0]
+        # One pair at a time, summed over sweeps in order: the same bits as
+        # a single "sci,scj->cij" einsum, at a fraction of its cost and with
+        # no (sweeps, chains) product array.
+        chain_prod = np.empty((chains, p, p))
+        for i in range(p):
+            for j in range(i, p):
+                chain_prod[:, i, j] = chain_prod[:, j, i] = np.einsum(
+                    "sc,sc->c", d[..., i], d[..., j])
+        chain_prod /= d.shape[0]
         cov_se = chain_prod.std(axis=0, ddof=1) / np.sqrt(chains)
     else:
         sq = centred * centred
