@@ -11,6 +11,7 @@ cross-dispersion between components and the sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import copysign, inf, isfinite
 from typing import Optional
 
 import numpy as np
@@ -45,9 +46,6 @@ __all__ = [
     "tce_sum_decomposed",
 ]
 
-_MAX_SPAN = 50.0
-
-
 @dataclass(frozen=True)
 class SumDistParams:
     """Univariate skew-t/skew-normal law of a component sum.
@@ -81,38 +79,79 @@ def quantile_upper(spec: SelectionSpec, alpha: float,
                    settings: RectangleProbSettings = DEFAULT_SETTINGS) -> float:
     """Threshold with upper-tail mass ``alpha``: ``P(Y > y) = alpha``.
 
-    Brackets by doubling away from the location in scale units (failing
-    beyond ``_MAX_SPAN`` scale units), then hands the deterministic
-    survival function to a bisection/secant hybrid.
+    Brackets by doubling away from the location in scale units until the
+    survival function crosses ``alpha``, then solves by Brent's method.  It
+    fails beyond 2**512 scale units, where the Student-t survival reads 0.
     """
     if not 0.0 < alpha < 1.0:
         raise SpecError("tail level must lie strictly inside (0, 1)")
     if spec.n_outcome != 1:
         raise SpecError("quantile_upper is defined for univariate outcome specs")
-    from scipy.optimize import brentq
-
     loc = float(spec.joint.xi[-1])
     scale = float(np.sqrt(spec.joint.omega[-1, -1]))
 
     def f(y):
-        return survival(spec, y, settings) - alpha
+        return float(survival(spec, y, settings) - alpha)
 
-    lo, hi = loc - scale, loc + scale
-    step = scale
-    while f(lo) <= 0.0:
-        lo -= step
-        step *= 2.0
-        if loc - lo > _MAX_SPAN * scale:
-            raise NumericalError(
-                f"failed to bracket the quantile within {_MAX_SPAN} scale units")
-    step = scale
-    while f(hi) >= 0.0:
-        hi += step
-        step *= 2.0
-        if hi - loc > _MAX_SPAN * scale:
-            raise NumericalError(
-                f"failed to bracket the quantile within {_MAX_SPAN} scale units")
-    return float(brentq(f, lo, hi, xtol=1e-10, rtol=8.9e-16))
+    def outward(sign):
+        y, step = loc + sign * scale, scale
+        fy = f(y)
+        while sign * fy >= 0.0:
+            y += sign * step
+            step *= 2.0
+            z = (y - loc) / scale
+            if not isfinite(z * z):
+                raise NumericalError("the quantile lies beyond 2**512 scale units")
+            fy = f(y)
+        return y, fy
+
+    (lo, flo), (hi, fhi) = outward(-1.0), outward(1.0)
+    return _brent(f, lo, hi, flo, fhi)
+
+
+def _brent(f, xpre, xcur, fpre, fcur):
+    """Root of ``f`` between ``xpre`` and ``xcur``, given ``f`` at both.
+
+    scipy's ``brentq`` C routine (Brent 1973) step for step at ``xtol=1e-10``,
+    ``rtol=8.9e-16``: a zero division is C's inf or NaN, so it bisects.
+    """
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if copysign(1.0, fpre) == copysign(1.0, fcur):
+        raise NumericalError("the root is not bracketed: no sign change")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and copysign(1.0, fpre) != copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (1e-10 + 8.9e-16 * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NumericalError("Brent's method did not converge in 100 iterations")
 
 
 def tce(spec: SelectionSpec, alpha: float,

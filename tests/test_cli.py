@@ -169,6 +169,26 @@ class TestJobs:
         assert run.returncode == 0
         assert run.stdout.strip() == "False"
 
+    def test_jobs_leave_scipy_optimize_and_integrate_unloaded(self):
+        # Importing scipy.optimize alone adds about 0.1 s to a cold job.
+        import subprocess
+        import sys
+
+        code = (
+            "import contextlib, glob, io, json, os, sys\n"
+            "from tse.cli import main\n"
+            f"paths = sorted(glob.glob(os.path.join({EXAMPLES!r}, '*.json')))\n"
+            "for path in paths:\n"
+            "    with open(path) as fh:\n"
+            "        command = json.load(fh)['command']\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main([command, '--spec', path]) == 0, path\n"
+            "print(len(paths), [m for m in ('scipy.optimize', 'scipy.integrate')\n"
+            "                   if m in sys.modules])\n")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "10 []"
+
     def test_deterministic_output_bytes(self, tmp_path, capsys):
         path = os.path.join(EXAMPLES, "t_moments.json")
         code1, out1, _ = run_cli(capsys, "moments", "--spec", path, "--seed", "5")

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.optimize import brentq
+from scipy.stats import norm, t
 
 from tse.elliptical import normal_joint, student_joint
-from tse.errors import MomentNotDefinedError, SpecError
+from tse.errors import MomentNotDefinedError, NumericalError, SpecError
 from tse.oracle import sample_se_rejection
 from tse.risk import (
+    _brent,
     mtce,
     mtce_at_level,
     quantile_upper,
@@ -45,6 +47,58 @@ class TestQuantile:
             quantile_upper(spec, 0.0)
         with pytest.raises(SpecError):
             quantile_upper(spec, 1.0)
+
+    @pytest.mark.parametrize("nu, alpha", [(None, 1e-300), (1.1, 1e-3), (6.0, 1e-9)])
+    def test_quantile_beyond_fifty_scale_units(self, nu, alpha):
+        # 37.0, 192.4 and 56.8 scale units: past the old 50-unit bracket cap.
+        joint = normal_joint([0.0], [[1.0]]) if nu is None else student_joint([0.0], [[1.0]], nu)
+        law = norm if nu is None else t(nu)
+        assert quantile_upper(_plain_spec(joint), alpha) == pytest.approx(law.isf(alpha), rel=1e-12)
+
+    def test_quantile_past_squared_overflow_raises(self):
+        # The t_1.1 quantile at 1e-200 is about 2.4e181, but the survival
+        # function reads 0 from 2**512 scale units on.
+        spec = _plain_spec(student_joint([0.0], [[1.0]], 1.1))
+        with pytest.raises(NumericalError):
+            quantile_upper(spec, 1e-200)
+
+
+def _brent_cases():
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        a, s, alpha = rng.uniform(-3, 3), rng.uniform(0.2, 3), 10 ** rng.uniform(-12, -0.3)
+        yield (lambda x, a=a, s=s, alpha=alpha: float(norm.sf(x, a, s) - alpha)), -50.0, 50.0
+        nu, alpha = rng.uniform(1.1, 10), 10 ** rng.uniform(-6, -0.3)
+        yield (lambda x, nu=nu, alpha=alpha: float(t.sf(x, nu) - alpha)), -1e6, 1e6
+        r, c = rng.standard_normal(3) * 2, rng.standard_normal()
+        yield (lambda x, r=r, c=c: float(np.prod(x - r) + c)), -10.0, 10.0
+    # A step 3e-10 wide: near the root the steps are as small as the
+    # tolerance, where the step test's "- delta" decides.
+    yield (lambda x: float(np.tanh((x + 0.18) / 3e-10) ** 3 - 0.1)), -2.0, 2.0
+    # Deep normal tail: many survival values round to the same difference
+    # from alpha, so the secant and extrapolation steps divide by zero.
+    yield (lambda x: float(norm.sf(x) - 1e-200)), 16.0, 32.0
+    spec = _plain_spec(normal_joint([0.0], [[1.0]]))
+    yield (lambda x: float(survival(spec, x) - 1e-200)), 16.0, 32.0
+
+
+class TestBrent:
+    def test_equals_scipy_brentq_bit_for_bit(self):
+        for f, a, b in _brent_cases():
+            assert _brent(f, a, b, f(a), f(b)) == brentq(f, a, b, xtol=1e-10, rtol=8.9e-16)
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(NumericalError):
+            _brent(lambda x: x * x + 1.0, -1.0, 2.0, 2.0, 5.0)
+
+    def test_no_convergence_raises(self):
+        # A step on a 1e300-wide bracket needs about 1 000 bisections.
+        def f(x):
+            return 1.0 if x < 0.3 else -1.0
+        with pytest.raises(RuntimeError):
+            brentq(f, -1e300, 1e300, xtol=1e-10, rtol=8.9e-16)
+        with pytest.raises(NumericalError):
+            _brent(f, -1e300, 1e300, 1.0, -1.0)
 
 
 class TestTce:
