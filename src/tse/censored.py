@@ -26,7 +26,7 @@ from .elliptical import (
     rectangle_prob,
 )
 from .errors import NumericalError, SpecError
-from .selection import SelectionSpec, SutParams, box_mass, build_selection
+from .selection import SelectionSpec, SutParams, build_selection, selection_probability
 from .truncated import truncated_mean_cov
 
 __all__ = ["GKind", "CensoredFactor", "censored_factor", "censored_factor_conditional"]
@@ -42,17 +42,39 @@ class CensoredFactor:
     """Everything needed to evaluate the censored-expectation identity.
 
     ``expectation(kind)`` returns the full right-hand side
-    ``prob_ratio * eta * E[g(W)]`` where ``W`` is the limiting law
-    truncated to the box.  ``limiting`` is ``None`` when conditioning has
-    consumed the whole outcome block, in which case only ``kind="one"`` is
-    meaningful and no box mass ratio is involved.
+    ``eta * prob_ratio * E[g(W)]`` where ``W`` is the limiting law
+    truncated to the box ``B``.  ``eta = f_sel(0) / P(sel)`` is the
+    density-to-mass ratio of the selection block at its threshold, and
+    ``prob_ratio = P(W in B) / (P(aug) / P(sel))`` is the ratio of the box
+    masses under the limiting law and under the selection law, ``P(aug)``
+    being the joint mass of the selection rectangle and the box.  ``P(sel)``
+    cancels from the product, so ``log_factor`` holds
+    ``log[f_sel(0) * P(W in B) / P(aug)]`` and ``spec``'s selection mass is
+    computed only when ``eta`` or ``prob_ratio`` is read.  ``limiting`` and
+    ``spec`` are ``None`` when conditioning has consumed the whole outcome
+    block: then only ``kind="one"`` is meaningful, the factor is ``eta`` and
+    ``prob_ratio`` is 1.
     """
 
-    log_eta: float
-    log_prob_ratio: float
+    log_factor: float
+    log_threshold_density: float
+    spec: Optional[SelectionSpec]
     limiting: Optional[EllipticalJoint]
     box: Optional[TruncationBox]
     settings: RectangleProbSettings = DEFAULT_SETTINGS
+
+    @property
+    def log_eta(self) -> float:
+        if self.spec is None:
+            return self.log_factor
+        p_sel = selection_probability(self.spec, self.settings)
+        if p_sel <= 0.0:
+            raise NumericalError("selection probability underflowed")
+        return float(self.log_threshold_density - np.log(p_sel))
+
+    @property
+    def log_prob_ratio(self) -> float:
+        return self.log_factor - self.log_eta
 
     @property
     def eta(self) -> float:
@@ -63,7 +85,7 @@ class CensoredFactor:
         return float(np.exp(self.log_prob_ratio))
 
     def scalar_factor(self) -> float:
-        return float(np.exp(self.log_eta + self.log_prob_ratio))
+        return float(np.exp(self.log_factor))
 
     def truncated_limiting_moments(self):
         if self.limiting is None:
@@ -108,9 +130,10 @@ def censored_factor(params: Union[SutParams, SelectionSpec],
                     ) -> CensoredFactor:
     """Factor of the censored-expectation identity for a truncated spec.
 
-    The selection rectangle must be the positive orthant.  Both box masses
-    are kept in log space so extreme extensions only degrade the reported
-    ratio, not the computation.
+    The selection rectangle must be the positive orthant.  The factor is
+    formed in log space as ``f_sel(0) * P(W in B) / P(aug)``, so extreme
+    extensions only degrade the reported value, not the computation.
+    Raises ``NumericalError`` when ``P(aug)`` underflows.
     """
     spec = _as_spec(params)
     _require_zero_threshold(spec)
@@ -119,15 +142,16 @@ def censored_factor(params: Union[SutParams, SelectionSpec],
     if tbox is None:
         tbox = TruncationBox(np.full(spec.n_outcome, -np.inf),
                              np.full(spec.n_outcome, np.inf))
-    mass, _, p_sel = box_mass(spec, tbox, settings)
+    p_aug, _ = rectangle_prob(spec.joint, spec.augmented_box(tbox), settings)
+    if p_aug <= 0.0:
+        raise NumericalError("mass of the augmented box underflowed")
     zero = np.zeros(q)
-    log_eta = float(log_density(spec.selection_marginal(), zero) - np.log(p_sel))
-
+    log_f0 = log_density(spec.selection_marginal(), zero)
     limiting = conditional(spec.joint, np.arange(q), zero)
     p_w, _ = rectangle_prob(limiting, tbox, settings)
     with np.errstate(divide="ignore"):
-        log_ratio = float(np.log(p_w) - np.log(mass))
-    return CensoredFactor(log_eta, log_ratio, limiting, tbox, settings)
+        log_factor = float(log_f0 + np.log(p_w) - np.log(p_aug))
+    return CensoredFactor(log_factor, log_f0, spec, limiting, tbox, settings)
 
 
 def censored_factor_conditional(params: Union[SutParams, SelectionSpec],
@@ -154,6 +178,8 @@ def censored_factor_conditional(params: Union[SutParams, SelectionSpec],
     if values.size != observed.size:
         raise SpecError("observed values must match the observed index list")
     if tbox is not None:
+        if tbox.dim != spec.n_outcome:
+            raise SpecError("box dimension does not match the outcome block")
         lo = tbox.lower[observed]
         hi = tbox.upper[observed]
         if np.any(values < lo) or np.any(values > hi):
@@ -171,7 +197,8 @@ def censored_factor_conditional(params: Union[SutParams, SelectionSpec],
         p_sel, _ = rectangle_prob(sel_star, sel_box, settings)
         if p_sel <= 0.0:
             raise NumericalError("conditional selection mass underflowed")
-        return CensoredFactor(float(log_f0 - np.log(p_sel)), 0.0, None, None, settings)
+        return CensoredFactor(float(log_f0 - np.log(p_sel)), log_f0, None, None, None,
+                              settings)
     sub_spec = SelectionSpec(cond_joint, q, remaining.size,
                              spec.selection_lower, spec.selection_upper)
     sub_box = tbox.subset(remaining) if tbox is not None else None

@@ -305,22 +305,35 @@ def log_density(joint: EllipticalJoint, x):
     rows = np.atleast_2d(x)
     if x.ndim > 2 or rows.shape[1] != joint.dim:
         raise SpecError("point dimension does not match the joint")
+    out = _log_density_rows(joint, _log_density_parts(joint), rows)
+    return float(out[0]) if x.ndim < 2 else out
+
+
+def _log_density_parts(joint: EllipticalJoint):
+    """The point-free parts of :func:`log_density`: the Cholesky factor of
+    the dispersion and the log normalising constant."""
     p = joint.dim
     try:
         chol = np.linalg.cholesky(joint.omega)
     except np.linalg.LinAlgError:
         raise NumericalError("dispersion matrix is not positive definite")
     half_logdet = float(np.sum(np.log(np.diag(chol))))
+    if joint.family == NORMAL:
+        return chol, -0.5 * p * np.log(2.0 * np.pi) - half_logdet
+    nu = joint.nu
+    return chol, (gammaln(0.5 * (nu + p)) - gammaln(0.5 * nu)
+                  - 0.5 * p * np.log(nu * np.pi) - half_logdet)
+
+
+def _log_density_rows(joint: EllipticalJoint, parts, rows):
+    """:func:`log_density` at each row of the 2-D array ``rows``, given
+    ``parts = _log_density_parts(joint)``."""
+    chol, const = parts
     z = np.linalg.solve(chol, (rows - joint.xi).T)
     delta = np.sum(z * z, axis=0)
     if joint.family == NORMAL:
-        out = -0.5 * p * np.log(2.0 * np.pi) - half_logdet - 0.5 * delta
-    else:
-        nu = joint.nu
-        out = (gammaln(0.5 * (nu + p)) - gammaln(0.5 * nu)
-               - 0.5 * p * np.log(nu * np.pi) - half_logdet
-               - 0.5 * (nu + p) * np.log1p(delta / nu))
-    return float(out[0]) if x.ndim < 2 else out
+        return const - 0.5 * delta
+    return const - 0.5 * (joint.nu + joint.dim) * np.log1p(delta / joint.nu)
 
 
 def density(joint: EllipticalJoint, x):
@@ -386,7 +399,7 @@ def rectangle_prob(joint: EllipticalJoint, tbox: TruncationBox,
     keep = np.flatnonzero(~tbox.both_infinite())
     if keep.size == 0:
         return 1.0, 0.0
-    sub = marginal(joint, keep)
+    sub = joint if keep.size == joint.dim else marginal(joint, keep)
     lo = tbox.lower[keep] - sub.xi
     hi = tbox.upper[keep] - sub.xi
     return rect_prob_qmc(

@@ -80,8 +80,9 @@ def quantile_upper(spec: SelectionSpec, alpha: float,
     """Threshold with upper-tail mass ``alpha``: ``P(Y > y) = alpha``.
 
     Brackets by doubling away from the location in scale units until the
-    survival function crosses ``alpha``, then solves by Brent's method.  It
-    fails beyond 2**512 scale units, where the Student-t survival reads 0.
+    survival function crosses ``alpha``, then solves by Brent's method to
+    an absolute tolerance of ``1e-10 * min(1, scale)``.  It fails beyond
+    2**512 scale units, where the Student-t survival reads 0.
     """
     if not 0.0 < alpha < 1.0:
         raise SpecError("tail level must lie strictly inside (0, 1)")
@@ -106,13 +107,13 @@ def quantile_upper(spec: SelectionSpec, alpha: float,
         return y, fy
 
     (lo, flo), (hi, fhi) = outward(-1.0), outward(1.0)
-    return _brent(f, lo, hi, flo, fhi)
+    return _brent(f, lo, hi, flo, fhi, xtol=1e-10 * min(1.0, scale))
 
 
-def _brent(f, xpre, xcur, fpre, fcur):
+def _brent(f, xpre, xcur, fpre, fcur, xtol=1e-10):
     """Root of ``f`` between ``xpre`` and ``xcur``, given ``f`` at both.
 
-    scipy's ``brentq`` C routine (Brent 1973) step for step at ``xtol=1e-10``,
+    scipy's ``brentq`` C routine (Brent 1973) step for step at ``xtol``,
     ``rtol=8.9e-16``: a zero division is C's inf or NaN, so it bisects.
     """
     if fpre == 0.0:
@@ -129,7 +130,7 @@ def _brent(f, xpre, xcur, fpre, fcur):
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (1e-10 + 8.9e-16 * abs(xcur)) / 2
+        delta = (xtol + 8.9e-16 * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur

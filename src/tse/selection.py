@@ -21,6 +21,8 @@ from .elliptical import (
     EllipticalJoint,
     RectangleProbSettings,
     TruncationBox,
+    _log_density_parts,
+    _log_density_rows,
     conditional,
     log_density,
     marginal,
@@ -69,7 +71,8 @@ class SelectionSpec:
     block; the remaining ``n_outcome`` coordinates carry the distribution
     of interest.  ``n_selection == 0`` degenerates to the plain elliptical
     law of the outcome block.  The instance memoises its selection
-    probability per :class:`RectangleProbSettings`.
+    probability per :class:`RectangleProbSettings`, and the point-free parts
+    of its density once.
     """
 
     joint: EllipticalJoint
@@ -94,6 +97,7 @@ class SelectionSpec:
         object.__setattr__(self, "selection_lower", lo)
         object.__setattr__(self, "selection_upper", hi)
         object.__setattr__(self, "_selection_probs", {})
+        object.__setattr__(self, "_density", None)
 
     @property
     def family(self) -> str:
@@ -106,6 +110,29 @@ class SelectionSpec:
     def outcome_marginal(self) -> EllipticalJoint:
         idx = np.arange(self.n_selection, self.joint.dim)
         return marginal(self.joint, idx)
+
+    def _density_parts(self):
+        """The point-free parts of :func:`se_logpdf`, computed on first use:
+        the outcome marginal and its log-density parts, then (``None``
+        without a selection block) the cross dispersion between the
+        selection and outcome blocks, and the diagonal, as a column, and
+        correlation of the selection-given-outcome Schur complement."""
+        parts = self._density
+        if parts is None:
+            outcome = self.outcome_marginal()
+            q = self.n_selection
+            cross = schur_var = schur_corr = None
+            if q:
+                omega = self.joint.omega
+                cross = omega[:q, q:]
+                schur = omega[:q, :q] - cross @ np.linalg.solve(omega[q:, q:], cross.T)
+                schur = 0.5 * (schur + schur.T)
+                var = np.diag(schur)
+                schur_var = var[:, None]
+                schur_corr = schur / np.sqrt(np.outer(var, var))
+            parts = (outcome, _log_density_parts(outcome), cross, schur_var, schur_corr)
+            object.__setattr__(self, "_density", parts)
+        return parts
 
     def selection_marginal(self) -> EllipticalJoint:
         if self.n_selection == 0:
@@ -254,34 +281,43 @@ def se_logpdf(spec: SelectionSpec, y,
     Evaluates the closed form: outcome-marginal kernel density times the
     conditional probability of the selection rectangle, divided by the
     marginal selection probability.  The selection probability is always an
-    explicit rectangle probability of the conditioning event.
+    explicit rectangle probability of the conditioning event.  A point with
+    an infinite coordinate has log density ``-inf``, as has a normal-kernel
+    point whose squared distance overflows.  A NaN coordinate raises
+    ``SpecError``; a Student-t point whose squared distance overflows raises
+    ``NumericalError``.
     """
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     rows = np.atleast_2d(y)
     if rows.shape[1] != spec.n_outcome:
         raise SpecError("point dimension does not match the outcome block")
-    out_joint = spec.outcome_marginal()
-    log_f = log_density(out_joint, rows)
+    if not np.isfinite(rows).all():
+        if np.isnan(rows).any():
+            raise SpecError("point has a NaN coordinate")
+        return _se_logpdf_live(spec, rows, np.isfinite(rows).all(axis=1), single, settings)
+    out_joint, log_parts, cross, schur_var, schur_corr = spec._density_parts()
+    log_f = _log_density_rows(out_joint, log_parts, rows)
     q = spec.n_selection
     if q == 0:
         return log_f[0] if single else log_f
+    if spec.family == NORMAL and not np.isfinite(log_f).all():
+        # The squared distance overflowed: the density is 0 whatever the
+        # selection factor, which could not be formed.
+        return _se_logpdf_live(spec, rows, np.isfinite(log_f), single, settings)
 
     den = selection_probability(spec, settings)
     if den <= 0.0:
         raise NumericalError("selection probability underflowed")
 
-    omega = spec.joint.omega
-    o11 = omega[:q, :q]
-    o12 = omega[:q, q:]
-    o22 = omega[q:, q:]
-    solve22 = np.linalg.solve(o22, (rows - out_joint.xi).T)
-    cond_mean = spec.joint.xi[:q, None] + o12 @ solve22
-    schur = o11 - o12 @ np.linalg.solve(o22, o12.T)
-    schur = 0.5 * (schur + schur.T)
+    diff = rows - out_joint.xi
+    solve22 = np.linalg.solve(out_joint.omega, diff.T)
+    cond_mean = spec.joint.xi[:q, None] + cross @ solve22
     if spec.family == STUDENT_T:
         nu = spec.nu
-        delta = np.sum((rows - out_joint.xi).T * solve22, axis=0)
+        delta = np.sum(diff.T * solve22, axis=0)
+        if not np.isfinite(delta).all():
+            raise NumericalError("squared distance of the point overflows")
         factors = (nu + delta) / (nu + spec.n_outcome)
         df_c = nu + spec.n_outcome
     else:
@@ -289,14 +325,21 @@ def se_logpdf(spec: SelectionSpec, y,
 
     # Every row shares the Schur correlation; only the standardised limits
     # differ, so one call covers all rows.
-    sd = np.sqrt(np.diag(schur)[:, None] * factors)
-    corr = schur / np.sqrt(np.outer(np.diag(schur), np.diag(schur)))
-    num, _ = rect_probs(corr, ((spec.selection_lower[:, None] - cond_mean) / sd).T,
+    sd = np.sqrt(schur_var * factors)
+    num, _ = rect_probs(schur_corr, ((spec.selection_lower[:, None] - cond_mean) / sd).T,
                         ((spec.selection_upper[:, None] - cond_mean) / sd).T, df_c,
                         max_points=settings.max_points, num_shifts=settings.num_shifts,
                         seed=settings.seed, target_abs_error=settings.target_abs_error)
     with np.errstate(divide="ignore"):
         out = log_f + np.log(np.maximum(num, 0.0)) - np.log(den)
+    return out[0] if single else out
+
+
+def _se_logpdf_live(spec, rows, live, single, settings):
+    """:func:`se_logpdf` at the ``live`` rows and ``-inf`` at the others."""
+    out = np.full(rows.shape[0], -np.inf)
+    if live.any():
+        out[live] = se_logpdf(spec, rows[live], settings)
     return out[0] if single else out
 
 

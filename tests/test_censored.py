@@ -4,10 +4,23 @@ from scipy.integrate import quad
 from scipy.stats import norm, t as tdist
 
 from tse.censored import censored_factor, censored_factor_conditional
-from tse.elliptical import TruncationBox
-from tse.errors import SpecError
+from tse.elliptical import (
+    TruncationBox,
+    conditional,
+    log_density,
+    rectangle_prob,
+)
+from tse.errors import NumericalError, SpecError
 from tse.oracle import sample_se_rejection
-from tse.selection import SutParams, build_selection, esn_pdf, limiting_t
+from tse.selection import (
+    SelectionSpec,
+    SutParams,
+    build_selection,
+    esn_pdf,
+    limiting_t,
+    selection_probability,
+)
+from tse.truncated import truncated_mean_cov
 
 
 def _lhs_ratio_student(y, mu, sig, lam, tau, nu):
@@ -183,3 +196,102 @@ class TestConditionalIdentity:
         agg = censored_factor(params, box).expectation("one")
         se = vals.std() / np.sqrt(vals.size)
         assert abs(vals.mean() - agg) < 4 * se
+
+
+EX5 = SutParams([0.0, 0.0], [[1.0, 0.2], [0.2, 4.0]], [[1.0, 3.0], [-3.0, -2.0]],
+                [-1.0, 2.0], [[1.0, -0.5], [-0.5, 1.0]], 4.0)
+# First coordinates of the three EX5 draws whose second coordinate falls
+# below the detection limit 1.0 in perfbench's em-iteration workload.
+EM_FIRST = (-2.295359815972321, -0.11144347011768167, 0.2808835460946743)
+EM_BOX = TruncationBox([-np.inf, -np.inf], [np.inf, 1.0])
+
+
+def _reference_expectation(spec, tbox, observed, values, kind):
+    """The censored expectation in its uncancelled form: eta times the box
+    mass ratio, with the selection mass of the conditioned spec computed."""
+    q = spec.n_selection
+    if len(observed):
+        keep = [i for i in range(spec.n_outcome) if i not in observed]
+        joint = conditional(spec.joint, q + np.asarray(observed), values)
+        spec = SelectionSpec(joint, q, len(keep), spec.selection_lower, spec.selection_upper)
+        tbox = tbox.subset(keep)
+    p_aug, _ = rectangle_prob(spec.joint, spec.augmented_box(tbox))
+    p_sel = selection_probability(spec)
+    zero = np.zeros(q)
+    log_eta = float(log_density(spec.selection_marginal(), zero) - np.log(p_sel))
+    limiting = conditional(spec.joint, np.arange(q), zero)
+    p_w, _ = rectangle_prob(limiting, tbox)
+    mass = min(max(p_aug / p_sel, 0.0), 1.0)
+    factor = float(np.exp(log_eta + float(np.log(p_w) - np.log(mass))))
+    if kind == "one":
+        return factor
+    rep = truncated_mean_cov(limiting, tbox)
+    return factor * (rep.mean if kind == "mean" else rep.second_moment)
+
+
+class TestCancelledFactor:
+    CASES = [
+        (SutParams([0.2, -0.1], [[1.3, 0.4], [0.4, 0.8]], [0.7, -0.9], [0.25], [[1.0]], None),
+         TruncationBox([-2.0, -1.0], [1.5, 1.0])),
+        (SutParams([0.0], [[1.0]], [1.5], [0.5], [[1.0]], 7.0), TruncationBox([-1.0], [2.0])),
+        (SutParams([0.1], [[1.1]], [0.7], [0.2], [[1.0]], None), TruncationBox([-1.0], [1.5])),
+        (EX5, TruncationBox([-0.8, -0.6], [0.5, 0.7])),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("kind", ["one", "mean", "second"])
+    def test_matches_uncancelled_form(self, case, kind):
+        params, box = self.CASES[case]
+        spec = build_selection(params)
+        got = censored_factor(spec, box).expectation(kind)
+        ref = _reference_expectation(spec, box, [], [], kind)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        if params.p == 2:
+            got = censored_factor_conditional(spec, box, [0], [0.3]).expectation(kind)
+            ref = _reference_expectation(spec, box, [0], [0.3], kind)
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("y1", EM_FIRST)
+    def test_em_observations_match_uncancelled_form(self, y1):
+        spec = build_selection(EX5)
+        got = censored_factor_conditional(spec, EM_BOX, [0], [y1]).expectation("second")
+        ref = _reference_expectation(spec, EM_BOX, [0], [y1], "second")
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+    def test_conditioned_selection_mass_is_never_computed(self, monkeypatch):
+        import tse.censored
+        import tse.selection
+
+        calls = []
+        real = tse.selection.selection_probability
+
+        def counted(spec, settings):
+            calls.append(spec)
+            return real(spec, settings)
+
+        monkeypatch.setattr(tse.selection, "selection_probability", counted)
+        monkeypatch.setattr(tse.censored, "selection_probability", counted)
+        spec = build_selection(EX5)
+        for y1 in EM_FIRST:
+            fac = censored_factor_conditional(spec, EM_BOX, [0], [y1])
+            for kind in ("one", "mean", "second"):
+                fac.expectation(kind)
+        assert calls == []
+        # Reading eta is what asks for the selection mass of the
+        # conditioned spec, and only then.
+        eta = fac.eta
+        assert len(calls) == 1 and calls[0] is fac.spec and calls[0] is not spec
+        assert eta * fac.prob_ratio == pytest.approx(fac.scalar_factor(), rel=1e-13)
+
+    @pytest.mark.parametrize("observed", [[1], [0], []])
+    def test_box_of_wrong_dimension_raises(self, observed):
+        params = SutParams([0.2, -0.1], [[1.3, 0.4], [0.4, 0.8]], [0.7, -0.9], [0.25],
+                           [[1.0]], None)
+        with pytest.raises(SpecError):
+            censored_factor_conditional(params, TruncationBox([-1.0], [1.0]), observed,
+                                        [0.5] * len(observed))
+
+    def test_augmented_mass_underflow_raises(self):
+        params = SutParams([0.0], [[1.0]], [0.2], [0.0], [[1.0]], None)
+        with pytest.raises(NumericalError):
+            censored_factor(params, TruncationBox([-1e4], [-1e4 + 1.0]))

@@ -55,6 +55,11 @@ class TestQuantile:
         law = norm if nu is None else t(nu)
         assert quantile_upper(_plain_spec(joint), alpha) == pytest.approx(law.isf(alpha), rel=1e-12)
 
+    @pytest.mark.parametrize("s", [1e-6, 1e-9, 1e-11])
+    def test_small_scale_quantile_is_scale_relative(self, s):
+        spec = _plain_spec(normal_joint([0.0], [[s * s]]))
+        assert quantile_upper(spec, 0.1) == pytest.approx(1.2815515655446004 * s, rel=1e-9)
+
     def test_quantile_past_squared_overflow_raises(self):
         # The t_1.1 quantile at 1e-200 is about 2.4e181, but the survival
         # function reads 0 from 2**512 scale units on.
@@ -80,12 +85,19 @@ def _brent_cases():
     yield (lambda x: float(norm.sf(x) - 1e-200)), 16.0, 32.0
     spec = _plain_spec(normal_joint([0.0], [[1.0]]))
     yield (lambda x: float(survival(spec, x) - 1e-200)), 16.0, 32.0
+    # A law of scale 1e-11, solved at the scale-relative tolerance.
+    tiny = _plain_spec(normal_joint([0.0], [[1e-22]]))
+    yield (lambda x: float(survival(tiny, x) - 0.1)), -1e-11, 4e-11
 
 
 class TestBrent:
     def test_equals_scipy_brentq_bit_for_bit(self):
-        for f, a, b in _brent_cases():
-            assert _brent(f, a, b, f(a), f(b)) == brentq(f, a, b, xtol=1e-10, rtol=8.9e-16)
+        # 1e-10 is the tolerance for laws of scale 1 and above; quantiles of
+        # smaller laws solve at 1e-10 times their scale.
+        for xtol in (1e-10, 1e-13, 1e-21):
+            for f, a, b in _brent_cases():
+                assert _brent(f, a, b, f(a), f(b), xtol) == brentq(f, a, b, xtol=xtol,
+                                                                    rtol=8.9e-16)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(NumericalError):

@@ -9,6 +9,7 @@ from scipy.special import gammaln, log_ndtr
 from scipy.stats import norm
 
 from tse.elliptical import (
+    STUDENT_T,
     RectangleProbSettings,
     TruncationBox,
     conditional,
@@ -17,6 +18,7 @@ from tse.elliptical import (
     student_joint,
 )
 from tse.errors import MomentNotDefinedError, NumericalError, SpecError
+from tse.qmc import rect_probs
 from tse.oracle import estimate_mean_cov, estimate_moments, sample_se, sample_se_rejection
 from tse.risk import survival
 from tse.selection import (
@@ -165,6 +167,123 @@ class TestBoxMass:
         se_logpdf(spec, y, other)
         se_logpdf(build_selection(EX5), y)
         assert calls == [(2, RectangleProbSettings()), (2, other), (2, RectangleProbSettings())]
+
+
+def _reference_se_logpdf(spec, y, settings=RectangleProbSettings()):
+    """The selection log density with every point-free part formed again on
+    each call, as se_logpdf did before it memoised them on the spec."""
+    y = np.asarray(y, dtype=float)
+    single = y.ndim == 1
+    rows = np.atleast_2d(y)
+    out_joint = spec.outcome_marginal()
+    log_f = log_density(out_joint, rows)
+    q = spec.n_selection
+    if q == 0:
+        return log_f[0] if single else log_f
+    den = selection_probability(spec, settings)
+    omega = spec.joint.omega
+    o11 = omega[:q, :q]
+    o12 = omega[:q, q:]
+    o22 = omega[q:, q:]
+    solve22 = np.linalg.solve(o22, (rows - out_joint.xi).T)
+    cond_mean = spec.joint.xi[:q, None] + o12 @ solve22
+    schur = o11 - o12 @ np.linalg.solve(o22, o12.T)
+    schur = 0.5 * (schur + schur.T)
+    if spec.family == STUDENT_T:
+        nu = spec.nu
+        delta = np.sum((rows - out_joint.xi).T * solve22, axis=0)
+        factors = (nu + delta) / (nu + spec.n_outcome)
+        df_c = nu + spec.n_outcome
+    else:
+        factors, df_c = 1.0, None
+    sd = np.sqrt(np.diag(schur)[:, None] * factors)
+    corr = schur / np.sqrt(np.outer(np.diag(schur), np.diag(schur)))
+    num, _ = rect_probs(corr, ((spec.selection_lower[:, None] - cond_mean) / sd).T,
+                        ((spec.selection_upper[:, None] - cond_mean) / sd).T, df_c,
+                        max_points=settings.max_points, num_shifts=settings.num_shifts,
+                        seed=settings.seed, target_abs_error=settings.target_abs_error)
+    with np.errstate(divide="ignore"):
+        out = log_f + np.log(np.maximum(num, 0.0)) - np.log(den)
+    return out[0] if single else out
+
+
+def _density_specs(df):
+    return {
+        1: build_selection(SutParams([0.3, -0.2], [[1.3, 0.4], [0.4, 0.8]], [0.7, -0.9],
+                                     [0.25], [[1.0]], df)),
+        2: build_selection(replace(EX5, df=df)),
+    }
+
+
+class TestMemoisedDensity:
+    @pytest.mark.parametrize("df", [4.0, None])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_bit_identical_to_the_reference(self, df, q):
+        spec = _density_specs(df)[q]
+        ys = np.random.default_rng(3).standard_normal((40, 2)) * [1.5, 3.0]
+        assert np.array_equal(se_logpdf(spec, ys), _reference_se_logpdf(spec, ys))
+        for y in ys[:8]:
+            got = se_logpdf(spec, y)
+            assert np.array_equal(got, _reference_se_logpdf(spec, y))
+            assert np.ndim(got) == 0
+
+    def test_no_selection_block_is_bit_identical(self):
+        spec = SelectionSpec(student_joint([0.1, 0.2], [[1.0, 0.3], [0.3, 2.0]], 5.0), 0, 2,
+                             np.zeros(0), np.zeros(0))
+        ys = np.random.default_rng(4).standard_normal((10, 2))
+        assert np.array_equal(se_logpdf(spec, ys), _reference_se_logpdf(spec, ys))
+
+    def test_memo_belongs_to_its_spec(self):
+        # A spec fills its memo on first use and keeps it; a spec built from
+        # it, or a new spec of the same law, starts with its own.
+        a, b = _density_specs(4.0)[2], _density_specs(None)[2]
+        y = np.array([0.4, -1.1])
+        se_logpdf(a, y)
+        parts = a._density
+        assert parts is not None
+        se_logpdf(a, y)
+        assert a._density is parts
+        assert b._density is None
+        assert np.array_equal(se_logpdf(b, y), _reference_se_logpdf(b, y))
+        assert b._density is not parts
+        shifted = affine_outcome(a, np.eye(2), [0.5, 0.0])
+        assert shifted._density is None
+        assert np.array_equal(se_logpdf(shifted, y), _reference_se_logpdf(shifted, y))
+        assert se_logpdf(shifted, y) != se_logpdf(a, y)
+        twin = replace(a)
+        assert twin._density is None
+        assert np.array_equal(se_logpdf(twin, y), se_logpdf(a, y))
+        assert twin._density is not parts
+
+    @pytest.mark.parametrize("df", [4.0, None])
+    def test_nan_coordinate_raises(self, df):
+        spec = _density_specs(df)[2]
+        with pytest.raises(SpecError):
+            se_logpdf(spec, np.array([np.nan, 0.0]))
+        with pytest.raises(SpecError):
+            se_logpdf(spec, np.array([[0.1, 0.2], [0.3, np.nan]]))
+
+    @pytest.mark.parametrize("df", [4.0, None])
+    def test_infinite_coordinate_has_zero_density(self, df):
+        spec = _density_specs(df)[2]
+        for y in ([np.inf, 0.0], [0.0, -np.inf], [np.inf, -np.inf]):
+            assert se_logpdf(spec, np.array(y)) == -np.inf
+        ys = np.array([[0.1, 0.2], [np.inf, 0.0], [-0.3, 1.1]])
+        got = se_logpdf(spec, ys)
+        assert got[1] == -np.inf
+        assert np.array_equal(got[[0, 2]], se_logpdf(spec, ys[[0, 2]]))
+
+    def test_student_squared_distance_overflow_raises(self):
+        spec = _density_specs(4.0)[2]
+        with pytest.raises(NumericalError):
+            se_logpdf(spec, np.array([1e200, 0.0]))
+
+    def test_normal_squared_distance_overflow_has_zero_density(self):
+        # The density underflows to 0; the selection factor cannot be formed
+        # and no NaN may come of it.
+        spec = _density_specs(None)[2]
+        for y in ([1e200, 0.0], [-1e308, 1e308]):
+            assert se_logpdf(spec, np.array(y)) == -np.inf
 
 
 class TestDensities:
