@@ -21,13 +21,15 @@ from .elliptical import (
     EllipticalJoint,
     RectangleProbSettings,
     TruncationBox,
+    _complement,
     conditional,
     log_density,
     rectangle_prob,
 )
 from .errors import NumericalError, SpecError
+from .qmc import _exact
 from .selection import SelectionSpec, SutParams, build_selection, selection_probability
-from .truncated import truncated_mean_cov
+from .truncated import MomentReport, truncated_mean_cov
 
 __all__ = ["GKind", "CensoredFactor", "censored_factor", "censored_factor_conditional"]
 
@@ -48,20 +50,44 @@ class CensoredFactor:
     ``prob_ratio = P(W in B) / (P(aug) / P(sel))`` is the ratio of the box
     masses under the limiting law and under the selection law, ``P(aug)``
     being the joint mass of the selection rectangle and the box.  ``P(sel)``
-    cancels from the product, so ``log_factor`` holds
-    ``log[f_sel(0) * P(W in B) / P(aug)]`` and ``spec``'s selection mass is
-    computed only when ``eta`` or ``prob_ratio`` is read.  ``limiting`` and
-    ``spec`` are ``None`` when conditioning has consumed the whole outcome
-    block: then only ``kind="one"`` is meaningful, the factor is ``eta`` and
-    ``prob_ratio`` is 1.
+    cancels from the product, so ``log_factor`` is
+    ``log f_sel(0) + log P(W in B) - log P(aug)``, from
+    ``log_threshold_density`` and ``log_joint_mass = log P(aug)``, and
+    ``spec``'s selection mass is computed only when ``eta`` or
+    ``prob_ratio`` is read.
+
+    ``P(W in B)`` is computed once per instance.  ``kind="mean"`` and
+    ``kind="second"`` compute ``W``'s truncated moments (memoised, see
+    :meth:`truncated_limiting_moments`) and take it from their report's
+    ``prob_mass``, which is the same rectangle probability.  ``kind="one"``
+    and ``log_factor`` take it from ``rectangle_prob`` and compute no
+    moments; so do the moment kinds where the report's mass is not the
+    box's rectangle probability: where the report holds a coordinate
+    (``"out-of-bounds"`` or ``"degenerate"`` in its method), and where the
+    box goes to the Sobol' lattice, which ``rectangle_prob`` refines to its
+    target and the moment recursion does not.
+
+    ``limiting`` and ``spec`` are ``None`` when conditioning has consumed
+    the whole outcome block: then only ``kind="one"`` is meaningful,
+    ``log_joint_mass`` is the log selection mass of the conditioned law, the
+    factor is ``eta`` and ``prob_ratio`` is 1.
     """
 
-    log_factor: float
     log_threshold_density: float
+    log_joint_mass: float
     spec: Optional[SelectionSpec]
     limiting: Optional[EllipticalJoint]
     box: Optional[TruncationBox]
     settings: RectangleProbSettings = DEFAULT_SETTINGS
+
+    def __post_init__(self):
+        object.__setattr__(self, "_report", None)
+        object.__setattr__(self, "_log_p_w", None)
+
+    @property
+    def log_factor(self) -> float:
+        return float(self.log_threshold_density + self._limiting_log_mass()
+                     - self.log_joint_mass)
 
     @property
     def log_eta(self) -> float:
@@ -87,26 +113,53 @@ class CensoredFactor:
     def scalar_factor(self) -> float:
         return float(np.exp(self.log_factor))
 
-    def truncated_limiting_moments(self):
+    def truncated_limiting_moments(self) -> MomentReport:
+        """``W``'s truncated moments, computed on first use and then shared."""
         if self.limiting is None:
             raise SpecError("no outcome block remains after conditioning")
-        return truncated_mean_cov(self.limiting, self.box, self.settings)
+        if self._report is None:
+            object.__setattr__(self, "_report",
+                               truncated_mean_cov(self.limiting, self.box, self.settings))
+        return self._report
+
+    def _limiting_log_mass(self) -> float:
+        """``log P(W in B)``, computed on first use; 0 without an outcome block."""
+        if self._log_p_w is None:
+            log_mass = 0.0
+            if self.limiting is not None:
+                p_w = _report_box_mass(self._report, self.limiting, self.box)
+                if p_w is None:
+                    p_w, _ = rectangle_prob(self.limiting, self.box, self.settings)
+                with np.errstate(divide="ignore"):
+                    log_mass = float(np.log(p_w))
+            object.__setattr__(self, "_log_p_w", log_mass)
+        return self._log_p_w
 
     def expectation(self, kind: GKind = "one"):
         """Right-hand side of the identity for g in {1, y, y y'}."""
         if kind not in G_KINDS:
             raise SpecError(f"g kind must be one of {G_KINDS}")
-        factor = self.scalar_factor()
-        if self.limiting is None:
-            if kind != "one":
-                raise SpecError("only the constant g remains for a fully observed block")
-            return factor
         if kind == "one":
-            return factor
+            return self.scalar_factor()
+        if self.limiting is None:
+            raise SpecError("only the constant g remains for a fully observed block")
         rep = self.truncated_limiting_moments()
+        factor = self.scalar_factor()
         if kind == "mean":
             return factor * rep.require_mean()
         return factor * rep.require_second_moment()
+
+
+def _report_box_mass(rep: Optional[MomentReport], limiting: EllipticalJoint,
+                     tbox: TruncationBox) -> Optional[float]:
+    """``P(W in B)`` from ``W``'s report where that is ``rectangle_prob``'s
+    value bit for bit, else ``None``: without a report, where the report
+    holds a coordinate, and where the box is a lattice call."""
+    if rep is None or "out-of-bounds" in rep.method or "degenerate" in rep.method:
+        return None
+    if not _exact(int(np.count_nonzero(~tbox.both_infinite())), limiting.nu):
+        return None
+    return rep.prob_mass
 
 
 def _as_spec(params: Union[SutParams, SelectionSpec]) -> SelectionSpec:
@@ -148,10 +201,7 @@ def censored_factor(params: Union[SutParams, SelectionSpec],
     zero = np.zeros(q)
     log_f0 = log_density(spec.selection_marginal(), zero)
     limiting = conditional(spec.joint, np.arange(q), zero)
-    p_w, _ = rectangle_prob(limiting, tbox, settings)
-    with np.errstate(divide="ignore"):
-        log_factor = float(log_f0 + np.log(p_w) - np.log(p_aug))
-    return CensoredFactor(log_factor, log_f0, spec, limiting, tbox, settings)
+    return CensoredFactor(log_f0, float(np.log(p_aug)), spec, limiting, tbox, settings)
 
 
 def censored_factor_conditional(params: Union[SutParams, SelectionSpec],
@@ -187,8 +237,7 @@ def censored_factor_conditional(params: Union[SutParams, SelectionSpec],
 
     q = spec.n_selection
     cond_joint = conditional(spec.joint, q + observed, values)
-    remaining = np.array([i for i in range(spec.n_outcome)
-                          if i not in set(observed.tolist())])
+    remaining = _complement(spec.n_outcome, observed)
     if remaining.size == 0:
         # Fully observed outcome: only the density-to-mass factor survives.
         sel_star = cond_joint
@@ -197,8 +246,7 @@ def censored_factor_conditional(params: Union[SutParams, SelectionSpec],
         p_sel, _ = rectangle_prob(sel_star, sel_box, settings)
         if p_sel <= 0.0:
             raise NumericalError("conditional selection mass underflowed")
-        return CensoredFactor(float(log_f0 - np.log(p_sel)), log_f0, None, None, None,
-                              settings)
+        return CensoredFactor(log_f0, float(np.log(p_sel)), None, None, None, settings)
     sub_spec = SelectionSpec(cond_joint, q, remaining.size,
                              spec.selection_lower, spec.selection_upper)
     sub_box = tbox.subset(remaining) if tbox is not None else None

@@ -102,8 +102,8 @@ class TruncationBox:
 
     def subset(self, idx) -> "TruncationBox":
         idx = np.asarray(idx, dtype=int)
-        return TruncationBox(self.lower[idx], self.upper[idx],
-                             allow_degenerate=self.allow_degenerate)
+        return _derived(TruncationBox, lower=self.lower[idx], upper=self.upper[idx],
+                        allow_degenerate=self.allow_degenerate)
 
 
 def box(lower, upper) -> TruncationBox:
@@ -185,10 +185,7 @@ class EllipticalJoint:
         if sym_err > _SYM_RTOL * sym_scale:
             raise SpecError("dispersion matrix is not symmetric")
         omega = 0.5 * (omega + omega.T)
-        try:
-            np.linalg.cholesky(omega)
-        except np.linalg.LinAlgError:
-            raise NumericalError("dispersion matrix is not positive definite")
+        _require_pd(omega)
         if self.family == STUDENT_T:
             if self.nu is None or not self.nu > 0:
                 raise SpecError("Student-t kernel requires nu > 0")
@@ -205,6 +202,35 @@ class EllipticalJoint:
         return self.xi.size
 
 
+def _derived(cls, **fields):
+    """An :class:`EllipticalJoint` or :class:`TruncationBox` built from
+    ``fields`` (every field, by name) that are derived from validated
+    instances, without re-validating them.
+
+    Subsets, conditionals and concatenations of validated parts keep what
+    the checks guarantee: float arrays of matching sizes, an exactly
+    symmetric dispersion (on which the constructor's symmetrising step is
+    the identity), the family and its degrees of freedom, and ordered box
+    limits.  A derived joint keeps only the positive-definiteness check, as
+    a Schur complement can lose it numerically, and gets read-only arrays.
+    """
+    if cls is EllipticalJoint:
+        _require_pd(fields["omega"])
+        fields["xi"].flags.writeable = False
+        fields["omega"].flags.writeable = False
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _require_pd(omega):
+    try:
+        np.linalg.cholesky(omega)
+    except np.linalg.LinAlgError:
+        raise NumericalError("dispersion matrix is not positive definite")
+
+
 def normal_joint(xi, omega) -> EllipticalJoint:
     return EllipticalJoint(NORMAL, np.array(xi, dtype=float), np.array(omega, dtype=float))
 
@@ -218,23 +244,31 @@ def _check_indices(idx, dim, name) -> np.ndarray:
     idx = np.atleast_1d(np.asarray(idx, dtype=int))
     if idx.size == 0:
         raise SpecError(f"{name} index list must be nonempty")
-    if np.any(idx < 0) or np.any(idx >= dim):
+    if (idx < 0).any() or (idx >= dim).any():
         raise SpecError(f"{name} index out of range for dimension {dim}")
     if len(set(idx.tolist())) != idx.size:
         raise SpecError(f"{name} index list must not repeat indices")
     return idx
 
 
+def _complement(dim, idx) -> np.ndarray:
+    """The indices of ``0..dim-1`` not in ``idx``, in increasing order."""
+    out = np.ones(dim, dtype=bool)
+    out[idx] = False
+    return np.flatnonzero(out)
+
+
 def marginal(joint: EllipticalJoint, keep: Sequence[int]) -> EllipticalJoint:
     """Marginal law of the coordinates in ``keep`` (order preserved).
 
     Both kernels are closed under marginalisation with unchanged degrees of
-    freedom, so this is a plain subset of the location and dispersion.
+    freedom, so this is a plain subset of the location and dispersion.  The
+    result is derived from a validated joint, so of the constructor's checks
+    it keeps only the positive-definiteness check of its dispersion.
     """
     keep = _check_indices(keep, joint.dim, "keep")
-    xi = joint.xi[keep]
-    omega = joint.omega[np.ix_(keep, keep)]
-    return EllipticalJoint(joint.family, xi, omega, joint.nu)
+    return _derived(EllipticalJoint, family=joint.family, xi=joint.xi[keep],
+                    omega=joint.omega[keep[:, None], keep], nu=joint.nu)
 
 
 def conditional(joint: EllipticalJoint, given: Sequence[int], value) -> EllipticalJoint:
@@ -244,7 +278,9 @@ def conditional(joint: EllipticalJoint, given: Sequence[int], value) -> Elliptic
     Student-t kernel gains ``len(given)`` degrees of freedom and its
     dispersion rescales by ``(nu + delta) / (nu + len(given))`` where
     ``delta`` is the Mahalanobis distance of the conditioning value under
-    the given-block marginal.
+    the given-block marginal.  Of the constructor's checks, the result keeps
+    only the positive-definiteness check of its dispersion, which raises
+    ``NumericalError`` on a Schur complement that has lost it numerically.
     """
     given = _check_indices(given, joint.dim, "given")
     if given.size >= joint.dim:
@@ -255,10 +291,10 @@ def conditional(joint: EllipticalJoint, given: Sequence[int], value) -> Elliptic
     if not np.all(np.isfinite(value)):
         raise SpecError("conditioning value must be finite")
 
-    keep = np.array([i for i in range(joint.dim) if i not in set(given.tolist())])
-    o_gg = joint.omega[np.ix_(given, given)]
-    o_kg = joint.omega[np.ix_(keep, given)]
-    o_kk = joint.omega[np.ix_(keep, keep)]
+    keep = _complement(joint.dim, given)
+    o_gg = joint.omega[given[:, None], given]
+    o_kg = joint.omega[keep[:, None], given]
+    o_kk = joint.omega[keep[:, None], keep]
     try:
         solve = np.linalg.solve(o_gg, value - joint.xi[given])
         gain = np.linalg.solve(o_gg, o_kg.T).T
@@ -268,11 +304,12 @@ def conditional(joint: EllipticalJoint, given: Sequence[int], value) -> Elliptic
     schur = o_kk - gain @ o_kg.T
     schur = 0.5 * (schur + schur.T)
     if joint.family == NORMAL:
-        return EllipticalJoint(NORMAL, xi, schur)
+        return _derived(EllipticalJoint, family=NORMAL, xi=xi, omega=schur, nu=None)
     r2 = given.size
     delta = float((value - joint.xi[given]) @ solve)
     factor = (joint.nu + delta) / (joint.nu + r2)
-    return EllipticalJoint(STUDENT_T, xi, factor * schur, joint.nu + r2)
+    return _derived(EllipticalJoint, family=STUDENT_T, xi=xi, omega=factor * schur,
+                    nu=joint.nu + r2)
 
 
 def mahalanobis(joint: EllipticalJoint, x) -> float:

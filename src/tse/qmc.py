@@ -694,14 +694,17 @@ def _bivariate(rho, lower, upper, df=None, weight=None, group=None):
 _NARROW = 1e-3
 
 
-def _uv_mass(lower, upper, df=None):
+def _uv_mass(lower, upper, df=None, with_floor=False):
     """Univariate interval probabilities of the standard normal (``df`` None)
     or Student-t law, each interval reflected into the lower tail first so
     that upper-tail masses keep their relative accuracy.  Narrow intervals
     take the density at the midpoint times the width, with its second-order
-    term ``f''(m) / f(m) * width**2 / 24``, free of cdf cancellation."""
+    term ``f''(m) / f(m) * width**2 / 24``, free of cdf cancellation.
+    ``with_floor`` also returns the rounding floors, those of the larger cdf
+    of each reflected interval."""
     _, lo, hi = _lower_tail(lower, upper)
-    mass = _cdf(hi, df) - _cdf(lo, df)
+    top = _cdf(hi, df)
+    mass = top - _cdf(lo, df)
     with np.errstate(invalid="ignore"):
         mid, width = 0.5 * (lo + hi), hi - lo
         narrow = width * np.maximum(1.0, np.abs(mid)) < _NARROW
@@ -717,7 +720,7 @@ def _uv_mass(lower, upper, df=None):
                 curv = (df + 1.0) * ((df + 2.0) * m2 - df) / (df + m2) ** 2
             rule = np.exp(log_f) * width * (1.0 + curv * width * width / 24.0)
         mass = np.where(narrow, rule, mass)
-    return mass
+    return (mass, _ROUND * top) if with_floor else mass
 
 
 # -- the nested conditional rule ---------------------------------------------
@@ -843,9 +846,7 @@ def rect_probs(corr, lower, upper, df=None, **lattice):
         out = [rect_prob_qmc(corr, a, b, df, **lattice) for a, b in zip(lower, upper)]
         return np.reshape(out, (m, 2)).T
     if n == 1:
-        # The rounding floor is that of the larger cdf of the reflected interval.
-        _, lo, hi = _lower_tail(lower[:, 0], upper[:, 0])
-        return _uv_mass(lo, hi, df), _ROUND * _cdf(hi, df)
+        return _uv_mass(lower[:, 0], upper[:, 0], df, with_floor=True)
     if n == 2:
         return bivariate_rect_prob(corr[0, 1], lower, upper, df)
     return _nested_rect(corr, lower, upper, df)

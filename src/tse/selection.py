@@ -21,6 +21,7 @@ from .elliptical import (
     EllipticalJoint,
     RectangleProbSettings,
     TruncationBox,
+    _derived,
     _log_density_parts,
     _log_density_rows,
     conditional,
@@ -92,8 +93,8 @@ class SelectionSpec:
             hi = np.zeros(0)
         if lo.size != q or hi.size != q:
             raise SpecError("selection limits must cover the selection block")
-        if q and (np.any(lo >= hi) or np.any(lo == np.inf) or np.any(hi == -np.inf)):
-            raise SpecError("selection rectangle must have positive volume")
+        if q and (not np.all(lo < hi) or np.any(lo == np.inf) or np.any(hi == -np.inf)):
+            raise SpecError("selection rectangle must have positive volume and no NaN limit")
         object.__setattr__(self, "selection_lower", lo)
         object.__setattr__(self, "selection_upper", hi)
         object.__setattr__(self, "_selection_probs", {})
@@ -148,9 +149,10 @@ class SelectionSpec:
             if tbox.dim != self.n_outcome:
                 raise SpecError("box dimension does not match the outcome block")
             lo2, hi2 = tbox.lower, tbox.upper
-        return TruncationBox(
-            np.concatenate([self.selection_lower, lo2]),
-            np.concatenate([self.selection_upper, hi2]),
+        return _derived(
+            TruncationBox,
+            lower=np.concatenate([self.selection_lower, lo2]),
+            upper=np.concatenate([self.selection_upper, hi2]),
             allow_degenerate=tbox.allow_degenerate if tbox is not None else False,
         )
 

@@ -5,6 +5,8 @@ from scipy.stats import norm, t as tdist
 
 from tse.censored import censored_factor, censored_factor_conditional
 from tse.elliptical import (
+    DEFAULT_SETTINGS,
+    RectangleProbSettings,
     TruncationBox,
     conditional,
     log_density,
@@ -295,3 +297,142 @@ class TestCancelledFactor:
         params = SutParams([0.0], [[1.0]], [0.2], [0.0], [[1.0]], None)
         with pytest.raises(NumericalError):
             censored_factor(params, TruncationBox([-1e4], [-1e4 + 1.0]))
+
+
+def _unshared_expectation(spec, tbox, observed, values, kind, settings=DEFAULT_SETTINGS):
+    """The censored expectation formed as before W's report supplied
+    P(W in B): f_sel(0) P(W in B) / P(aug) with P(W in B) from
+    ``rectangle_prob``, times W's truncated moments computed apart."""
+    q = spec.n_selection
+    if len(observed):
+        keep = [i for i in range(spec.n_outcome) if i not in observed]
+        joint = conditional(spec.joint, q + np.asarray(observed), values)
+        spec = SelectionSpec(joint, q, len(keep), spec.selection_lower, spec.selection_upper)
+        tbox = tbox.subset(keep)
+    p_aug, _ = rectangle_prob(spec.joint, spec.augmented_box(tbox), settings)
+    zero = np.zeros(q)
+    log_f0 = log_density(spec.selection_marginal(), zero)
+    limiting = conditional(spec.joint, np.arange(q), zero)
+    p_w, _ = rectangle_prob(limiting, tbox, settings)
+    factor = float(np.exp(float(log_f0 + np.log(p_w) - np.log(p_aug))))
+    if kind == "one":
+        return factor
+    rep = truncated_mean_cov(limiting, tbox, settings)
+    return factor * (rep.mean if kind == "mean" else rep.second_moment)
+
+
+class TestSharedLimitingMass:
+    """The moment kinds take P(W in B) from W's report; every result must
+    equal the unshared form bit for bit."""
+
+    SUN = SutParams(EX5.location, EX5.scale, EX5.shape, EX5.extension,
+                    EX5.selection_corr, None)
+    CASES = TestCancelledFactor.CASES + [
+        (SUN, TruncationBox([-0.8, -0.6], [0.5, 0.7])),
+        (SutParams([0.2, -0.1], [[1.3, 0.4], [0.4, 0.8]], [0.7, -0.9], [0.25], [[1.0]], 5.0),
+         TruncationBox([-2.0, -np.inf], [1.5, 1.0])),
+        # W ~ N(0, 6.2e-4) has mass 2.8e-284 here: its report holds the
+        # coordinate out of bounds and reports mass 0, so rectangle_prob
+        # supplies P(W in B).
+        (SutParams([0.0], [[1.0]], [40.0], [0.0], [[1.0]], None),
+         TruncationBox([0.9], [np.inf])),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("kind", ["one", "mean", "second"])
+    def test_bit_identical_to_unshared_form(self, case, kind):
+        params, box = self.CASES[case]
+        spec = build_selection(params)
+        got = censored_factor(spec, box).expectation(kind)
+        assert np.array_equal(got, _unshared_expectation(spec, box, [], [], kind))
+        if params.p == 2:
+            got = censored_factor_conditional(spec, box, [0], [0.3]).expectation(kind)
+            assert np.array_equal(got, _unshared_expectation(spec, box, [0], [0.3], kind))
+
+    @pytest.mark.parametrize("y1", EM_FIRST)
+    @pytest.mark.parametrize("kind", ["one", "mean", "second"])
+    def test_em_observations_bit_identical(self, y1, kind):
+        spec = build_selection(EX5)
+        got = censored_factor_conditional(spec, EM_BOX, [0], [y1]).expectation(kind)
+        assert np.array_equal(got, _unshared_expectation(spec, EM_BOX, [0], [y1], kind))
+
+    def test_lattice_box_keeps_the_refined_mass(self):
+        # W is 4-D with 5.5 degrees of freedom, so its box is a lattice call
+        # that rectangle_prob refines and the moment recursion does not.
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((4, 6))
+        params = SutParams(np.zeros(4), a @ a.T / 6 + 0.5 * np.eye(4),
+                           [0.6, -0.4, 0.3, 0.2], [0.2], [[1.0]], 4.5)
+        box = TruncationBox([-1.0, -1.5, -0.5, -2.0], [1.2, 0.8, 1.5, 0.6])
+        settings = RectangleProbSettings(max_points=1024, target_abs_error=1e-12)
+        spec = build_selection(params)
+        fac = censored_factor(spec, box, settings)
+        assert fac.limiting.nu == 5.5
+        got = fac.expectation("second")
+        ref = _unshared_expectation(spec, box, [], [], "second", settings)
+        assert np.array_equal(got, ref)
+        p_w, _ = rectangle_prob(fac.limiting, box, settings)
+        assert fac.truncated_limiting_moments().prob_mass != p_w
+
+    def test_second_integrates_w_box_once(self, monkeypatch):
+        import tse.elliptical
+        import tse.qmc
+        import tse.truncated
+
+        calls = []
+        real = tse.qmc.rect_prob_qmc
+
+        def counted(sigma, lower, upper, df=None, **kw):
+            calls.append((np.size(lower), df))
+            return real(sigma, lower, upper, df, **kw)
+
+        monkeypatch.setattr(tse.elliptical, "rect_prob_qmc", counted)
+        monkeypatch.setattr(tse.truncated, "rect_prob_qmc", counted)
+        spec = build_selection(EX5)
+        for y1 in EM_FIRST:
+            fac = censored_factor_conditional(spec, EM_BOX, [0], [y1])
+            calls.clear()
+            fac.expectation("second")
+            # W's own box once, inside its report; the recursion's nu - 2
+            # mass is another rectangle.
+            assert calls.count((1, fac.limiting.nu)) == 1
+            assert calls.count((1, fac.limiting.nu - 2.0)) == 1
+            calls.clear()
+            fac.expectation("mean")
+            fac.log_factor
+            assert calls == []
+
+    def test_one_computes_no_moments(self, monkeypatch):
+        import tse.censored
+
+        calls = []
+        real = tse.censored.truncated_mean_cov
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(tse.censored, "truncated_mean_cov", counted)
+        spec = build_selection(EX5)
+        fac = censored_factor_conditional(spec, EM_BOX, [0], [EM_FIRST[1]])
+        one = fac.expectation("one")
+        fac.log_factor
+        assert calls == []
+        # Asking for a moment afterwards computes the report once and gives
+        # what a fresh factor gives.
+        second = fac.expectation("second")
+        fac.expectation("mean")
+        assert len(calls) == 1
+        fresh = censored_factor_conditional(spec, EM_BOX, [0], [EM_FIRST[1]])
+        assert np.array_equal(second, fresh.expectation("second"))
+        assert one == fresh.expectation("one")
+
+    def test_augmented_box_equals_validated(self):
+        spec = build_selection(EX5)
+        box = TruncationBox([-0.8, 0.1], [0.5, 0.1], allow_degenerate=True)
+        aug = spec.augmented_box(box)
+        ref = TruncationBox(np.r_[spec.selection_lower, box.lower],
+                            np.r_[spec.selection_upper, box.upper], allow_degenerate=True)
+        np.testing.assert_array_equal(aug.lower, ref.lower)
+        np.testing.assert_array_equal(aug.upper, ref.upper)
+        assert aug.allow_degenerate

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import t as tdist
 
 from tse.elliptical import (
+    EllipticalJoint,
     RectangleProbSettings,
     TruncationBox,
     conditional,
@@ -156,6 +157,63 @@ class TestConditional:
         j = normal_joint([0, 0, 0], np.eye(3))
         with pytest.raises(SpecError):
             conditional(j, [0, 1, 2], [0, 0, 0])
+
+
+def _assert_same_joint(derived, validated):
+    assert derived.family == validated.family and derived.nu == validated.nu
+    for a, b in ((derived.xi, validated.xi), (derived.omega, validated.omega)):
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype and a.flags.c_contiguous == b.flags.c_contiguous
+        assert not a.flags.writeable
+
+
+class TestDerivedLaws:
+    """Marginals, conditionals and sub-boxes skip re-validation; they must
+    equal what the validating constructors make of the same parts."""
+
+    OMEGA = np.array([[2.0, 0.6, -0.3, 0.2], [0.6, 1.5, 0.4, -0.1],
+                      [-0.3, 0.4, 1.2, 0.5], [0.2, -0.1, 0.5, 0.9]])
+    XI = np.array([0.3, -0.2, 1.1, 0.0])
+
+    @pytest.fixture(params=[None, 4.0])
+    def joint(self, request):
+        if request.param is None:
+            return normal_joint(self.XI, self.OMEGA)
+        return student_joint(self.XI, self.OMEGA, request.param)
+
+    @pytest.mark.parametrize("keep", [[0], [2, 0], [1, 2, 3]])
+    def test_marginal_equals_validated(self, joint, keep):
+        m = marginal(joint, keep)
+        idx = np.array(keep)
+        _assert_same_joint(m, EllipticalJoint(joint.family, self.XI[idx],
+                                              self.OMEGA[np.ix_(idx, idx)], joint.nu))
+
+    @pytest.mark.parametrize("given, value", [([0], [0.4]), ([3, 1], [-1.0, 2.5])])
+    def test_conditional_equals_validated(self, joint, given, value):
+        c = conditional(joint, given, value)
+        _assert_same_joint(c, EllipticalJoint(c.family, c.xi.copy(), c.omega.copy(), c.nu))
+        assert c.nu == (None if joint.nu is None else joint.nu + len(given))
+
+    def test_subset_equals_validated(self):
+        b = TruncationBox([-1.0, 0.5, -np.inf, 2.0], [1.0, 0.5, 3.0, np.inf],
+                          allow_degenerate=True)
+        for idx in ([1], [3, 0, 2]):
+            sub = b.subset(idx)
+            ref = TruncationBox(b.lower[idx], b.upper[idx], allow_degenerate=True)
+            np.testing.assert_array_equal(sub.lower, ref.lower)
+            np.testing.assert_array_equal(sub.upper, ref.upper)
+            assert sub.allow_degenerate and sub.lower.dtype == ref.lower.dtype
+
+    @pytest.mark.parametrize("nu", [None, 3.0])
+    def test_non_pd_schur_complement_still_raises(self, nu):
+        # The dispersion passes Cholesky, but the Schur complement of its
+        # first coordinate rounds to a value that does not.
+        omega = [[1.275604688897389, 1.7145883970794726],
+                 [1.7145883970794726, 2.304642964224818]]
+        j = normal_joint([0.0, 0.0], omega) if nu is None else student_joint([0.0, 0.0],
+                                                                             omega, nu)
+        with pytest.raises(NumericalError):
+            conditional(j, [0], [0.2])
 
 
 class TestMahalanobisAndFactor:

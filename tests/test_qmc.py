@@ -361,3 +361,13 @@ def test_wide_intervals_keep_the_cdf_difference():
         a, b = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
         assert np.array_equal(_uv_mass(lo, hi, df),
                               qmc_mod._cdf(b, df) - qmc_mod._cdf(a, df))
+
+
+def test_univariate_rows_floor_at_the_reflected_upper_cdf():
+    lo = np.array([-1.0, 0.3, 1.0, -np.inf, 2.0, -3.0])
+    hi = np.array([0.5, 0.3 + 2e-4, np.inf, 0.7, 2.0 + 1e-3, -3.0 + 1e-6])
+    upper = np.where(lo > -hi, -lo, hi)
+    for df in (None, 5.0):
+        prob, err = qmc_mod.rect_probs(np.eye(1), lo[:, None], hi[:, None], df)
+        assert np.array_equal(prob, _uv_mass(lo, hi, df))
+        assert np.array_equal(err, qmc_mod._ROUND * qmc_mod._cdf(upper, df))

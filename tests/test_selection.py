@@ -104,6 +104,14 @@ class TestBuildSelection:
         with pytest.raises(SpecError):
             SutParams([0.0], [[1.0]], [[0.5]], [0.0], [[2.0]], None)
 
+    @pytest.mark.parametrize("lo, hi", [([np.nan], [np.inf]), ([0.0], [np.nan]),
+                                        ([1.0], [1.0])])
+    def test_selection_rectangle_validated(self, lo, hi):
+        # The augmented box is built from these limits without re-validation.
+        joint = student_joint([0.0, 0.0], np.eye(2), 4.0)
+        with pytest.raises(SpecError):
+            SelectionSpec(joint, 1, 1, lo, hi)
+
 
 class TestExampleReferences:
     REFERENCES = json.loads(
