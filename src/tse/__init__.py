@@ -3,10 +3,8 @@ distributions with normal and Student-t kernels."""
 
 from .elliptical import (
     EllipticalJoint,
-    IndexPartition,
     RectangleProbSettings,
     TruncationBox,
-    box,
     conditional,
     density,
     log_density,
@@ -31,9 +29,6 @@ from .truncated import (
     MomentReport,
     existence_check,
     moment_flags,
-    moments_out_of_bounds,
-    moments_with_double_infinite,
-    omega_12,
     tmvn_mean_cov,
     tmvn_product_moment,
     tmvt_mean_cov,

@@ -24,7 +24,13 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .elliptical import DEFAULT_SETTINGS, RectangleProbSettings, TruncationBox
+from .elliptical import (
+    DEFAULT_SETTINGS,
+    RectangleProbSettings,
+    TruncationBox,
+    normal_joint,
+    student_joint,
+)
 from .errors import MomentNotDefinedError, NumericalError, SpecError
 from .oracle import estimate_mean_cov, sample_se
 from .qmc import _exact
@@ -130,8 +136,6 @@ def parse_distribution(obj) -> tuple:
     ``normal``/``t`` are plain elliptical laws; the skewed families map to
     the selection construction with the positive orthant as selection set.
     """
-    from .elliptical import normal_joint, student_joint
-
     if not isinstance(obj, dict):
         raise SpecError("distribution must be an object")
     fam = obj.get("family")

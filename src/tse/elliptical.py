@@ -22,10 +22,8 @@ __all__ = [
     "NORMAL",
     "STUDENT_T",
     "EllipticalJoint",
-    "IndexPartition",
     "RectangleProbSettings",
     "TruncationBox",
-    "box",
     "normal_joint",
     "student_joint",
     "marginal",
@@ -104,32 +102,6 @@ class TruncationBox:
         idx = np.asarray(idx, dtype=int)
         return _derived(TruncationBox, lower=self.lower[idx], upper=self.upper[idx],
                         allow_degenerate=self.allow_degenerate)
-
-
-def box(lower, upper) -> TruncationBox:
-    """Shorthand constructor used throughout the test-suite and CLI."""
-    return TruncationBox(lower, upper)
-
-
-@dataclass(frozen=True)
-class IndexPartition:
-    """A split of ``0..dim-1`` into two disjoint, exhaustive index lists."""
-
-    set_one: tuple
-    set_two: tuple
-
-    def __post_init__(self):
-        one = tuple(int(i) for i in self.set_one)
-        two = tuple(int(i) for i in self.set_two)
-        merged = sorted(one + two)
-        if len(set(one)) != len(one) or len(set(two)) != len(two):
-            raise SpecError("partition sets must not repeat indices")
-        if set(one) & set(two):
-            raise SpecError("partition sets must be disjoint")
-        if merged != list(range(len(merged))):
-            raise SpecError("partition must cover 0..dim-1 exactly")
-        object.__setattr__(self, "set_one", one)
-        object.__setattr__(self, "set_two", two)
 
 
 @dataclass(frozen=True)

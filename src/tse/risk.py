@@ -26,6 +26,7 @@ from .errors import MomentNotDefinedError, NumericalError, SpecError
 from .selection import (
     SelectionSpec,
     SutParams,
+    _sqrtm_spd,
     affine_outcome,
     box_mass,
     build_selection,
@@ -215,8 +216,6 @@ def sum_distribution(params: SutParams) -> SumDistParams:
     lam = params.shape[0]
     mu_s = float(params.location.sum())
     var_s = float(params.scale.sum())
-    from .selection import _sqrtm_spd
-
     root = _sqrtm_spd(params.scale)
     delta = root @ lam / np.sqrt(1.0 + lam @ lam)
     delta_s = float(delta.sum())

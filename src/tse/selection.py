@@ -549,8 +549,8 @@ def marginal_outcome(spec: SelectionSpec, keep) -> SelectionSpec:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form densities for the q = 1 members, used as cross-checks and by
-# the CLI for the named families.
+# Closed-form densities for the q = 1 members, used as cross-checks of
+# ``se_pdf`` (the CLI evaluates every family through ``se_pdf``).
 # ---------------------------------------------------------------------------
 
 def _skew_parts(y, location, scale, shape):

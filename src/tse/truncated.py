@@ -42,7 +42,6 @@ from .elliptical import (
     NORMAL,
     STUDENT_T,
     EllipticalJoint,
-    IndexPartition,
     RectangleProbSettings,
     TruncationBox,
     _uv_interval_logprob,
@@ -61,9 +60,6 @@ __all__ = [
     "tmvt_mean_cov",
     "truncated_mean_cov",
     "tmvn_product_moment",
-    "omega_12",
-    "moments_with_double_infinite",
-    "moments_out_of_bounds",
 ]
 
 # Marginal log-probability below which a coordinate block counts as
@@ -95,8 +91,8 @@ class MomentReport:
 
     Nonexistent moments are reported as ``None``; ``require_*`` accessors
     raise instead of returning them.  ``method`` records which computation
-    paths produced the numbers ("direct", "double-infinite",
-    "out-of-bounds", "degenerate", "mc-gibbs").
+    paths produced the numbers ("direct", "untruncated",
+    "double-infinite", "out-of-bounds", "degenerate", "mc-gibbs").
     """
 
     prob_mass: float
@@ -420,7 +416,7 @@ _ALL_HELD_NOTE = {
 _NARROW_NOTE = f"coordinates narrower than {NARROW_WIDTH:g} standard scales held at their midpoints"
 
 
-def _condition_embed(joint, tbox, settings, held, force_direct=False):
+def _condition_embed(joint, tbox, settings, held):
     """Moments with the coordinates ``idx`` held at ``values``; ``held`` is
     ``(idx, values, tag)`` as :func:`_held` returns it.
 
@@ -453,8 +449,7 @@ def _condition_embed(joint, tbox, settings, held, force_direct=False):
                             moment_flags(joint.family, joint.nu, tbox),
                             (tag,), (_ALL_HELD_NOTE[tag],) + notes)
     keep = np.setdiff1d(np.arange(joint.dim), idx)
-    rep = truncated_mean_cov(conditional(joint, idx, values), tbox.subset(keep),
-                             settings, force_direct=force_direct)
+    rep = truncated_mean_cov(conditional(joint, idx, values), tbox.subset(keep), settings)
     mean = cov = second = None
     if rep.mean is not None:
         mean = _embed_vector(joint.dim, (keep, idx), (rep.mean, values))
@@ -468,20 +463,18 @@ def _condition_embed(joint, tbox, settings, held, force_direct=False):
 
 
 def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
-                       settings: RectangleProbSettings = DEFAULT_SETTINGS,
-                       *, force_direct: bool = False) -> MomentReport:
+                       settings: RectangleProbSettings = DEFAULT_SETTINGS) -> MomentReport:
     """Mean and covariance of ``X | lower <= X <= upper``.
 
     Holds the coordinates :func:`_held` picks and conditions the rest on
     them, splits off doubly infinite coordinates, and otherwise evaluates
-    the face identities directly.  ``force_direct`` disables the
-    double-infinite split (used to validate that both paths agree).
+    the face identities directly.
     """
     if tbox.dim != joint.dim:
         raise SpecError("box dimension does not match the joint")
     held = _held(joint, tbox)
     if held is not None:
-        return _condition_embed(joint, tbox, settings, held, force_direct)
+        return _condition_embed(joint, tbox, settings, held)
 
     flags = moment_flags(joint.family, joint.nu, tbox)
     both_inf = np.flatnonzero(tbox.both_infinite())
@@ -495,7 +488,7 @@ def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
             second = cov + np.outer(mean, mean)
         return MomentReport(1.0, mean, second, cov, flags, ("untruncated",))
 
-    if both_inf.size and not force_direct:
+    if both_inf.size:
         return _double_infinite_report(joint, tbox, settings, flags)
 
     return _direct_report(joint, tbox, settings, flags)
@@ -562,40 +555,20 @@ def _gibbs_report(joint, tbox, settings, flags, L, n_draws=400_000):
                         mc_stderr=stderr)
 
 
-def omega_12(block_joint: EllipticalJoint, block_box: TruncationBox,
-             settings: RectangleProbSettings = DEFAULT_SETTINGS) -> float:
-    """Expected conditional-scale inflation of an untruncated block.
-
-    For the Student-t kernel this is the ratio of two rectangle
-    probabilities: the truncated block evaluated under a dispersion scaled
-    by ``nu / (nu - 2)`` with ``nu - 2`` degrees of freedom, against the
-    plain block probability, times ``nu / (nu - 2)``.  Equals one for the
-    normal kernel; undefined for ``nu <= 2``.  Both are box masses of the
-    block's moment recursion: its root and its gradient law.  The
-    double-infinite split uses the equal trace form instead (see
-    :func:`_double_infinite_report`).
-    """
-    if block_joint.family == NORMAL:
-        return 1.0
-    nu = block_joint.nu
-    if nu <= 2.0:
-        raise MomentNotDefinedError("conditional-scale constant requires nu > 2")
-    top = _root(block_joint, block_box, settings)
-    den = top.mass()
-    if den <= 0.0:
-        raise NumericalError("block probability underflowed in omega_12")
-    return float((nu / (nu - 2.0)) * top.down().mass() / den)
-
-
 def _double_infinite_report(joint, tbox, settings, flags):
     """Split off coordinates with two infinite limits and reassemble.
 
     The block takes the direct route, as the full box has no degenerate or
     out-of-bounds coordinate.  The conditional-scale weight of the free
     coordinates is the expectation of ``(nu + d2) / (nu + r2 - 2)`` over
-    the truncated block, ``d2`` being the block's Mahalanobis distance;
-    its trace form needs only the block's mean and covariance, and equals
-    :func:`omega_12` where that exists (``nu > 2``).
+    the truncated block, ``d2`` being the block's Mahalanobis distance and
+    ``r2`` its dimension.  The trace form needs only the block's mean and
+    covariance.  For ``nu > 2`` it equals
+    ``nu / (nu - 2) * P_{nu-2}(block) / P_nu(block)``, where ``P_{nu-2}`` is
+    the block probability under ``nu - 2`` degrees of freedom and
+    dispersion ``nu Omega22 / (nu - 2)`` (the root's gradient law).  The
+    trace form also holds for ``nu <= 2``, where the direct route on the
+    full box can fall back to Gibbs sampling (see :func:`_needs_mc_fallback`).
     """
     idx1 = np.flatnonzero(tbox.both_infinite())
     idx2 = np.flatnonzero(~tbox.both_infinite())
@@ -637,37 +610,6 @@ def _double_infinite_report(joint, tbox, settings, flags):
         second = cov + np.outer(mean, mean)
     return MomentReport(rep2.prob_mass, mean, second, cov, flags,
                         rep2.method + ("double-infinite",), rep2.notes)
-
-
-def moments_with_double_infinite(joint: EllipticalJoint, tbox: TruncationBox,
-                                 settings: RectangleProbSettings = DEFAULT_SETTINGS,
-                                 ) -> MomentReport:
-    """Mean/covariance via the split over doubly infinite coordinates.
-
-    Requires at least one coordinate with limits ``(-inf, +inf)``; the
-    truncated moments are integrated only over the complementary block.
-    """
-    if not np.any(tbox.both_infinite()):
-        raise SpecError("no coordinate has two infinite limits")
-    return truncated_mean_cov(joint, tbox, settings)
-
-
-def moments_out_of_bounds(joint: EllipticalJoint, tbox: TruncationBox,
-                          partition: IndexPartition,
-                          settings: RectangleProbSettings = DEFAULT_SETTINGS,
-                          ) -> MomentReport:
-    """Mean/covariance when the ``set_two`` block's box mass underflows.
-
-    The block collapses onto its finite near limits; the ``set_one`` block
-    is computed as truncated moments of the law conditioned on that point.
-    A Student-t block whose far limit is not within ``OOB_T_REL_WIDTH`` of
-    its near limit (see :func:`_oob_target`) raises ``NumericalError``.
-    """
-    idx2 = np.array(partition.set_two, dtype=int)
-    if not idx2.size:
-        raise SpecError("out-of-bounds partition must name a nonempty block")
-    return _condition_embed(joint, tbox, settings,
-                            (idx2, _oob_target(joint, tbox, idx2), "out-of-bounds"))
 
 
 def tmvn_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,

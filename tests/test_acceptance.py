@@ -14,6 +14,7 @@ from scipy.stats import norm, t as tdist
 
 import tse.qmc as qmc_mod
 from tse.elliptical import (
+    DEFAULT_SETTINGS,
     TruncationBox,
     normal_joint,
     rectangle_prob,
@@ -33,7 +34,7 @@ from tse.selection import (
     st_pdf,
     tse_mean_cov,
 )
-from tse.truncated import truncated_mean_cov, tmvt_mean_cov
+from tse.truncated import _direct_report, moment_flags, tmvt_mean_cov, truncated_mean_cov
 
 
 def _report(num, ok, detail=""):
@@ -310,7 +311,8 @@ def test_criterion_08_double_infinite_path():
                  if student else normal_joint(rng.standard_normal(3) * 0.3, omega))
         box = TruncationBox([-np.inf, -1.0, 0.0], [np.inf, 1.5, 2.0])
         split = truncated_mean_cov(joint, box)
-        direct = truncated_mean_cov(joint, box, force_direct=True)
+        direct = _direct_report(joint, box, DEFAULT_SETTINGS,
+                                moment_flags(joint.family, joint.nu, box))
         assert "double-infinite" in split.method
         agree.append(max(np.abs(split.mean - direct.mean).max(),
                          np.abs(split.covariance - direct.covariance).max()))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
+from scipy.special import gammaln
 from scipy.stats import norm, t as tdist
 
 from tse.elliptical import (
-    IndexPartition,
+    DEFAULT_SETTINGS,
     TruncationBox,
     conditional,
     marginal,
@@ -15,11 +16,10 @@ from tse.errors import MomentNotDefinedError, NumericalError, SpecError
 from tse.oracle import estimate_mean_cov, sample_truncated_gibbs
 from tse.qmc import rect_prob_qmc
 from tse.truncated import (
+    _direct_report,
+    _oob_target,
     existence_check,
     moment_flags,
-    moments_out_of_bounds,
-    moments_with_double_infinite,
-    omega_12,
     tmvn_mean_cov,
     tmvn_product_moment,
     tmvt_mean_cov,
@@ -201,29 +201,6 @@ class TestProductMoments:
             tmvn_product_moment(j, TruncationBox([0.0], [1.0]), [1])
 
 
-class TestOmega12:
-    def test_normal_kernel_is_one(self):
-        j = normal_joint([0.0], [[1.0]])
-        assert omega_12(j, TruncationBox([0.0], [1.0])) == 1.0
-
-    def test_no_truncation_ratio(self):
-        j = student_joint([0.0, 0.0], np.eye(2), 4.0)
-        w = omega_12(j, TruncationBox([-np.inf] * 2, [np.inf] * 2))
-        assert w == pytest.approx(2.0, rel=1e-12)
-
-    def test_quadrature_oracle(self):
-        j = student_joint([0.0], [[1.0]], 5.0)
-        w = omega_12(j, TruncationBox([0.0], [1.0]))
-        mass = tdist.cdf(1, 5) - 0.5
-        val, _ = quad(lambda x: (5 + x * x) / 4.0 * tdist.pdf(x, 5) / mass, 0, 1)
-        assert w == pytest.approx(val, rel=1e-7)
-
-    def test_low_df_rejected(self):
-        j = student_joint([0.0], [[1.0]], 2.0)
-        with pytest.raises(MomentNotDefinedError):
-            omega_12(j, TruncationBox([0.0], [1.0]))
-
-
 class TestDoubleInfinite:
     def test_all_coordinates_unbounded(self):
         omega = np.array([[1.0, 0.2], [0.2, 1.5]])
@@ -236,12 +213,12 @@ class TestDoubleInfinite:
         # Sigma22 Omega22^{-1} Omega21 with Sigma22 from the truncated block.
         j = normal_joint([0.0, 0.0], [[2.0, 0.8], [0.8, 1.0]])
         b = TruncationBox([-np.inf, 0.0], [np.inf, np.inf])
-        rep = moments_with_double_infinite(j, b)
+        rep = truncated_mean_cov(j, b)
         assert "double-infinite" in rep.method
         sub = tmvn_mean_cov(normal_joint([0.0], [[1.0]]), TruncationBox([0.0], [np.inf]))
         s22 = sub.covariance[0, 0]
         np.testing.assert_allclose(rep.covariance[0, 1], s22 * 0.8 / 1.0, rtol=1e-9)
-        direct = truncated_mean_cov(j, b, force_direct=True)
+        direct = _direct_report(j, b, DEFAULT_SETTINGS, moment_flags(j.family, j.nu, b))
         np.testing.assert_allclose(rep.covariance, direct.covariance, atol=1e-6)
         np.testing.assert_allclose(rep.mean, direct.mean, atol=1e-6)
 
@@ -256,19 +233,71 @@ class TestDoubleInfinite:
         assert z_within(rep.mean, est["mean"].value, est["mean"].std_error)
         assert z_within(rep.covariance, est["cov"].value, est["cov"].std_error, k=4.5)
 
-    def test_split_equals_direct(self, rng):
-        omega = _random_pd(rng, 3)
-        j = student_joint(rng.standard_normal(3) * 0.3, omega, 7.0)
-        b = TruncationBox([-np.inf, -0.5, 0.0], [np.inf, 1.5, 2.5])
-        split = truncated_mean_cov(j, b)
-        direct = truncated_mean_cov(j, b, force_direct=True)
-        np.testing.assert_allclose(split.mean, direct.mean, atol=1e-6)
-        np.testing.assert_allclose(split.covariance, direct.covariance, atol=1e-6)
+    @pytest.mark.parametrize("nu", [0.7, 1.5, 5.0])
+    def test_split_matches_quadrature_at_low_df(self, nu):
+        # Below nu = 2 the direct route on the full box falls back to Gibbs
+        # sampling; the split stays deterministic and exact.
+        xi = np.array([0.3, -0.2])
+        omega = np.array([[1.0, 0.5], [0.5, 2.0]])
+        b = TruncationBox([-np.inf, -1.5], [np.inf, 3.0])
+        rep = truncated_mean_cov(student_joint(xi, omega, nu), b)
+        assert rep.method == ("direct", "double-infinite")
+        assert rep.mc_stderr is None
 
-    def test_requires_unbounded_coordinate(self):
-        j = normal_joint([0.0], [[1.0]])
-        with pytest.raises(SpecError):
-            moments_with_double_infinite(j, TruncationBox([0.0], [1.0]))
+        prec = np.linalg.inv(omega)
+        logc = (gammaln(0.5 * (nu + 2.0)) - gammaln(0.5 * nu) - np.log(nu * np.pi)
+                - 0.5 * np.log(np.linalg.det(omega)))
+
+        def integral(g):
+            def integrand(x1, x2):
+                d = np.array([x1, x2]) - xi
+                return g(x1, x2) * np.exp(logc - 0.5 * (nu + 2.0) * np.log1p(d @ prec @ d / nu))
+            return dblquad(integrand, -1.5, 3.0, -np.inf, np.inf,
+                           epsabs=1e-14, epsrel=1e-13)[0]
+
+        mass = integral(lambda x1, x2: 1.0)
+        mean = np.array([integral(lambda x1, x2: x1), integral(lambda x1, x2: x2)]) / mass
+        assert rep.prob_mass == pytest.approx(mass, rel=0, abs=1e-12)
+        np.testing.assert_allclose(rep.mean, mean, rtol=0, atol=1e-12)
+        if nu <= 1.0:
+            # One fully finite coordinate: the covariance needs nu > 1.
+            assert rep.covariance is None
+            return
+        cross = integral(lambda x1, x2: x1 * x2) / mass
+        second = np.array([[integral(lambda x1, x2: x1 * x1) / mass, cross],
+                           [cross, integral(lambda x1, x2: x2 * x2) / mass]])
+        np.testing.assert_allclose(rep.covariance, second - np.outer(mean, mean),
+                                   rtol=0, atol=1e-12)
+
+    def test_split_equals_direct(self):
+        # d in {3, 4, 5} with one or two free coordinates, for the normal
+        # kernel and nu = 7, 2.5.  d = 5 with one free coordinate at
+        # nu = 2.5 leaves a four-dimensional block at non-integer nu, which
+        # runs on the QMC lattice, so it is left out.
+        lower, upper = [-0.5, 0.0, -1.0, -np.inf], [1.5, 2.5, 0.8, 1.0]
+        for d in (3, 4, 5):
+            for free in ((0,), (0, 2)):
+                for nu in (None, 7.0, 2.5):
+                    if d - len(free) == 4 and nu == 2.5:
+                        continue
+                    rng = np.random.default_rng(100 * d + len(free))
+                    omega = _random_pd(rng, d)
+                    xi = 0.3 * rng.standard_normal(d)
+                    j = normal_joint(xi, omega) if nu is None else student_joint(xi, omega, nu)
+                    rest = [i for i in range(d) if i not in free]
+                    lo, hi = np.full(d, -np.inf), np.full(d, np.inf)
+                    lo[rest], hi[rest] = lower[:len(rest)], upper[:len(rest)]
+                    b = TruncationBox(lo, hi)
+                    split = truncated_mean_cov(j, b)
+                    direct = _direct_report(j, b, DEFAULT_SETTINGS,
+                                            moment_flags(j.family, j.nu, b))
+                    case = f"d={d} free={free} nu={nu}"
+                    assert split.method == ("direct", "double-infinite"), case
+                    assert direct.method == ("direct",), case
+                    np.testing.assert_allclose(split.mean, direct.mean, rtol=0,
+                                               atol=1e-13, err_msg=case)
+                    np.testing.assert_allclose(split.covariance, direct.covariance,
+                                               rtol=0, atol=1e-13, err_msg=case)
 
     def test_split_issues_no_extra_probabilities(self, monkeypatch):
         # The conditional-scale weight comes from the block's mean and
@@ -316,15 +345,6 @@ class TestOutOfBounds:
         est = estimate_mean_cov(batch)
         assert np.all(np.abs(rep.mean - est["mean"].value) < 0.05)
 
-    def test_explicit_partition_api(self):
-        j = normal_joint([0.0, 0.0], [[1.0, 0.6], [0.6, 1.0]])
-        b = TruncationBox([-1.0, -50.0], [1.0, -49.0])
-        part = IndexPartition(set_one=(0,), set_two=(1,))
-        rep = moments_out_of_bounds(j, b, part)
-        auto = truncated_mean_cov(j, b)
-        np.testing.assert_allclose(rep.mean, auto.mean, atol=1e-12)
-        np.testing.assert_allclose(rep.covariance, auto.covariance, atol=1e-12)
-
     @pytest.mark.parametrize("joint,box", [
         (normal_joint([0.0, 0.5, 0.0], [[1.0, 0.3, 0.2], [0.3, 1.5, -0.4],
                                         [0.2, -0.4, 1.0]]),
@@ -332,20 +352,29 @@ class TestOutOfBounds:
         (student_joint([0.0, 0.5, 0.0], [[1.0, 0.3, 0.2], [0.3, 1.5, -0.4],
                                          [0.2, -0.4, 1.0]], 5.0),
          TruncationBox([1e70, -1.0, 0.0], [1e70 * (1 + 1e-7), 2.0, np.inf])),
+        (normal_joint([0.0, 0.0], [[1.0, 0.6], [0.6, 1.0]]),
+         TruncationBox([-1.0, -50.0], [1.0, -49.0])),
     ])
     def test_explicit_partition_equals_automatic_route(self, joint, box):
-        two = tuple(i for i in range(3) if abs(box.lower[i]) > 30.0)
-        part = IndexPartition(set_one=tuple(i for i in range(3) if i not in two),
-                              set_two=two[::-1])
-        rep = moments_out_of_bounds(joint, box, part)
+        # Reference from public pieces: condition on the remote coordinates
+        # at their near limits, take the truncated moments of the rest and
+        # embed them next to the held point.
+        dim = joint.dim
+        two = [i for i in range(dim) if abs(box.lower[i]) > 30.0]
+        one = [i for i in range(dim) if i not in two]
+        near = np.where(box.upper[two] < joint.xi[two], box.upper[two], box.lower[two])
+        sub = truncated_mean_cov(conditional(joint, two, near), box.subset(one))
+        mean = np.empty(dim)
+        mean[one], mean[two] = sub.mean, near
+        cov = np.zeros((dim, dim))
+        cov[np.ix_(one, one)] = sub.covariance
         auto = truncated_mean_cov(joint, box)
         assert "out-of-bounds" in auto.method
-        assert rep.method == auto.method and rep.notes == auto.notes
-        assert rep.prob_mass == auto.prob_mass == 0.0
-        assert rep.existence == auto.existence
-        np.testing.assert_allclose(rep.mean, auto.mean, rtol=1e-13)
-        np.testing.assert_allclose(rep.covariance, auto.covariance, rtol=1e-12,
-                                   atol=1e-14)
+        assert auto.method == sub.method + ("out-of-bounds",) and auto.notes == sub.notes
+        assert auto.prob_mass == 0.0
+        assert auto.existence == sub.existence
+        np.testing.assert_allclose(auto.mean, mean, rtol=1e-13)
+        np.testing.assert_allclose(auto.covariance, cov, rtol=1e-12, atol=1e-14)
 
     def test_all_blocks_out_of_bounds(self):
         j = normal_joint([0.0, 0.0], np.eye(2))
@@ -360,9 +389,8 @@ class TestOutOfBounds:
         # the block never shrinks to a point, so the collapse must refuse.
         j = student_joint([0.0, 0.0], [[1.0, 0.3], [0.3, 1.0]], 5.0)
         b = TruncationBox([-1.0, 1e70], [1.0, np.inf])
-        part = IndexPartition(set_one=(0,), set_two=(1,))
         with pytest.raises(NumericalError):
-            moments_out_of_bounds(j, b, part)
+            _oob_target(j, b, [1])
         with pytest.raises(NumericalError):
             truncated_mean_cov(j, b)
 
