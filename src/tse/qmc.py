@@ -37,13 +37,14 @@ order, so results do not depend on the number of threads.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import gammaincinv, gammaln, ndtr, ndtri, owens_t, stdtr, stdtrit
 
-from .errors import NumericalError
+from .errors import NumericalError, SpecError
 
 __all__ = ["bivariate_rect_prob", "rect_prob_qmc", "rect_probs"]
 
@@ -593,6 +594,81 @@ def _bvt_lower(nu, h, k, r):
     return out, mag
 
 
+def _bvt_row(nu, lower, upper, r):
+    """:func:`_bv_rect` of one Student-t row, ``(2,)`` limits and integer
+    ``nu``, on Python floats: on one row, numpy's per-call cost is most of
+    the stacked form's time.  The reflection and each corner repeat the
+    stacked form's operations in its order, so the result is bit-identical;
+    the angles take ``np.arctan2``, which ``math.atan2`` differs from by an
+    ulp on some corners."""
+    (a0, a1), (b0, b1) = lower.tolist(), upper.tolist()
+    f0, f1 = a0 > -b0, a1 > -b1
+    lo0, hi0 = (-b0, -a0) if f0 else (a0, b0)
+    lo1, hi1 = (-b1, -a1) if f1 else (a1, b1)
+    r = -r if f0 != f1 else r
+    (v0, m0), (v1, m1), (v2, m2), (v3, m3) = (
+        _bvt_corner(nu, h, k, r) for h, k in ((hi0, hi1), (lo0, hi1), (hi0, lo1), (lo0, lo1)))
+    return v0 - v1 - v2 + v3, _ROUND * (m0 + m1 + m2 + m3)
+
+
+def _bvt_corner(nu, h, k, r):
+    """One corner of :func:`_bvt_lower` on Python floats: its value and
+    magnitude."""
+    if h == -math.inf or k == -math.inf:
+        return 0.0, 0.0
+    if h == math.inf or k == math.inf:
+        p = float(stdtr(nu, k if h == math.inf else h))
+        return p, p
+    # As np.maximum, a NaN limit makes no corner big.
+    big = (abs(h) > _DS_BIG or abs(k) > _DS_BIG) and h == h and k == k
+    if big:
+        h = k = 0.0
+    ors = (1.0 - r) * (1.0 + r)
+    terms, g_sums = [], []
+    for x, y in ((h, k), (k, h)):
+        sq = x * x
+        dev = y - r * x
+        wide = ors * (nu + sq)
+        q = dev * dev + wide
+        arg, comp = dev * dev / q, wide / q
+        sign = -1.0 if dev < 0.0 else 1.0
+        shrink = 1.0 / (1.0 + sq / nu)
+        if nu % 2 == 0:
+            g = x / math.sqrt(16.0 * (nu + sq))
+            b = 2.0 / math.pi * float(np.arctan2(abs(dev), math.sqrt(wide)))
+            d = 2.0 / math.pi * math.sqrt(arg * comp)
+        else:
+            g = x * shrink / (2.0 * math.pi * math.sqrt(nu))
+            b = d = math.sqrt(arg)
+        t = g_sum = 0.0
+        for j in range(1, (nu + 2) // 2):
+            t = t + g * (1.0 + sign * b)
+            g_sum = g_sum + g
+            if nu % 2 == 0:
+                b = b + d
+                d = d * comp * (2 * j / (2 * j + 1))
+                g = g * shrink * ((2 * j - 1) / (2 * j))
+            else:
+                d = d * comp * ((2 * j - 1) / (2 * j))
+                b = b + d
+                g = g * shrink * (2 * j / (2 * j + 1))
+        terms.append(t)
+        g_sums.append(g_sum)
+    if nu % 2 == 0:
+        val = float(np.arctan2(math.sqrt(ors), -r)) / (2.0 * math.pi)
+        size = abs(val)
+    else:
+        # The loop's last q is that of the terms in k.
+        hk, qhrk = h * k, math.sqrt(q)
+        hkrn, hkn, hpk = hk + r * nu, hk - nu, h + k
+        val = float(np.arctan2(-math.sqrt(nu) * (hkn * qhrk + hpk * hkrn),
+                               hkn * hkrn - nu * hpk * qhrk)) / (2.0 * math.pi)
+        val = val + 1.0 if val < -1e-15 else val
+        size = abs(val) + 0.5 / math.pi
+    mag = math.inf if big else size + 2.0 * (abs(g_sums[0]) + abs(g_sums[1]))
+    return val + (terms[0] + terms[1]), mag
+
+
 def _lower_tail(lower, upper):
     """Reflect each interval that leans into the upper tail, so that its
     limits sit in the accurate lower tail of the cdf.  Returns which
@@ -635,7 +711,8 @@ def bivariate_rect_prob(rho, lower, upper, df=None):
         Standardised limits (unit scales), one box per row; entries may be
         infinite.
     df : float, optional
-        Student-t degrees of freedom; ``None`` selects the normal kernel.
+        Student-t degrees of freedom, positive; ``None`` selects the normal
+        kernel.
 
     Returns
     -------
@@ -644,32 +721,51 @@ def bivariate_rect_prob(rho, lower, upper, df=None):
         kernel uses Owen's form, and a Student-t kernel with integer ``df``
         up to ``_DS_MAX_DF`` sums Dunnett & Sobel's finite series; each is
         exact up to a rounding floor proportional to the magnitude of the
-        terms it sums.  Rows whose probability lies far below that floor
+        terms it sums.  A stack of one Student-t row sums the series on
+        Python floats (:func:`_bvt_row`), bit-identical to the stacked form:
+        numpy's per-call cost on one-element arrays was most of its time.
+        Rows whose probability lies far below that floor
         (deep joint tails) take the two-dimensional level of the nested
         conditional rule instead when its estimate is smaller, and every
         row of any other ``df`` takes that level.  Its estimate adds the
         gap to the rule with twice the step, the weighted univariate
         rounding floors and a relative rounding floor.
     """
+    _check_df(df)
     lower = np.atleast_2d(np.asarray(lower, dtype=float))
     upper = np.atleast_2d(np.asarray(upper, dtype=float))
     return _bivariate(float(rho), lower, upper, df)
 
 
+def _check_df(df):
+    """Refuse degrees of freedom that are not positive, NaN included."""
+    if df is not None and not df > 0:
+        raise SpecError(f"degrees of freedom must be positive, got {df!r}")
+
+
 def _bivariate(rho, lower, upper, df=None, weight=None, group=None):
-    """:func:`bivariate_rect_prob` of ``(m, 2)`` float rows.  A row of the
-    closed form takes the nested rule where its estimate exceeds
-    ``_TAIL_REL`` of its probability.  Given the nested rule's outer ``weight`` of each row and
-    the ``group`` (outermost row) it belongs to, such a row keeps the closed
-    form, with twice its value added to its estimate, where that bound,
-    weighted, stays within ``_TAIL_REL`` of the mean weighted value of its
-    group's rows that need no tail rule: nodes of negligible weight."""
+    """:func:`bivariate_rect_prob` of ``(m, 2)`` float rows.  A stack of
+    one Student-t row with no outer ``weight`` sums the series on Python
+    floats (:func:`_bvt_row`), bit-identical to the stacked form, because
+    numpy's per-call cost on one-element arrays is most of the stacked
+    form's time on one row; larger stacks, such as the nested rule's inner
+    rows, keep the stacked form.  A row of the closed form takes the nested
+    rule where its estimate exceeds ``_TAIL_REL`` of its probability.  Given
+    the nested rule's outer ``weight`` of each row and the ``group``
+    (outermost row) it belongs to, such a row keeps the closed form, with
+    twice its value added to its estimate, where that bound, weighted,
+    stays within ``_TAIL_REL`` of the mean weighted value of its group's
+    rows that need no tail rule: nodes of negligible weight."""
     if not 1.0 - rho * rho > 1e-14:
         raise NumericalError("dispersion matrix is numerically singular")
     if not (df is None or float(df).is_integer() and 1 <= df <= _DS_MAX_DF):
         prob, err = _nested_rect(np.array([[1.0, rho], [rho, 1.0]]), lower, upper, df)
         return np.clip(prob, 0.0, 1.0), err
-    prob, err = _bv_rect(lower, upper, rho, None if df is None else int(df))
+    if df is not None and weight is None and lower.shape[0] == 1:
+        prob, err = _bvt_row(int(df), lower[0], upper[0], float(rho))
+        prob, err = np.array([prob]), np.array([err])
+    else:
+        prob, err = _bv_rect(lower, upper, rho, None if df is None else int(df))
     sure = err <= _TAIL_REL * prob
     if weight is not None and not sure.all():
         share = np.bincount(group, weight * np.where(sure, prob, 0.0)) / np.bincount(group)
@@ -841,6 +937,7 @@ def rect_probs(corr, lower, upper, df=None, **lattice):
     :func:`_exact` holds, one stacked exact call serves every row;
     otherwise each row is a lattice call of :func:`rect_prob_qmc` with the
     keyword settings ``lattice``."""
+    _check_df(df)
     m, n = lower.shape
     if not _exact(n, df):
         out = [rect_prob_qmc(corr, a, b, df, **lattice) for a, b in zip(lower, upper)]
@@ -872,10 +969,12 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=8192,
     sigma : (n, n) array
         Positive-definite dispersion matrix.
     lower, upper : (n,) arrays
-        Box limits; entries may be ``-inf`` / ``+inf``.  Coordinates that are
-        unbounded on both sides must be removed by the caller beforehand.
+        Box limits, ``lower <= upper`` and none NaN; entries may be
+        ``-inf`` / ``+inf``.  Coordinates that are unbounded on both sides
+        must be removed by the caller beforehand.
     df : float, optional
-        Student-t degrees of freedom; ``None`` selects the normal kernel.
+        Student-t degrees of freedom, positive; ``None`` selects the normal
+        kernel.
     max_points : int
         Sobol' points per scramble, evaluated in blocks of ``_BLOCK``
         points.  Any count is accepted; the points of a scramble are
@@ -905,13 +1004,14 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=8192,
         difference, of Owen's form or of the series, or the estimate of the
         nested rule.
     """
+    _check_df(df)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     n = lower.size
     if n == 0:
         return 1.0, 0.0
-    if np.any(lower > upper):
-        raise NumericalError("lower limit exceeds upper limit")
+    if not np.all(lower <= upper):
+        raise NumericalError("a lower limit exceeds its upper limit or a limit is NaN")
 
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     if _exact(n, df):

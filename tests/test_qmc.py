@@ -13,7 +13,7 @@ import pytest
 
 import tse.qmc as qmc_mod
 from tse.elliptical import RectangleProbSettings
-from tse.errors import NumericalError
+from tse.errors import NumericalError, SpecError
 from tse.qmc import _uv_mass, rect_prob_qmc
 
 
@@ -371,3 +371,80 @@ def test_univariate_rows_floor_at_the_reflected_upper_cdf():
         prob, err = qmc_mod.rect_probs(np.eye(1), lo[:, None], hi[:, None], df)
         assert np.array_equal(prob, _uv_mass(lo, hi, df))
         assert np.array_equal(err, qmc_mod._ROUND * qmc_mod._cdf(upper, df))
+
+
+def _series_rows(df):
+    # Random boxes whose limits are drawn in part from infinite, zero and
+    # beyond-_DS_BIG values, with correlations up to +-0.99, and fixed rows
+    # of every kind of corner.
+    rng = np.random.default_rng(100 + df)
+    special = np.array([-np.inf, np.inf, 0.0, 2e10, -2e10, 3e10, -3e10])
+    rows = [([-np.inf, -np.inf], [0.0, np.inf], 0.99), ([0.0, 0.0], [np.inf, 2e10], -0.99),
+            ([-3e10, -1.0], [2e10, 0.0], 0.5), ([-np.inf, 0.3], [np.inf, np.inf], -0.2),
+            ([-50.0, -60.0], [-40.0, 70.0], 0.0), ([np.nan, -np.inf], [1.0, 3e10], 0.4)]
+    for _ in range(200):
+        lim = rng.normal(size=4) * rng.choice([0.3, 1.0, 3.0, 30.0, 1e3])
+        pick = rng.random(4) < 0.35
+        lim[pick] = rng.choice(special, pick.sum())
+        rows.append((np.minimum(lim[:2], lim[2:]), np.maximum(lim[:2], lim[2:]),
+                     rng.uniform(-0.99, 0.99)))
+    return [(np.array(lo, float), np.array(hi, float), r) for lo, hi, r in rows]
+
+
+@pytest.mark.parametrize("df", range(1, qmc_mod._DS_MAX_DF + 1))
+def test_one_row_series_equals_the_stacked_form(df):
+    for lo, hi, r in _series_rows(df):
+        prob, err = qmc_mod._bvt_row(df, lo, hi, r)
+        stacked = qmc_mod._bv_rect(lo[None], hi[None], r, df)
+        assert np.array_equal([prob, err], np.concatenate(stacked), equal_nan=True), (lo, hi, r)
+
+
+def test_one_row_deep_tail_still_takes_the_nested_rule(monkeypatch):
+    # At df 8 the series' floor on this joint tail is 2.4e-1 of the value.
+    lo, hi, r = np.full((1, 2), -np.inf), np.array([[-50.0, -60.0]]), -0.3
+    series, floor = qmc_mod._bvt_row(8, lo[0], hi[0], r)
+    assert floor > qmc_mod._TAIL_REL * series
+    nested = qmc_mod._nested_rect(np.array([[1.0, r], [r, 1.0]]), lo, hi, 8.0)
+    calls = []
+    rule = qmc_mod._nested_rect
+    monkeypatch.setattr(qmc_mod, "_nested_rect", lambda *a: calls.append(a) or rule(*a))
+    prob, err = qmc_mod.bivariate_rect_prob(r, lo, hi, 8.0)
+    assert len(calls) == 1
+    assert np.array_equal(prob, nested[0]) and np.array_equal(err, nested[1])
+    assert abs(prob[0] - series) > 1e-3 * series
+
+
+def test_one_row_never_enters_the_stacked_series(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("stacked series reached")
+
+    monkeypatch.setattr(qmc_mod, "_bvt_lower", refuse)
+    lo, hi = np.array([[-0.3, -1.2]]), np.array([[0.8, np.inf]])
+    for df in (1.0, 4.0, 7.0, float(qmc_mod._DS_MAX_DF)):
+        qmc_mod.bivariate_rect_prob(-0.4, lo, hi, df)
+        rect_prob_qmc([[2.0, 0.5], [0.5, 1.0]], lo[0], hi[0], df)
+    with pytest.raises(AssertionError, match="stacked series"):
+        qmc_mod.bivariate_rect_prob(-0.4, np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0), 4.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_nan_limit_refused(n):
+    lower, upper = np.full(n, -1.0), np.full(n, 1.0)
+    lower[-1] = np.nan
+    with pytest.raises(NumericalError, match="NaN"):
+        rect_prob_qmc(np.eye(n), lower, upper, 5.0)
+
+
+@pytest.mark.parametrize("call, df", [
+    ("rect_prob_qmc", 0.0), ("rect_probs", 0.0), ("bivariate_rect_prob", 0.0),
+    ("bivariate_rect_prob", -1.0), ("bivariate_rect_prob", np.nan), ("rect_prob_qmc", -2.0),
+])
+def test_non_positive_df_refused(call, df):
+    lo, hi = np.array([[-1.0, 0.0]]), np.array([[1.0, 2.0]])
+    calls = {
+        "rect_prob_qmc": lambda: rect_prob_qmc(np.eye(1), [0.0], [1.0], df),
+        "rect_probs": lambda: qmc_mod.rect_probs(np.eye(2), lo, hi, df),
+        "bivariate_rect_prob": lambda: qmc_mod.bivariate_rect_prob(0.3, lo, hi, df),
+    }
+    with pytest.raises(SpecError, match="degrees of freedom"):
+        calls[call]()
