@@ -24,14 +24,14 @@ random shift is an independent linear matrix scramble plus digital shift
 (Matousek 1998, *J. Complexity* 14).  The Student-t case adds one cube
 dimension that carries the chi scale mixing variable.  One kernel serves
 both laws; it walks the points in Gray-code order in blocks of a fixed
-size, generating each block's rows one dimension at a time, so its memory
-does not grow with the point count.  A Sobol' sequence is extensible, so a
-refinement to four times the points adds the new points to the sums of the
-first pass.  The scrambles are independent replicates, so the kernel of a
-call in ``_THREAD_MIN_DIM`` or more dimensions splits them into one group
-per CPU the process may use and runs the groups on threads; smaller calls
-run on the caller alone.  Every group walks the same blocks in the same
-order, so results do not depend on the number of threads.
+size, so its memory does not grow with the point count; Gray code is
+linear over XOR, so a point is the XOR of entries of three tables made once
+per call.  A Sobol' sequence is extensible, so a refinement to four times
+the points adds the new points to the sums of the first pass.  The
+scrambles are independent replicates, so the kernel splits them into one
+group per CPU the process may use and runs the groups on threads.  Every
+group walks the same blocks in the same order and sums without BLAS, so
+results depend neither on the number of threads nor on BLAS's.
 """
 
 from __future__ import annotations
@@ -181,26 +181,26 @@ def _scrambles(seed, num_shifts, dim):
     return dirs, shifts
 
 
-def _sobol_rows(dirs, shifts, first, stop):
-    """Points ``first .. stop-1`` of one Sobol' dimension in Gray-code order,
-    one row per scramble, as ``uint32`` digits: point ``i + 1`` is point
-    ``i`` XOR ``dirs[:, ctz(i + 1)]``, ``ctz`` the count of trailing zero
-    bits."""
-    x = np.empty((shifts.size, stop - first), dtype=np.uint32)
-    gray = first ^ (first >> 1)
-    start = shifts.copy()
-    for k in range(gray.bit_length()):
-        if gray >> k & 1:
-            start ^= dirs[:, k]
-    x[:, 0] = start
-    i = np.arange(first + 1, stop)
-    x[:, 1:] = dirs[:, np.bitwise_count((i & -i) - 1)]
-    return np.bitwise_xor.accumulate(x, axis=1, out=x)
+def _sobol_offsets(dirs, step, count):
+    """Points ``0, step, .., (count - 1) step`` XOR their digital shift, as
+    ``dirs.shape[:-1] + (count,)`` digits, ``step = 2**s``.  Gray code is
+    linear over XOR and ``(q + 1) step ^ q step`` sets bits ``s .. s + c``,
+    ``c = ctz(q + 1)`` the count of trailing zero bits, so point ``(q + 1)
+    step`` is point ``q step`` XOR the direction numbers of bit ``s + c``
+    and, if ``s > 0``, of bit ``s - 1``."""
+    s = step.bit_length() - 1
+    steps = dirs[..., s:] ^ dirs[..., s - 1, None] if s else dirs
+    q = np.arange(count)
+    out = np.empty(dirs.shape[:-1] + (count,), dtype=np.uint32)
+    # Into the whole of ``out``, as numpy copies a strided one; entry 0 is 0.
+    np.take(steps, np.bitwise_count((q & -q) - 1), axis=-1, out=out, mode="clip")
+    out[..., 0] = 0
+    return np.bitwise_xor.accumulate(out, axis=-1, out=out)
 
 
-def _unit(x):
+def _unit(x, out=None):
     """Sobol' digits mapped to the centres of their cells in (0, 1)."""
-    return (x + 0.5) * 2.0 ** -_BITS
+    return np.multiply(np.add(x, 0.5, out=out), 2.0 ** -_BITS, out=out)
 
 
 # Conditional probabilities are clipped into [_TINY, _BELOW_ONE] before
@@ -285,17 +285,19 @@ def _reordered_cholesky(sigma, lower, upper):
 
 
 # Sobol' points per block of the kernel; its working set is about
-# 8 * n * num_shifts * _BLOCK bytes, split among the shift groups.
-# Measured with the Kronecker lattice this kernel replaced, on a 2-core
-# Xeon (4 MiB L2) with 12 shifts in one group: blocks of 512 to 4096 points
-# ran the 40-dimensional orthant, and 4-, 5- and 8-dimensional boxes of
-# both kernels, in equal time; 8192 and 16384 were 9 % and 22 % slower on
-# the orthant, whose peak RSS was 64, 72 and 88 MB at 1024, 2048 and 4096
-# points.  Being a power of two, 2048 makes every whole block a net of
-# each scramble, and the default 8192 points four whole blocks.  Every
-# shift group walks the same blocks in the same order, so the per-shift
-# sums do not depend on the number of groups.
+# 8 * n * num_shifts * _BLOCK bytes, split among the shift groups.  On a
+# shared 2-vCPU Xeon, two groups, 20 000 points refined to 80 000, blocks of
+# 512, 1024, 2048, 4096, 8192 and 16384 points ran the 40-dimensional
+# orthant in 671, 568, 540, 521, 512 and 502 ms at a peak RSS of 63, 63, 67,
+# 75, 92 and 127 MB; 4- to 8-dimensional boxes ran 45-54 % slower at 512
+# and 2-14 % faster at 4096.  A power of two makes every whole block a net
+# of each scramble.  Every shift group walks the same blocks in the same
+# order, so the per-shift sums do not depend on the number of groups.
 _BLOCK = 2048
+# Points per row of a block: the kernel keeps tables of _ROW and _BLOCK //
+# _ROW points.  One table of _BLOCK points (_ROW = 2048) ran as fast and
+# raised the orthant's peak RSS by 3.5 MB.
+_ROW = 64
 
 # Chi scale tables, one per (df, seed, num_shifts, qmc_dim), each holding
 # points 0 .. n-1 of the first Sobol' dimension for the largest n asked for
@@ -305,20 +307,12 @@ _BLOCK = 2048
 _CHI_CACHE: dict = {}
 _CACHE_CAP = 8
 
-# Fewest dimensions at which a call splits its shifts into groups on
-# threads; smaller calls run in one group on the caller.  Each group hands
-# the GIL back and forth between numpy calls, and the fewer the dimensions
-# the shorter those calls.  Measured on a shared 2-vCPU Xeon VM with 12
-# shifts and 20 000 points of the normal kernel on the Kronecker lattice
-# that preceded the Sobol' points: two groups ran d = 4, 5, 6 and 8 no
-# faster than one (0.93 to 0.97 times the time) and spread up to six times
-# as widely from call to call, while d = 10, 12, 16 and 40 ran 1.35, 1.48,
-# 1.48 and 1.60 times faster.
-_THREAD_MIN_DIM = 12
-
 # Threads that run every shift group but the caller's, and the process
 # that started them: a forked child has none of its parent's threads, so
-# it starts its own pool.
+# it starts its own pool.  Every lattice call uses them: on the Xeon above,
+# two groups ran boxes of d = 4 (df 7.5), 5, 6 and 8, both kernels, 1.56 to
+# 1.81 times as fast as one at 20 000 points (BLAS threads pinned or not)
+# and 1.01 to 1.17 times at 1024.
 _POOL = None
 _POOL_PID = None
 _POOL_SIZE = 0
@@ -334,8 +328,8 @@ def _cpus():
 
 def _run_groups(work, groups):
     """``work(group)`` for every group: the caller runs the first, a thread
-    pool the others.  ``ndtr``, ``ndtri``, ``gammaincinv`` and BLAS release
-    the GIL, so the groups run in parallel."""
+    pool the others.  ``ndtr``, ``ndtri``, ``gammaincinv`` and numpy's loops
+    release the GIL, so the groups run in parallel."""
     global _POOL, _POOL_PID, _POOL_SIZE
     futures = []
     if len(groups) > 1:
@@ -365,56 +359,77 @@ def _chi_table(key, num_shifts, stop):
 def _lattice_sums(chol, lo, hi, df, seed, num_shifts, first, stop):
     """Per-shift sums of the separation-of-variables integrand over the
     points ``first .. stop-1`` of the scrambled Sobol' sequence, walked in
-    blocks of ``_BLOCK``.
+    the blocks of ``_BLOCK`` points that cover them.
 
     The Student-t kernel spends the first Sobol' dimension on its chi scale
     ``r``; the normal kernel is the same loop with ``r = 1`` and the
     conditioning coordinates on Sobol' dimensions one lower.  An infinite
     limit gives ``c = 0`` or ``d = 1`` without a cdf call.
 
-    From ``_THREAD_MIN_DIM`` dimensions up, the shifts are split into one
-    group per CPU the process may use (at most ``num_shifts``); smaller
-    calls run in one group.  Each group fills its rows of a missing chi
-    table (``sqrt(chisq_df^{-1}(u)/df)``) and then walks every block for
-    its shifts only, into a buffer the caller allocates: thread-local
-    malloc arenas would keep it otherwise.
+    The shifts are split into one group per CPU the process may use (at
+    most ``num_shifts``), run on threads.  Each group fills its rows of a
+    missing chi table (``sqrt(chisq_df^{-1}(u)/df)``) and then walks every
+    block for its shifts only, into buffers the caller allocates:
+    thread-local malloc arenas would keep them otherwise.
     """
     n = chol.shape[0]
     qmc_dim = n - 1 if df is None else n
     dirs, shifts = _scrambles(seed, num_shifts, qmc_dim)
     key = (df, seed, num_shifts, qmc_dim)
     chi, have = (None, stop) if df is None else _chi_table(key, num_shifts, stop)
-    # The conditioned coordinates take the last n - 1 Sobol' dimensions.
-    dirs_y, shifts_y = dirs[:, 1 - n:], shifts[:, 1 - n:]
-    k = min(_cpus(), num_shifts) if n >= _THREAD_MIN_DIM else 1
+    # Point base + q _ROW + j, base a multiple of _BLOCK and j < _ROW, is
+    # point base XOR the offsets of q _ROW and of j (gray is linear).
+    heads = shifts[..., None] ^ _sobol_offsets(dirs, _BLOCK, -(-stop // _BLOCK))
+    mid, low = _sobol_offsets(dirs, _ROW, _BLOCK // _ROW), _sobol_offsets(dirs, 1, _ROW)
+    k = min(_cpus(), num_shifts)
     groups = []
     for g in range(k):
         rows = slice(num_shifts * g // k, num_shifts * (g + 1) // k)
-        size = (n - 1) * (rows.stop - rows.start) * min(_BLOCK, stop - first)
-        groups.append((rows, np.empty(size)))
+        m = rows.stop - rows.start
+        groups.append((rows, np.empty((n - 1) * m * min(_BLOCK, stop - first)),
+                       np.empty((m, _BLOCK // _ROW, _ROW), dtype=np.uint32)))
     sums = np.zeros(num_shifts)
 
     def walk(group):
-        rows, buf = group
-        for a in range(have, stop, _BLOCK):
-            b = min(a + _BLOCK, stop)
-            x = _sobol_rows(dirs[rows, 0], shifts[rows, 0], a, b)
-            chi[rows, a:b] = np.sqrt(2.0 * gammaincinv(0.5 * df, _unit(x)) / df)
+        rows, buf, x = group
         m = rows.stop - rows.start
-        for a in range(first, stop, _BLOCK):
-            b = min(a + _BLOCK, stop)
+
+        def blocks(a, b):
+            # For each block aligned to _BLOCK that covers points a .. b - 1:
+            # its points base + j0 .. base + j1 - 1 there, and its points
+            # base + q _ROW of every dimension.
+            for base in range(a - a % _BLOCK, b, _BLOCK) if a < b else ():
+                yield (base, max(a - base, 0), min(b - base, _BLOCK),
+                       heads[rows, :, base // _BLOCK, None] ^ mid[rows])
+
+        def digits(start, t, j0, j1):
+            # The block's points on Sobol' dimension t.
+            np.bitwise_xor(start[:, t, :, None], low[rows, t, None, :], out=x)
+            return x.reshape(m, _BLOCK)[:, j0:j1]
+
+        for base, j0, j1, start in blocks(have, stop):
+            u = _unit(digits(start, 0, j0, j1))
+            chi[rows, base + j0:base + j1] = np.sqrt(2.0 * gammaincinv(0.5 * df, u) / df)
+        for base, j0, j1, start in blocks(first, stop):
+            a, b = base + j0, base + j1
             r = 1.0 if chi is None else chi[rows, a:b]
             y = buf[:(n - 1) * m * (b - a)].reshape(n - 1, m, b - a)
             s = 0.0
             pv = np.ones((m, b - a))
             for i in range(n):
                 if i > 0:
-                    w = _unit(_sobol_rows(dirs_y[rows, i - 1], shifts_y[rows, i - 1], a, b))
-                    y[i - 1] = ndtri(np.clip(c + w * (d - c), _TINY, _BELOW_ONE))
-                    s = np.tensordot(chol[i, :i], y[:i], axes=(0, 0))
+                    # y[i - 1] = ndtri(clip(c + u * width)), in place; the
+                    # conditioned coordinates take the last n - 1 Sobol'
+                    # dimensions.
+                    u = _unit(digits(start, qmc_dim - n + i, j0, j1), out=y[i - 1])
+                    u *= width
+                    u += c
+                    ndtri(np.clip(u, _TINY, _BELOW_ONE, out=u), out=u)
+                    # Summed in the order of j, with no BLAS call.
+                    s = np.einsum("j,jmb->mb", chol[i, :i], y[:i])
                 c = 0.0 if lo[i] == -np.inf else ndtr(r * lo[i] - s)
-                d = 1.0 if hi[i] == np.inf else ndtr(r * hi[i] - s)
-                pv *= d - c
+                width = (1.0 if hi[i] == np.inf else ndtr(r * hi[i] - s)) - c
+                pv *= width
             sums[rows] += pv.sum(axis=1)
 
     _run_groups(walk, groups)
@@ -606,14 +621,18 @@ def _bvt_row(nu, lower, upper, r):
     lo0, hi0 = (-b0, -a0) if f0 else (a0, b0)
     lo1, hi1 = (-b1, -a1) if f1 else (a1, b1)
     r = -r if f0 != f1 else r
+    # The even-df series starts every finite corner from the same angle.
+    angle = None if nu % 2 else float(
+        np.arctan2(math.sqrt((1.0 - r) * (1.0 + r)), -r)) / (2.0 * math.pi)
     (v0, m0), (v1, m1), (v2, m2), (v3, m3) = (
-        _bvt_corner(nu, h, k, r) for h, k in ((hi0, hi1), (lo0, hi1), (hi0, lo1), (lo0, lo1)))
+        _bvt_corner(nu, h, k, r, angle)
+        for h, k in ((hi0, hi1), (lo0, hi1), (hi0, lo1), (lo0, lo1)))
     return v0 - v1 - v2 + v3, _ROUND * (m0 + m1 + m2 + m3)
 
 
-def _bvt_corner(nu, h, k, r):
+def _bvt_corner(nu, h, k, r, angle):
     """One corner of :func:`_bvt_lower` on Python floats: its value and
-    magnitude."""
+    magnitude; ``angle`` is the even-df value of :func:`_bvt_row`."""
     if h == -math.inf or k == -math.inf:
         return 0.0, 0.0
     if h == math.inf or k == math.inf:
@@ -655,7 +674,7 @@ def _bvt_corner(nu, h, k, r):
         terms.append(t)
         g_sums.append(g_sum)
     if nu % 2 == 0:
-        val = float(np.arctan2(math.sqrt(ors), -r)) / (2.0 * math.pi)
+        val = angle
         size = abs(val)
     else:
         # The loop's last q is that of the terms in k.
@@ -982,11 +1001,11 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=8192,
     num_shifts : int
         Number of independent scrambles (random shifts), each drawn from
         its own child of ``SeedSequence(seed)``; the spread of the
-        per-scramble means yields the error estimate.  From ``_THREAD_MIN_DIM`` (12) dimensions up,
-        the shifts are split into one group per CPU in
-        ``os.sched_getaffinity(0)`` (at most ``num_shifts`` groups), run by
-        the calling thread and as many pool threads as there are other
-        groups; the result does not depend on the number of groups.
+        per-scramble means yields the error estimate.  The shifts are
+        split into one group per CPU in ``os.sched_getaffinity(0)`` (at
+        most ``num_shifts`` groups), run by the calling thread and as many
+        pool threads as there are other groups; the result does not depend
+        on the number of groups.
     seed : int
         Seed of the scrambles; fixes the result exactly.
     target_abs_error : float, optional

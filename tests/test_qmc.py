@@ -99,6 +99,9 @@ def test_high_dimensional_orthant_memory():
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert abs(p - 1.0 / (d + 1)) <= err
+    # The value of the kernel before the block tables and the BLAS-free
+    # conditioning sums: their order of summation moves no digit here.
+    assert p == pytest.approx(0.024393851782928494, rel=1e-15, abs=0)
 
 
 def test_refinement_extends_the_chi_table(monkeypatch):
@@ -129,9 +132,6 @@ POOL_CASES = {
 
 @pytest.mark.parametrize("case", POOL_CASES, ids=str)
 def test_result_does_not_depend_on_the_cpu_count(case, monkeypatch):
-    # These calls are below the threading threshold; lower it so that they
-    # run in shift groups.
-    monkeypatch.setattr(qmc_mod, "_THREAD_MIN_DIM", 1)
     sigma, lo, hi, df, kw = POOL_CASES[case]
     results = []
     for cpus in (1, 2, 5):
@@ -148,7 +148,6 @@ def test_result_does_not_depend_on_the_cpu_count(case, monkeypatch):
 def test_lattice_call_in_forked_child(monkeypatch):
     # The child inherits the parent's pool object but none of its threads.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(qmc_mod, "_THREAD_MIN_DIM", 1)
     sigma, (lo, hi) = _corr(5, 4), _UPPER_OPEN5
     expected = rect_prob_qmc(sigma, lo, hi, 7.0, max_points=3000)
     ctx = multiprocessing.get_context("fork")
@@ -164,17 +163,17 @@ def test_lattice_call_in_forked_child(monkeypatch):
     assert queue.get() == expected
 
 
-def test_only_calls_from_the_threshold_up_run_on_threads(monkeypatch):
+def test_every_lattice_call_runs_on_threads(monkeypatch):
+    # A 4-D box at integer df is exact and reaches no kernel; at df 7.5 it is
+    # the smallest lattice call, and it splits its shifts like a 5-D one.
     sizes = []
     run_groups = qmc_mod._run_groups
     monkeypatch.setattr(qmc_mod, "_run_groups",
                         lambda work, groups: sizes.append(len(groups)) or run_groups(work, groups))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    d = qmc_mod._THREAD_MIN_DIM
-    rect_prob_qmc(_corr(d - 1, 6), np.zeros(d - 1), np.full(d - 1, np.inf), 7.0,
-                  max_points=2048)
-    rect_prob_qmc(_corr(d, 6), np.zeros(d), np.full(d, np.inf), max_points=2048)
-    assert sizes == [1, 2]
+    for d, df in ((4, 7.0), (4, 7.5), (5, None)):
+        rect_prob_qmc(_corr(d, 6), np.zeros(d), np.full(d, np.inf), df, max_points=2048)
+    assert sizes == [2, 2]
 
 
 def test_import_starts_no_thread():
@@ -184,26 +183,72 @@ def test_import_starts_no_thread():
     assert run.stdout.strip() == "1"
 
 
+def _sobol_rows(dirs, shifts, first, stop):
+    # Points first .. stop-1 of one Sobol' dimension by the Gray-code
+    # recurrence: point i + 1 is point i XOR dirs[:, ctz(i + 1)].
+    x = np.empty((shifts.size, stop - first), dtype=np.uint32)
+    gray = first ^ (first >> 1)
+    x[:, 0] = shifts
+    for k in range(gray.bit_length()):
+        if gray >> k & 1:
+            x[:, 0] ^= dirs[:, k]
+    i = np.arange(first + 1, stop)
+    x[:, 1:] = dirs[:, np.bitwise_count((i & -i) - 1)]
+    return np.bitwise_xor.accumulate(x, axis=1)
+
+
+def _walked_points(dirs, shifts, first, stop):
+    # Points first .. stop-1 as the kernel composes them, block by block:
+    # the block's first point XOR the offsets of its rows and of their points.
+    B, R = qmc_mod._BLOCK, qmc_mod._ROW
+    heads = shifts[..., None] ^ qmc_mod._sobol_offsets(dirs, B, -(-stop // B))
+    mid, low = qmc_mod._sobol_offsets(dirs, R, B // R), qmc_mod._sobol_offsets(dirs, 1, R)
+    blocks = [(heads[..., a // B, None, None] ^ mid[..., None] ^ low[..., None, :]).reshape(
+        shifts.shape + (B,))[..., max(first - a, 0):stop - a]
+        for a in range(first - first % B, stop, B)]
+    return np.concatenate(blocks, axis=-1)
+
+
 def test_unscrambled_points_match_scipy():
     from scipy.stats import qmc
 
     n = 4096
     v = qmc_mod._direction_table()
-    ours = np.stack([qmc_mod._sobol_rows(v[None, j], np.zeros(1, np.uint32), 0, n)[0]
-                     for j in range(v.shape[0])], axis=1)
+    ours = _walked_points(v, np.zeros(v.shape[0], np.uint32), 0, n).T
     expected = qmc.Sobol(v.shape[0], scramble=False, bits=32).random(n)
     assert np.array_equal(ours * 2.0 ** -32, expected)
+    assert np.array_equal(ours.T[3], _sobol_rows(v[None, 3], np.zeros(1, np.uint32), 0, n)[0])
 
 
 def test_points_are_walked_in_blocks_of_the_same_sequence():
+    # Aligned blocks, an unaligned first point (a refinement from 2500) and a
+    # partial last block all give the points of the Gray-code recurrence.
     dirs, shifts = qmc_mod._scrambles(7, 12, 3)
-    whole = qmc_mod._sobol_rows(dirs[:, 2], shifts[:, 2], 0, 3000)
-    parts = [qmc_mod._sobol_rows(dirs[:, 2], shifts[:, 2], a, b)
-             for a, b in ((0, 1000), (1000, 2048), (2048, 3000))]
-    assert np.array_equal(whole, np.concatenate(parts, axis=1))
+    for first, stop in ((0, 4096), (2500, 10_000), (0, 10_007)):
+        walked = _walked_points(dirs, shifts, first, stop)
+        for t in range(3):
+            assert np.array_equal(walked[:, t],
+                                  _sobol_rows(dirs[:, t], shifts[:, t], first, stop))
     # Every scramble of a 2**k-point prefix puts one point in each of 2**k cells.
-    cells = np.sort(whole[:, :2048] >> np.uint32(21), axis=1)
+    cells = np.sort(_walked_points(dirs, shifts, 0, 2048)[:, 2] >> np.uint32(21), axis=1)
     assert np.array_equal(cells, np.broadcast_to(np.arange(2048), cells.shape))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux's")
+def test_high_dimensional_orthant_on_two_groups_peak_rss():
+    # The kernel before the block tables grew the peak RSS by 9.6-9.8 MiB on
+    # this call, and the bound is 2 MiB above that.  One table of a whole
+    # block in place of the row tables (_ROW = 2048) grows it by 12.8 MiB.
+    code = ("import os, resource, numpy as np\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from tse.qmc import rect_prob_qmc\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "rect_prob_qmc(0.5 * np.eye(40) + 0.5, np.zeros(40), np.full(40, np.inf),\n"
+            "              target_abs_error=1e-6)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 11.75 * 1024
 
 
 def test_dimension_cap():
