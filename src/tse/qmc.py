@@ -765,9 +765,10 @@ def _check_df(df):
 def _bivariate(rho, lower, upper, df=None, weight=None, group=None):
     """:func:`bivariate_rect_prob` of ``(m, 2)`` float rows.  A stack of
     one Student-t row with no outer ``weight`` sums the series on Python
-    floats (:func:`_bvt_row`), bit-identical to the stacked form, because
-    numpy's per-call cost on one-element arrays is most of the stacked
-    form's time on one row; larger stacks, such as the nested rule's inner
+    floats (:func:`_bvt_row`), bit-identical to the stacked form, and
+    returns it clipped at once if it needs no tail rule, because numpy's
+    per-call cost on one-element arrays is most of the stacked form's time
+    on one row; larger stacks, such as the nested rule's inner
     rows, keep the stacked form.  A row of the closed form takes the nested
     rule where its estimate exceeds ``_TAIL_REL`` of its probability.  Given
     the nested rule's outer ``weight`` of each row and the ``group``
@@ -782,6 +783,8 @@ def _bivariate(rho, lower, upper, df=None, weight=None, group=None):
         return np.clip(prob, 0.0, 1.0), err
     if df is not None and weight is None and lower.shape[0] == 1:
         prob, err = _bvt_row(int(df), lower[0], upper[0], float(rho))
+        if err <= _TAIL_REL * prob:
+            return np.array([min(max(prob, 0.0), 1.0)]), np.array([err])
         prob, err = np.array([prob]), np.array([err])
     else:
         prob, err = _bv_rect(lower, upper, rho, None if df is None else int(df))
@@ -836,6 +839,20 @@ def _uv_mass(lower, upper, df=None, with_floor=False):
             rule = np.exp(log_f) * width * (1.0 + curv * width * width / 24.0)
         mass = np.where(narrow, rule, mass)
     return (mass, _ROUND * top) if with_floor else mass
+
+
+def _uv_prob(var, lower, upper, df=None):
+    """:func:`rect_prob_qmc`'s probability of one coordinate of variance
+    ``var`` on Python floats, bit-identical: its standardisation, reflection,
+    cdf difference and clip, or :func:`_uv_mass` on a narrow interval."""
+    scale = math.sqrt(var)
+    lo, hi = lower / scale, upper / scale
+    a, b = (-hi, -lo) if lo > -hi else (lo, hi)
+    if (b - a) * max(1.0, abs(0.5 * (a + b))) < _NARROW:
+        mass = _uv_mass(np.array([lo]), np.array([hi]), df)[0]
+    else:
+        mass = _cdf(b, df) - _cdf(a, df)
+    return float(min(max(mass, 0.0), 1.0))
 
 
 # -- the nested conditional rule ---------------------------------------------
@@ -964,7 +981,7 @@ def rect_probs(corr, lower, upper, df=None, **lattice):
     if n == 1:
         return _uv_mass(lower[:, 0], upper[:, 0], df, with_floor=True)
     if n == 2:
-        return bivariate_rect_prob(corr[0, 1], lower, upper, df)
+        return _bivariate(float(corr[0, 1]), lower, upper, df)
     return _nested_rect(corr, lower, upper, df)
 
 

@@ -9,7 +9,10 @@ its node.  For the Student-t kernel the gradient law has ``nu - 2``
 degrees of freedom and each face law ``nu - 1``; ``nu`` above the total
 order keeps every node well defined.  The same recursion serves the mean
 and covariance of :func:`truncated_mean_cov`, :func:`tmvn_product_moment`
-and the product moments of ``tse.selection.tse_moment``.
+and the product moments of ``tse.selection.tse_moment``.  A law of one
+coordinate whose recursion needs no quadrature (the normal kernel, or
+``nu`` above the highest order its existence flags ask for) takes a scalar
+route on Python floats instead (:func:`_uv_report`), with the same bits.
 
 Extreme configurations hold coordinates at a point and condition the rest
 of the law on it.  One helper (:func:`_held`) picks them, in this order,
@@ -31,6 +34,7 @@ constant, integrating only over the truncated block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -49,7 +53,7 @@ from .elliptical import (
     marginal,
 )
 from .errors import MomentNotDefinedError, NumericalError, SpecError
-from .qmc import rect_prob_qmc
+from .qmc import _uv_prob, rect_prob_qmc
 
 __all__ = [
     "ExistenceFlags",
@@ -468,7 +472,9 @@ def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
 
     Holds the coordinates :func:`_held` picks and conditions the rest on
     them, splits off doubly infinite coordinates, and otherwise evaluates
-    the face identities directly.
+    the face identities directly, on Python floats for one coordinate
+    where no quadrature is needed (the normal kernel, or ``nu`` above the
+    highest order the existence flags ask for), bit for bit.
     """
     if tbox.dim != joint.dim:
         raise SpecError("box dimension does not match the joint")
@@ -510,9 +516,44 @@ def _root(joint, tbox, settings):
                     tbox.lower - joint.xi, tbox.upper - joint.xi)
 
 
+def _uv_report(joint, tbox, flags):
+    """:func:`_direct_report` of one coordinate on Python floats, or ``None``
+    if its mass underflows, where the recursion calls no ``_Moments._quad``:
+    each step repeats its operations in its order, with its ufuncs."""
+    nu, var, xi = joint.nu, float(joint.omega[0, 0]), float(joint.xi[0])
+    lo, hi = float(tbox.lower[0]) - xi, float(tbox.upper[0]) - xi
+    L = _uv_prob(var, lo, hi, nu)
+    if L <= 0.0:
+        return None
+    f1 = f2 = 0.0  # the face sums of the first and second moment
+    for t, sign in ((lo, 1.0), (hi, -1.0)):
+        if not math.isfinite(t):
+            continue
+        w = _norm_pdf(t, var) if nu is None else _t_face_constant(1, nu, var, t)
+        if w != 0.0:
+            f1, f2 = f1 + sign * w, f2 + sign * w * t
+    pref = 1.0 if nu is None else nu / (nu + 1.0 - 2.0)
+    m1 = 0.0 + pref * (var * f1)
+    m0 = m1 / L
+    mean, second, cov = np.array([xi + m0]), None, None
+    if flags.second:
+        sd = var if nu is None else var * (nu / (nu - 2.0))  # the gradient law's variance
+        down = L if nu is None else _uv_prob(sd, lo, hi, nu - 2.0)
+        m2 = 0.0 * m1 + pref * (var * f2) + sd * down
+        s = 0.5 * (m2 + m2) / L + xi * m0 + m0 * xi + xi * xi
+        s = 0.5 * (s + s)
+        c = s - mean[0] * mean[0]
+        second, cov = np.array([[s]]), np.array([[0.5 * (c + c)]])
+    return MomentReport(L, mean, second, cov, flags, ("direct",))
+
+
 def _direct_report(joint, tbox, settings, flags):
     """The report of the face recursion, run about ``xi`` (the origin enters
-    every face limit, so it fixes the last bits)."""
+    every face limit, so it fixes the last bits), or :func:`_uv_report`'s."""
+    uv = joint.dim == 1 and (joint.nu is None or joint.nu > 1 + flags.second)
+    rep = _uv_report(joint, tbox, flags) if uv else None
+    if rep is not None:
+        return rep
     top = _root(joint, tbox, settings)
     L = top.mass()
     if L <= 0.0:

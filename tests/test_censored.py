@@ -380,21 +380,27 @@ class TestSharedLimitingMass:
         import tse.truncated
 
         calls = []
-        real = tse.qmc.rect_prob_qmc
+        real, real_uv = tse.qmc.rect_prob_qmc, tse.qmc._uv_prob
 
         def counted(sigma, lower, upper, df=None, **kw):
             calls.append((np.size(lower), df))
             return real(sigma, lower, upper, df, **kw)
 
+        def counted_uv(var, lower, upper, df=None):
+            calls.append((1, df))
+            return real_uv(var, lower, upper, df)
+
         monkeypatch.setattr(tse.elliptical, "rect_prob_qmc", counted)
         monkeypatch.setattr(tse.truncated, "rect_prob_qmc", counted)
+        monkeypatch.setattr(tse.truncated, "_uv_prob", counted_uv)
         spec = build_selection(EX5)
         for y1 in EM_FIRST:
             fac = censored_factor_conditional(spec, EM_BOX, [0], [y1])
             calls.clear()
             fac.expectation("second")
-            # W's own box once, inside its report; the recursion's nu - 2
-            # mass is another rectangle.
+            # W is one-dimensional, so its report integrates its boxes with
+            # _uv_prob: W's own box once; the gradient law's nu - 2 mass is
+            # another interval.
             assert calls.count((1, fac.limiting.nu)) == 1
             assert calls.count((1, fac.limiting.nu - 2.0)) == 1
             calls.clear()

@@ -426,7 +426,9 @@ def _series_rows(df):
     special = np.array([-np.inf, np.inf, 0.0, 2e10, -2e10, 3e10, -3e10])
     rows = [([-np.inf, -np.inf], [0.0, np.inf], 0.99), ([0.0, 0.0], [np.inf, 2e10], -0.99),
             ([-3e10, -1.0], [2e10, 0.0], 0.5), ([-np.inf, 0.3], [np.inf, np.inf], -0.2),
-            ([-50.0, -60.0], [-40.0, 70.0], 0.0), ([np.nan, -np.inf], [1.0, 3e10], 0.4)]
+            ([-50.0, -60.0], [-40.0, 70.0], 0.0), ([np.nan, -np.inf], [1.0, 3e10], 0.4),
+            ([0.3, -1.0], [0.3, 1.0], 0.6), ([-np.inf, -2.0], [-np.inf, 0.0], -0.3),
+            ([-0.0, -0.0], [0.0, np.inf], 0.1)]
     for _ in range(200):
         lim = rng.normal(size=4) * rng.choice([0.3, 1.0, 3.0, 30.0, 1e3])
         pick = rng.random(4) < 0.35
@@ -442,6 +444,16 @@ def test_one_row_series_equals_the_stacked_form(df):
         prob, err = qmc_mod._bvt_row(df, lo, hi, r)
         stacked = qmc_mod._bv_rect(lo[None], hi[None], r, df)
         assert np.array_equal([prob, err], np.concatenate(stacked), equal_nan=True), (lo, hi, r)
+        # rect_probs returns a sure row straight from _bvt_row.  Stacked on
+        # a sure second row, the row takes the array form, the sure test,
+        # the tail rule (on that row alone) and the clip.
+        corr = np.array([[1.0, r], [r, 1.0]])
+        one = np.concatenate(qmc_mod.rect_probs(corr, lo[None], hi[None], float(df)))
+        pair = qmc_mod.rect_probs(corr, np.stack([lo, [-1.0, -1.0]]),
+                                  np.stack([hi, [1.0, 1.0]]), float(df))
+        stacked = np.array([pair[0][0], pair[1][0]])
+        assert np.array_equal(one, stacked, equal_nan=True), (lo, hi, r)
+        assert np.array_equal(np.signbit(one), np.signbit(stacked)), (lo, hi, r)
 
 
 def test_one_row_deep_tail_still_takes_the_nested_rule(monkeypatch):

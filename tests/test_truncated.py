@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.optimize import brentq
 from scipy.special import gammaln
 from scipy.stats import norm, t as tdist
 
@@ -14,10 +15,14 @@ from tse.elliptical import (
 )
 from tse.errors import MomentNotDefinedError, NumericalError, SpecError
 from tse.oracle import estimate_mean_cov, sample_truncated_gibbs
+import tse.qmc as qmc_mod
 from tse.qmc import rect_prob_qmc
 from tse.truncated import (
+    OOB_LOG_THRESHOLD,
     _direct_report,
+    _held,
     _oob_target,
+    _root,
     existence_check,
     moment_flags,
     tmvn_mean_cov,
@@ -485,6 +490,124 @@ class TestNarrowBoxes:
                                  TruncationBox([-0.5 * w] * 2, [0.5 * w] * 2))
         assert np.linalg.eigvalsh(rep.covariance).min() >= 0.0
         np.testing.assert_allclose(np.diag(rep.covariance), w * w / 12.0, rtol=1e-2)
+
+
+def _recursion_report(joint, tbox):
+    """The report of the face recursion on a one-coordinate law, assembled
+    as ``_direct_report`` assembles it for every dimension."""
+    top = _root(joint, tbox, DEFAULT_SETTINGS)
+    flags = moment_flags(joint.family, joint.nu, tbox)
+    L = top.mass()
+    m0 = top.up((0,)) / L
+    mean, second, cov = joint.xi + m0, None, None
+    if flags.second:
+        M2 = np.column_stack([top.up((1,))])
+        M2 = 0.5 * (M2 + M2.T)
+        second = M2 / L + np.outer(joint.xi, m0) + np.outer(m0, joint.xi) \
+            + np.outer(joint.xi, joint.xi)
+        second = 0.5 * (second + second.T)
+        cov = second - np.outer(mean, mean)
+        cov = 0.5 * (cov + cov.T)
+    return min(L, 1.0), mean, second, cov
+
+
+def _deep_tail(nu, gap=1.0):
+    """Standardised limit whose upper tail holds ``gap`` above the log mass
+    at which ``_held`` collapses a coordinate."""
+    logsf = norm.logsf if nu is None else (lambda z: tdist.logsf(z, nu))
+    return np.exp(brentq(lambda u: logsf(np.exp(u)) - (OOB_LOG_THRESHOLD + gap), 0.0, 690.0))
+
+
+class TestUnivariateRoute:
+    """A one-coordinate law whose recursion needs no quadrature takes the
+    scalar route, and its report is the recursion's bit for bit."""
+
+    XI, VAR = 0.37, 2.3
+    KERNELS = [None, 2.0 + 1e-9, 2.5, 3.0, 4.0, 5.0, 6.5, 7.0, 30.0]
+    MEAN_ONLY = [1.0 + 1e-9, 1.5, 2.0]
+    # Standardised boxes: finite, lower-open and upper-open, then widths
+    # above NARROW_WIDTH that take _uv_mass's midpoint rule.
+    BOXES = [(-1.0, 0.5), (0.3, 2.2), (-4.0, -3.9), (-np.inf, 0.7), (1.3, np.inf),
+             (-2.5, np.inf), (-np.inf, -6.0)]
+    MIDPOINT = [(0.3, 0.3 + 5e-5), (3.0, 3.0 + 2e-4), (-0.7 - 3e-4, -0.7),
+                (-1e-5, 1e-5 + 4e-5)]
+
+    @classmethod
+    def cases(cls):
+        rng = np.random.default_rng(25)
+        out = [(nu, box) for nu in cls.KERNELS for box in cls.BOXES + cls.MIDPOINT]
+        out += [(nu, box) for nu in cls.MEAN_ONLY for box in cls.BOXES if np.isinf(box).any()]
+        for nu in cls.KERNELS:
+            z = _deep_tail(nu)
+            out += [(nu, (z, np.inf)), (nu, (-np.inf, -z)), (nu, (z, 2.0 * z))]
+            if nu is None:
+                out += [(nu, (z, z + 0.5))]
+        for _ in range(300):
+            nu = cls.KERNELS[rng.integers(len(cls.KERNELS))]
+            a = rng.normal() * rng.choice([1.0, 3.0, 8.0])
+            b = a + np.exp(rng.normal() * 3.0 - 1.0)
+            out.append((nu, rng.choice([(a, b), (-np.inf, b), (a, np.inf)])))
+        return out
+
+    def _law(self, nu, box):
+        s = np.sqrt(self.VAR)
+        j = normal_joint([self.XI], [[self.VAR]]) if nu is None else \
+            student_joint([self.XI], [[self.VAR]], nu)
+        return j, TruncationBox([self.XI + s * box[0]], [self.XI + s * box[1]])
+
+    def test_equals_the_face_recursion(self, monkeypatch):
+        import tse.truncated
+
+        laws = []
+        for nu, box in self.cases():
+            j, b = self._law(nu, box)
+            if _held(j, b) is None:
+                laws.append((j, b, _recursion_report(j, b)))
+        assert len(laws) > 400
+        midpoint = deep = 0
+        monkeypatch.setattr(tse.truncated, "_root", None)  # the route never recurses
+        for j, b, ref in laws:
+            rep = truncated_mean_cov(j, b)
+            assert rep.method == ("direct",)
+            assert rep.prob_mass == ref[0], (j.nu, b)
+            for got, want in zip((rep.mean, rep.second_moment, rep.covariance), ref[1:]):
+                assert (got is None) == (want is None), (j.nu, b)
+                if got is not None:
+                    assert np.array_equal(got, want), (j.nu, b)
+                    assert np.array_equal(np.signbit(got), np.signbit(want)), (j.nu, b)
+            lo, hi = (b.lower[0] - self.XI) / np.sqrt(self.VAR), (b.upper[0] - self.XI) / np.sqrt(self.VAR)
+            midpoint += (hi - lo) * max(1.0, abs(0.5 * (lo + hi))) < qmc_mod._NARROW
+            deep += ref[0] < 1e-240
+        assert midpoint >= 36 and deep >= 28
+
+    @pytest.mark.parametrize("nu,box", [
+        (1.0, (0.0, 2.0)), (0.5, (-1.0, 3.0)), (1.5, (-0.5, 1.0)), (2.0, (0.2, 4.0)),
+        (0.8, (1.0, np.inf))])
+    def test_quadrature_boxes_stay_on_the_recursion(self, monkeypatch, nu, box):
+        import tse.truncated
+
+        j, b = self._law(nu, box)
+        ref = truncated_mean_cov(j, b)
+        monkeypatch.setattr(tse.truncated, "_uv_report", None)
+        rep = truncated_mean_cov(j, b)
+        assert rep.prob_mass == ref.prob_mass and np.array_equal(rep.mean, ref.mean)
+
+    def test_underflowed_mass_falls_back_to_the_recursion(self, monkeypatch):
+        import tse.truncated
+
+        j, b = self._law(5.0, (0.3, 2.2))
+        ref = _recursion_report(j, b)
+        monkeypatch.setattr(tse.truncated, "_uv_prob", lambda *args: 0.0)
+        rep = truncated_mean_cov(j, b)
+        assert rep.prob_mass == ref[0] and np.array_equal(rep.covariance, ref[3])
+
+    def test_two_coordinates_stay_on_the_recursion(self, monkeypatch):
+        import tse.truncated
+
+        monkeypatch.setattr(tse.truncated, "_uv_report", None)
+        rep = tmvt_mean_cov(student_joint([0.0, 0.1], [[1.0, 0.3], [0.3, 2.0]], 5.0),
+                            TruncationBox([-1.0, -np.inf], [1.0, 0.5]))
+        assert rep.method == ("direct",)
 
 
 class TestExistence:
