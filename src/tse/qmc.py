@@ -842,17 +842,22 @@ def _uv_mass(lower, upper, df=None, with_floor=False):
 
 
 def _uv_prob(var, lower, upper, df=None):
-    """:func:`rect_prob_qmc`'s probability of one coordinate of variance
-    ``var`` on Python floats, bit-identical: its standardisation, reflection,
-    cdf difference and clip, or :func:`_uv_mass` on a narrow interval."""
+    """:func:`rect_prob_qmc` of one coordinate of variance ``var`` on Python
+    floats: the probability, clipped to ``[0, 1]``, and its rounding floor,
+    bit-identical to :func:`rect_probs` of the standardised interval (its
+    reflection, cdf difference and floor, or :func:`_uv_mass` on a narrow
+    interval)."""
+    if not 0.0 < var < math.inf:
+        raise NumericalError("dispersion matrix has a non-positive diagonal")
     scale = math.sqrt(var)
     lo, hi = lower / scale, upper / scale
     a, b = (-hi, -lo) if lo > -hi else (lo, hi)
+    top = _cdf(b, df)
     if (b - a) * max(1.0, abs(0.5 * (a + b))) < _NARROW:
         mass = _uv_mass(np.array([lo]), np.array([hi]), df)[0]
     else:
-        mass = _cdf(b, df) - _cdf(a, df)
-    return float(min(max(mass, 0.0), 1.0))
+        mass = top - _cdf(a, df)
+    return float(min(max(mass, 0.0), 1.0)), float(_ROUND * top)
 
 
 # -- the nested conditional rule ---------------------------------------------
@@ -989,12 +994,14 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=8192,
                   num_shifts=12, seed=7, target_abs_error=None):
     """Probability that a centred normal / Student-t vector lies in a box.
 
-    Boxes for which :func:`_exact` holds are computed exactly by
-    :func:`rect_probs`: the univariate cdf in one dimension;
-    :func:`bivariate_rect_prob` in two, which sums Owen's form or, for an
-    integer ``df`` up to ``_DS_MAX_DF``, the Dunnett-Sobel series; and the
-    nested conditional rule in three and four, and in two for any other
-    ``df`` and for deep joint tails.
+    One coordinate takes :func:`_uv_prob`, the univariate cdf difference
+    on Python floats, bit-identical to :func:`rect_probs` at ``n = 1``.
+    Other boxes for which :func:`_exact` holds are computed exactly by
+    :func:`rect_probs`: :func:`bivariate_rect_prob` in two dimensions,
+    which sums Owen's form or, for an integer ``df`` up to
+    ``_DS_MAX_DF``, the Dunnett-Sobel series; and the nested conditional
+    rule in three and four, and in two for any other ``df`` and for deep
+    joint tails.
     The Sobol' settings ``max_points``, ``num_shifts``, ``seed`` and
     ``target_abs_error`` apply to lattice calls only, and at most 100
     Sobol' dimensions are available: ``n - 1`` for the normal kernel, ``n``
@@ -1050,6 +1057,8 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=8192,
         raise NumericalError("a lower limit exceeds its upper limit or a limit is NaN")
 
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    if n == 1:
+        return _uv_prob(float(sigma[0, 0]), float(lower[0]), float(upper[0]), df)
     if _exact(n, df):
         corr, lo, hi = _standardise(sigma, lower, upper)
         prob, err = rect_probs(corr, lo[None], hi[None], df)

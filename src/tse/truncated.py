@@ -4,15 +4,21 @@ One memoised recursion (:class:`_Moments`) gives every product moment over
 a box, for both kernels.  Integrating the kernel's gradient identity
 against ``x^k`` over the box by parts turns an order-(k+1) moment into
 order-(k-1) moments under the gradient law and order-k moments on the box
-faces, one dimension down, down to rectangle probabilities, each owned by
-its node.  For the Student-t kernel the gradient law has ``nu - 2``
-degrees of freedom and each face law ``nu - 1``; ``nu`` above the total
-order keeps every node well defined.  The same recursion serves the mean
-and covariance of :func:`truncated_mean_cov`, :func:`tmvn_product_moment`
-and the product moments of ``tse.selection.tse_moment``.  A law of one
-coordinate whose recursion needs no quadrature (the normal kernel, or
-``nu`` above the highest order its existence flags ask for) takes a scalar
-route on Python floats instead (:func:`_uv_report`), with the same bits.
+faces, one dimension down, down to rectangle probabilities.  For the
+Student-t kernel the gradient law has ``nu - 2`` degrees of freedom and
+each face law ``nu - 1``; ``nu`` above the total order keeps every node
+well defined.  The root holds one table of the recursion's nodes, keyed on
+their degrees of freedom and the set of coordinates fixed with their
+values.  The key is exact: a face law does not depend on the order in
+which its coordinates were fixed, and the face of a gradient law is the
+gradient law of the face.  So each distinct law is integrated once,
+although a second-level face is reached through ``(k, j)`` and ``(j, k)``.
+The same recursion serves the mean and covariance of
+:func:`truncated_mean_cov`, :func:`tmvn_product_moment` and the product
+moments of ``tse.selection.tse_moment``.  A law of one coordinate whose
+recursion needs no quadrature (the normal kernel, or ``nu`` above the
+highest order its existence flags ask for) takes a scalar route on Python
+floats instead (:func:`_uv_report`), with the same bits.
 
 Extreme configurations hold coordinates at a point and condition the rest
 of the law on it.  One helper (:func:`_held`) picks them, in this order,
@@ -202,9 +208,8 @@ def _face_parts(nu, sigma, k, t):
                                                      sigma[k, others]) / var_k
     schur = 0.5 * (schur + schur.T)
     if nu is None:
-        return others, mu_c, schur, None, _norm_pdf(t, var_k)
-    scale = schur * ((nu + t * t / var_k) / (nu - 1.0))
-    return others, mu_c, scale, nu - 1.0, _t_face_constant(p, nu, var_k, t)
+        return others, mu_c, schur, None
+    return others, mu_c, schur * ((nu + t * t / var_k) / (nu - 1.0)), nu - 1.0
 
 
 def _lower_order(k, j):
@@ -225,14 +230,28 @@ class _Moments:
     carry ``nu / (nu + p - 2)`` and laws with ``nu - 1`` degrees of freedom.
     A top-level ``nu`` above the total order keeps every node's degrees of
     freedom above its own order; below that only a one-dimensional finite
-    box is served, by quadrature.  Each node memoises its moments, its face
-    and gradient-law nodes and its box probability (:meth:`mass`).
+    box is served, by quadrature.  Each node memoises its moments and its
+    box probability (:meth:`mass`).
+
+    The root's table holds every node of the recursion once, keyed on
+    ``(nu, fixed)``: its degrees of freedom and the set of (original
+    coordinate, value) pairs its faces fixed.  The key is exact, as the law
+    on a face does not depend on the order in which its coordinates were
+    fixed, and the face of a gradient law is the gradient law of the face
+    (at ``nu - 3`` both have dispersion
+    ``schur (nu + t**2 / s_kk) / (nu - 3)``).  So a second-level face
+    reached through ``(k, j)`` and ``(j, k)`` is built and integrated once,
+    and a table hit computes only the face weight, from the parent.
     """
 
-    def __init__(self, settings: RectangleProbSettings, nu, mu, sigma, lo, hi):
+    def __init__(self, settings: RectangleProbSettings, nu, mu, sigma, lo, hi,
+                 coords=None, fixed=frozenset(), table=None):
         self.settings, self.nu, self.mu, self.sigma = settings, nu, mu, sigma
         self.lo, self.hi = lo, hi
         self.dim = mu.size
+        self.coords = tuple(range(self.dim)) if coords is None else coords
+        self.fixed = fixed
+        self.table = {} if table is None else table
         self._mass: Optional[float] = None
         self._up: dict = {}
         self._faces: dict = {}
@@ -263,19 +282,32 @@ class _Moments:
     def down(self):
         if self._down is None:
             nu = self.nu
-            self._down = _Moments(self.settings, nu - 2.0, self.mu,
-                                  self.sigma * (nu / (nu - 2.0)), self.lo, self.hi)
+            key = (nu - 2.0, self.fixed)
+            self._down = self.table.get(key)
+            if self._down is None:
+                self._down = self.table[key] = _Moments(
+                    self.settings, nu - 2.0, self.mu, self.sigma * (nu / (nu - 2.0)),
+                    self.lo, self.hi, self.coords, self.fixed, self.table)
         return self._down
 
     def face(self, j, t):
         """The law on the face ``x_j = t`` and its weight."""
         hit = self._faces.get((j, t))
         if hit is None:
-            others, mu_c, disp, df_c, weight = _face_parts(
-                self.nu, self.sigma, j, t - self.mu[j])
-            hit = (_Moments(self.settings, df_c, self.mu[others] + mu_c, disp,
-                            self.lo[others], self.hi[others]), weight)
-            self._faces[(j, t)] = hit
+            fixed = self.fixed | {(self.coords[j], t)}
+            key = (None if self.nu is None else self.nu - 1.0, fixed)
+            t_c = t - self.mu[j]
+            sub = self.table.get(key)
+            if sub is None:
+                others, mu_c, disp, df_c = _face_parts(self.nu, self.sigma, j, t_c)
+                sub = self.table[key] = _Moments(
+                    self.settings, df_c, self.mu[others] + mu_c, disp,
+                    self.lo[others], self.hi[others],
+                    tuple(self.coords[i] for i in others), fixed, self.table)
+            var_k = self.sigma[j, j]
+            weight = (_norm_pdf(t_c, var_k) if self.nu is None
+                      else _t_face_constant(self.dim, self.nu, var_k, t_c))
+            hit = self._faces[(j, t)] = (sub, weight)
         return hit
 
     def up(self, k: tuple) -> np.ndarray:
@@ -522,7 +554,7 @@ def _uv_report(joint, tbox, flags):
     each step repeats its operations in its order, with its ufuncs."""
     nu, var, xi = joint.nu, float(joint.omega[0, 0]), float(joint.xi[0])
     lo, hi = float(tbox.lower[0]) - xi, float(tbox.upper[0]) - xi
-    L = _uv_prob(var, lo, hi, nu)
+    L = _uv_prob(var, lo, hi, nu)[0]
     if L <= 0.0:
         return None
     f1 = f2 = 0.0  # the face sums of the first and second moment
@@ -538,7 +570,7 @@ def _uv_report(joint, tbox, flags):
     mean, second, cov = np.array([xi + m0]), None, None
     if flags.second:
         sd = var if nu is None else var * (nu / (nu - 2.0))  # the gradient law's variance
-        down = L if nu is None else _uv_prob(sd, lo, hi, nu - 2.0)
+        down = L if nu is None else _uv_prob(sd, lo, hi, nu - 2.0)[0]
         m2 = 0.0 * m1 + pref * (var * f2) + sd * down
         s = 0.5 * (m2 + m2) / L + xi * m0 + m0 * xi + xi * xi
         s = 0.5 * (s + s)

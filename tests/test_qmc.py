@@ -418,6 +418,54 @@ def test_univariate_rows_floor_at_the_reflected_upper_cdf():
         assert np.array_equal(err, qmc_mod._ROUND * qmc_mod._cdf(upper, df))
 
 
+def _one_coordinate_intervals(rng, m):
+    """``m`` random intervals of each kind: widths from 1e-9 to 1e-2 (where
+    the midpoint rule takes over) and from 1e-2 to 30, both centred out to
+    ``|c| = 1e3``; lower-open and upper-open half-lines."""
+    centre = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-3.0, 3.0, m)
+    narrow = 10.0 ** rng.uniform(-9.0, -2.0, m)
+    wide = 10.0 ** rng.uniform(-2.0, 1.5, m)
+    limit = rng.uniform(-40.0, 40.0, m)
+    lo = np.concatenate([centre - 0.5 * narrow, centre - 0.5 * wide,
+                         np.full(m, -np.inf), limit])
+    hi = np.concatenate([centre + 0.5 * narrow, centre + 0.5 * wide,
+                         limit, np.full(m, np.inf)])
+    return lo, hi
+
+
+@pytest.mark.parametrize("df", [None, 0.5, 1.0, 4.5, 7.0, 1e6])
+def test_one_coordinate_route_equals_rect_probs(df):
+    # rect_prob_qmc at n = 1 takes _uv_prob on Python floats; it must return
+    # exactly, values and sign bits, what rect_probs returns for the same
+    # standardised interval.
+    rng = np.random.default_rng(17)
+    lo, hi = _one_coordinate_intervals(rng, 750)
+    var = rng.uniform(0.2, 5.0, lo.size)
+    for v, a, b in zip(var, lo, hi):
+        s = np.sqrt(v)
+        prob, err = qmc_mod.rect_probs(np.eye(1), np.array([[a / s]]), np.array([[b / s]]), df)
+        want = (min(max(prob[0], 0.0), 1.0), err[0])
+        got = rect_prob_qmc([[v]], [a], [b], df)
+        assert got == want and np.array_equal(np.signbit(got), np.signbit(want)), (v, a, b)
+
+
+def test_one_coordinate_reports_share_the_route(monkeypatch):
+    import tse.truncated
+
+    assert tse.truncated._uv_prob is qmc_mod._uv_prob
+    calls = []
+    real = qmc_mod._uv_prob
+    monkeypatch.setattr(qmc_mod, "_uv_prob", lambda *args: calls.append(args) or real(*args))
+    assert rect_prob_qmc([[2.0]], [-0.5], [1.0], 5.0) == real(2.0, -0.5, 1.0, 5.0)
+    assert calls == [(2.0, -0.5, 1.0, 5.0)]
+
+
+def test_one_coordinate_route_refuses_a_bad_variance():
+    for var in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(NumericalError):
+            rect_prob_qmc([[var]], [0.0], [1.0])
+
+
 def _series_rows(df):
     # Random boxes whose limits are drawn in part from infinite, zero and
     # beyond-_DS_BIG values, with correlations up to +-0.99, and fixed rows

@@ -523,6 +523,31 @@ class TestTseMoments:
         # single-pass values agree within the quadrature error
         assert rep.prob_mass == pytest.approx(num / den, rel=1e-4)
 
+    # The means and covariances (upper triangles) that the face recursion
+    # gave when every node memoised only its own faces.
+    @pytest.mark.parametrize("df, count, mean, cov", [
+        (4.0, 21, [-0.041559398523843924, 0.30076920383327477],
+         [0.11075693968219098, -0.007673109066605333, 0.09628981677571558]),
+        (None, 20, [-0.05373730632934789, 0.2905241607366821],
+         [0.11125501333525863, -0.0132777569595715, 0.09644201113949748]),
+    ])
+    def test_ex5_integrates_each_distinct_face_once(self, df, count, mean, cov,
+                                                    monkeypatch):
+        import tse.truncated
+
+        calls = []
+        real = tse.truncated.rect_prob_qmc
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tse.truncated, "rect_prob_qmc", counted)
+        rep = tse_mean_cov(build_selection(replace(EX5, df=df)), EX5_BOX)
+        assert len(calls) == count
+        np.testing.assert_allclose(rep.mean, mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rep.covariance[np.triu_indices(2)], cov, rtol=0, atol=1e-12)
+
     def test_student_high_order_fallback_is_seeded(self):
         params = SutParams([0.0], [[1.0]], [1.5], [0.0], [[1.0]], 12.0)
         spec = build_selection(params)
@@ -726,6 +751,20 @@ class TestHeldCoordinates:
         monkeypatch.setattr(tse.truncated, "rect_prob_qmc", counted)
         tse_moment(build_selection(EX5), EX5_BOX, [1, 0])
         assert len(calls) == 7
+
+    def test_ex5_third_order_shares_faces_of_gradient_laws(self, monkeypatch):
+        # Order (2, 1) needs faces of the gradient law, which the table
+        # shares with the gradient laws of faces: 39 distinct probabilities
+        # where 62 were issued, and the value the unshared recursion gave.
+        import tse.truncated
+
+        calls = []
+        real = tse.truncated.rect_prob_qmc
+        monkeypatch.setattr(tse.truncated, "rect_prob_qmc",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        value = tse_moment(build_selection(EX5), EX5_BOX, [2, 1])
+        assert len(calls) == 39
+        assert value == pytest.approx(0.034038430571647064, rel=0, abs=1e-12)
 
     def test_out_of_bounds_coordinate_is_held(self):
         j = student_joint([0.0, 0.5, 0.0], [[1.0, 0.3, 0.2], [0.3, 1.5, -0.4],

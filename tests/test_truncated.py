@@ -597,7 +597,7 @@ class TestUnivariateRoute:
 
         j, b = self._law(5.0, (0.3, 2.2))
         ref = _recursion_report(j, b)
-        monkeypatch.setattr(tse.truncated, "_uv_prob", lambda *args: 0.0)
+        monkeypatch.setattr(tse.truncated, "_uv_prob", lambda *args: (0.0, 0.0))
         rep = truncated_mean_cov(j, b)
         assert rep.prob_mass == ref[0] and np.array_equal(rep.covariance, ref[3])
 
@@ -608,6 +608,102 @@ class TestUnivariateRoute:
         rep = tmvt_mean_cov(student_joint([0.0, 0.1], [[1.0, 0.3], [0.3, 2.0]], 5.0),
                             TruncationBox([-1.0, -np.inf], [1.0, 0.5]))
         assert rep.method == ("direct",)
+
+
+def _baseline(d, nu):
+    """The ROADMAP baseline law and box: correlation ``A Aᵀ/(d+2)`` rescaled
+    to a unit diagonal, ``A`` a d × (d+2) standard normal draw from
+    ``default_rng(1)`` in the order d = 2 … 6; location 0; ``[-0.8, 1.2]^d``."""
+    rng = np.random.default_rng(1)
+    for k in range(2, d + 1):
+        a = rng.standard_normal((k, k + 2))
+    c = a @ a.T / (d + 2)
+    s = np.sqrt(np.diag(c))
+    c = c / np.outer(s, s)
+    joint = normal_joint(np.zeros(d), c) if nu is None else student_joint(np.zeros(d), c, nu)
+    return joint, TruncationBox(np.full(d, -0.8), np.full(d, 1.2))
+
+
+class TestFaceTable:
+    """The root's table builds and integrates each distinct face law once."""
+
+    # Means and covariances (upper triangles, row by row) of the baseline
+    # laws, as the recursion gave them when every node memoised only its own
+    # faces.  Dropping a repeated face keeps one of two equal integrals.
+    PINNED = {
+        (3, None): ([0.03288326384508313, 0.13716334665421012, 0.027237373297364482],
+                    [0.23268742244218768, -0.00018018997801449478, -0.15794779809232287,
+                     0.28875895883404895, -0.00982299460597571, 0.23153186130594866]),
+        (3, 5.0): ([0.03234122687015599, 0.12638961800185897, 0.02673631083130281],
+                   [0.22588083970664766, 0.0010962952804527814, -0.15223155535173358,
+                    0.27804703495924354, -0.00971957090009108, 0.22490331801843771]),
+        (4, None): ([0.13458563556140735, 0.1305823164919748, 0.1740228674122386,
+                     0.17241508129134697],
+                    [0.2642999361285747, -0.05441654494723558, 0.07876890631102478,
+                     0.029979870286267692, 0.27974456921236807, 0.015927662462356402,
+                     0.03378582385251916, 0.27171855589449984, 0.03280417355410876,
+                     0.2809380311768134]),
+        (4, 5.0): ([0.12095270509819528, 0.11536276361010246, 0.15729730567597833,
+                    0.15641058704212044],
+                   [0.25028676681567785, -0.05531764228271394, 0.08451119774862896,
+                    0.034151023379077626, 0.2646117213411645, 0.015226007810242342,
+                    0.03702786516914219, 0.25722615392003395, 0.03970499783506938,
+                    0.26561287302529396]),
+        (5, None): ([0.1390707428306679, 0.1559260974968488, 0.14285984517464637,
+                     0.12868955628615433, 0.1240243967078274],
+                    [0.25691020323515956, 0.025007191110449894, -0.06677776063975367,
+                     0.1126064380394701, 0.011935836153337109, 0.28708437278365906,
+                     0.035980927530790824, -0.004449086977765599, -0.010098072052301782,
+                     0.2525986944378618, 0.015033121703125686, 0.1255427325620988,
+                     0.2582469759956606, -0.061247954086342635, 0.25559440760521845]),
+        (5, 5.0): ([0.11949288817659251, 0.13791221458923797, 0.12309244676682336,
+                    0.110289124672965, 0.10589701535338138],
+                   [0.24216582538577686, 0.02601921840164773, -0.06631206951808302,
+                    0.11625963037470123, 0.0017316855720790423, 0.2701341579425095,
+                    0.03762507790210408, -0.0013780120866909804, -0.006566550595445263,
+                    0.23866000330265633, 0.004898198573534124, 0.1274160532594078,
+                    0.24313856460713487, -0.062299169611176465, 0.24097343224333945]),
+    }
+
+    @pytest.mark.parametrize("nu, counts", [(None, (19, 33, 51, 73)), (5.0, (20, 34, 52, 74))])
+    def test_issues_each_distinct_probability_once(self, nu, counts, monkeypatch):
+        # The distinct integrals that the mean and covariance need: 1 + 2d
+        # first-level faces, 2d(d - 1) second-level ones, and for the
+        # Student-t the gradient law's box.
+        import tse.truncated
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rect_prob_qmc(*args, **kwargs)
+
+        monkeypatch.setattr(tse.truncated, "rect_prob_qmc", counted)
+        for d, count in zip((3, 4, 5, 6), counts):
+            calls.clear()
+            rep = truncated_mean_cov(*_baseline(d, nu))
+            assert rep.method == ("direct",) and len(calls) == count, d
+
+    @pytest.mark.parametrize("nu", [None, 5.0])
+    def test_a_face_is_one_node_whatever_the_order(self, nu):
+        joint, box = _baseline(3, nu)
+        top = _root(joint, box, DEFAULT_SETTINGS)
+        lo, hi = box.lower, box.upper
+        a = top.face(0, lo[0])[0].face(1, hi[2])[0]
+        b = top.face(2, hi[2])[0].face(0, lo[0])[0]
+        assert a is b and a.coords == (1,) and a.fixed == {(0, lo[0]), (2, hi[2])}
+        # The face of the gradient law is the gradient law of the face.
+        f = top.face(1, lo[1])[0]
+        assert f.down() is top.down().face(1, lo[1])[0]
+        assert (f.down() is f) == (nu is None)
+
+    @pytest.mark.parametrize("key", PINNED, ids=str)
+    def test_moments_stay_where_they_were(self, key):
+        mean, upper = self.PINNED[key]
+        rep = truncated_mean_cov(*_baseline(*key))
+        iu = np.triu_indices(key[0])
+        np.testing.assert_allclose(rep.mean, mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rep.covariance[iu], upper, rtol=0, atol=1e-12)
 
 
 class TestExistence:
