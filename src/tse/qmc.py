@@ -211,13 +211,15 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _standardise(sigma, lower, upper):
-    """Correlation matrix and limits in units of the coordinate scales."""
-    scale = np.sqrt(np.diag(sigma))
+    """Correlation matrix and limits in units of the coordinate scales; a
+    stack of dispersions ``(..., n, n)`` with limits ``(..., n)`` gives one
+    per entry, each as it would alone."""
+    scale = np.sqrt(np.diagonal(sigma, axis1=-2, axis2=-1))
     if np.any(scale <= 0.0) or not np.all(np.isfinite(scale)):
         raise NumericalError("dispersion matrix has a non-positive diagonal")
     corr = np.array(sigma, dtype=float)
-    corr /= scale[:, None]
-    corr /= scale[None, :]
+    corr /= scale[..., :, None]
+    corr /= scale[..., None, :]
     return corr, lower / scale, upper / scale
 
 
@@ -763,7 +765,12 @@ def _check_df(df):
 
 
 def _bivariate(rho, lower, upper, df=None, weight=None, group=None):
-    """:func:`bivariate_rect_prob` of ``(m, 2)`` float rows.  A stack of
+    """:func:`bivariate_rect_prob` of ``(m, 2)`` float rows.  ``rho`` is
+    one correlation shared by every row, or an ``(m,)`` array of one per
+    row.  Owen's form and the series broadcast it element by element, and
+    a row of its own correlation that takes the nested rule takes it alone
+    (:func:`_nested_2d`), so each such row gets the bits of a stack of that
+    one row.  A stack of
     one Student-t row with no outer ``weight`` sums the series on Python
     floats (:func:`_bvt_row`), bit-identical to the stacked form, and
     returns it clipped at once if it needs no tail rule, because numpy's
@@ -776,13 +783,14 @@ def _bivariate(rho, lower, upper, df=None, weight=None, group=None):
     twice its value added to its estimate, where that bound, weighted,
     stays within ``_TAIL_REL`` of the mean weighted value of its group's
     rows that need no tail rule: nodes of negligible weight."""
-    if not 1.0 - rho * rho > 1e-14:
+    per_row = isinstance(rho, np.ndarray)
+    if not ((1.0 - rho * rho > 1e-14).all() if per_row else 1.0 - rho * rho > 1e-14):
         raise NumericalError("dispersion matrix is numerically singular")
     if not (df is None or float(df).is_integer() and 1 <= df <= _DS_MAX_DF):
-        prob, err = _nested_rect(np.array([[1.0, rho], [rho, 1.0]]), lower, upper, df)
+        prob, err = _nested_2d(rho, lower, upper, df)
         return np.clip(prob, 0.0, 1.0), err
     if df is not None and weight is None and lower.shape[0] == 1:
-        prob, err = _bvt_row(int(df), lower[0], upper[0], float(rho))
+        prob, err = _bvt_row(int(df), lower[0], upper[0], float(rho[0] if per_row else rho))
         if err <= _TAIL_REL * prob:
             return np.array([min(max(prob, 0.0), 1.0)]), np.array([err])
         prob, err = np.array([prob]), np.array([err])
@@ -797,12 +805,21 @@ def _bivariate(rho, lower, upper, df=None, weight=None, group=None):
         sure |= small
     tail = np.flatnonzero(~sure)
     if tail.size:
-        corr = np.array([[1.0, rho], [rho, 1.0]])
-        p_tail, e_tail = _nested_rect(corr, lower[tail], upper[tail], df)
+        p_tail, e_tail = _nested_2d(rho[tail] if per_row else rho, lower[tail], upper[tail], df)
         better = e_tail < err[tail]
         prob[tail[better]] = p_tail[better]
         err[tail[better]] = e_tail[better]
     return np.clip(prob, 0.0, 1.0), err
+
+
+def _nested_2d(rho, lower, upper, df):
+    """:func:`_nested_rect` of ``(m, 2)`` rows of one correlation ``rho``,
+    or of one correlation per row, each row then in a call of its own."""
+    if not isinstance(rho, np.ndarray):
+        return _nested_rect(np.array([[1.0, rho], [rho, 1.0]]), lower, upper, df)
+    rows = [_nested_rect(np.array([[1.0, r], [r, 1.0]]), lower[i:i + 1], upper[i:i + 1], df)
+            for i, r in enumerate(rho.tolist())]
+    return np.concatenate([p for p, _ in rows]), np.concatenate([e for _, e in rows])
 
 
 # Intervals narrower than this, in units of max(1, |midpoint|), take the
@@ -974,8 +991,10 @@ def _exact(n, df=None):
 
 def rect_probs(corr, lower, upper, df=None, **lattice):
     """``P(lower <= Z <= upper)`` and error estimates for ``(m, n)`` rows of
-    standardised limits that share the correlation ``corr``.  Where
-    :func:`_exact` holds, one stacked exact call serves every row;
+    standardised limits that share the correlation ``corr``, or, at
+    ``n = 2``, that have one each: ``corr`` of shape ``(m, 2, 2)``, and then
+    each row gets the bits of a call of its own (see :func:`_bivariate`).
+    Where :func:`_exact` holds, one stacked exact call serves every row;
     otherwise each row is a lattice call of :func:`rect_prob_qmc` with the
     keyword settings ``lattice``."""
     _check_df(df)
@@ -986,7 +1005,8 @@ def rect_probs(corr, lower, upper, df=None, **lattice):
     if n == 1:
         return _uv_mass(lower[:, 0], upper[:, 0], df, with_floor=True)
     if n == 2:
-        return _bivariate(float(corr[0, 1]), lower, upper, df)
+        return _bivariate(corr[:, 0, 1] if corr.ndim == 3 else float(corr[0, 1]),
+                          lower, upper, df)
     return _nested_rect(corr, lower, upper, df)
 
 

@@ -13,6 +13,15 @@ values.  The key is exact: a face law does not depend on the order in
 which its coordinates were fixed, and the face of a gradient law is the
 gradient law of the face.  So each distinct law is integrated once,
 although a second-level face is reached through ``(k, j)`` and ``(j, k)``.
+Below four dimensions a rectangle probability costs mostly numpy's per-call
+overhead, so a node builds all its faces in one array step, on its first
+face: their laws and weights from one broadcast over its coordinates.  Of
+the faces new to the table, those that keep one coordinate get their masses
+on Python floats and those that keep two in one stacked exact call, with
+one correlation per row; each mass keeps the bits of its own call.  A face
+of three or more coordinates keeps a call of its own: the nested rule that
+integrates it picks its outer coordinate from the masses summed over a
+stack's rows, so a stack would move its bits.
 The same recursion serves the mean and covariance of
 :func:`truncated_mean_cov`, :func:`tmvn_product_moment` and the product
 moments of ``tse.selection.tse_moment``.  A law of one coordinate whose
@@ -59,7 +68,7 @@ from .elliptical import (
     marginal,
 )
 from .errors import MomentNotDefinedError, NumericalError, SpecError
-from .qmc import _uv_prob, rect_prob_qmc
+from .qmc import _standardise, _uv_prob, rect_prob_qmc, rect_probs
 
 __all__ = [
     "ExistenceFlags",
@@ -179,11 +188,13 @@ def moment_flags(family: str, nu, tbox: TruncationBox) -> ExistenceFlags:
 # ---------------------------------------------------------------------------
 
 def _norm_pdf(t, var):
-    return float(np.exp(-0.5 * t * t / var) / np.sqrt(2.0 * np.pi * var))
+    """Normal face weight: the density of N(0, var) at ``t``; arrays broadcast."""
+    return np.exp(-0.5 * t * t / var) / np.sqrt(2.0 * np.pi * var)
 
 
 def _t_face_constant(p, nu, var_k, t):
-    """Scaled Student-t face weight for a p-dim problem at ``x_k = t``.
+    """Scaled Student-t face weight for a p-dim problem at ``x_k = t``;
+    arrays broadcast, and the ``gammaln`` constant is computed once.
 
     This is the one-dimensional factor multiplying the (p-1)-dim
     conditional rectangle probability with ``nu - 1`` degrees of
@@ -194,26 +205,40 @@ def _t_face_constant(p, nu, var_k, t):
         - gammaln(0.5 * nu) - gammaln(0.5 * (nu + p - 2.0))
         - 0.5 * np.log(np.pi) + 0.5 * (nu - 2.0) * np.log(nu)
     )
-    return float(np.exp(log_k - 0.5 * np.log(var_k)
-                        - 0.5 * (nu - 1.0) * np.log(nu + t * t / var_k)))
-
-
-def _face_parts(nu, sigma, k, t):
-    """Conditional location/dispersion/df one dimension down at x_k = t."""
-    p = sigma.shape[0]
-    others = [i for i in range(p) if i != k]
-    var_k = sigma[k, k]
-    mu_c = sigma[others, k] * (t / var_k)
-    schur = sigma[np.ix_(others, others)] - np.outer(sigma[others, k],
-                                                     sigma[k, others]) / var_k
-    schur = 0.5 * (schur + schur.T)
-    if nu is None:
-        return others, mu_c, schur, None
-    return others, mu_c, schur * ((nu + t * t / var_k) / (nu - 1.0)), nu - 1.0
+    return np.exp(log_k - 0.5 * np.log(var_k)
+                  - 0.5 * (nu - 1.0) * np.log(nu + t * t / var_k))
 
 
 def _lower_order(k, j):
     return k[:j] + (k[j] - 1,) + k[j + 1:]
+
+
+def _face_masses(nodes, sigma, lo, hi, df):
+    """Set the masses of face nodes whose laws keep one or two coordinates
+    (those not unbounded on both sides), each the value its own
+    :meth:`_Moments.mass` would give: one coordinate on Python floats
+    (:func:`_uv_prob`), two in one stacked :func:`rect_probs` call with one
+    correlation per row.  ``sigma``, ``lo`` and ``hi`` stack the nodes'
+    dispersions and limits centred on their locations.  Nodes of other laws
+    keep their own calls.  One-coordinate masses are not stacked: through
+    :func:`rect_probs` at ``n = 1`` they took longer than ``_uv_prob`` per
+    face, at the four rows a node has at most."""
+    kept = ~(np.isinf(lo) & np.isinf(hi) & (lo < hi))
+    # The faces of one node keep the same number of coordinates.
+    n = int(kept[0].sum())
+    if n not in (1, 2):
+        return
+    k = np.nonzero(kept)[1].reshape(-1, n)
+    at = np.arange(len(nodes))[:, None]
+    sigma, lo, hi = sigma[at[:, :, None], k[:, :, None], k[:, None, :]], lo[at, k], hi[at, k]
+    if n == 1:
+        for node, v, a, b in zip(nodes, sigma.ravel().tolist(), lo.ravel().tolist(),
+                                 hi.ravel().tolist()):
+            node._mass = _uv_prob(v, a, b, df)[0]
+        return
+    prob, _ = rect_probs(*_standardise(sigma, lo, hi), df)
+    for node, pr in zip(nodes, np.clip(prob, 0.0, 1.0).tolist()):
+        node._mass = pr
 
 
 class _Moments:
@@ -240,8 +265,17 @@ class _Moments:
     fixed, and the face of a gradient law is the gradient law of the face
     (at ``nu - 3`` both have dispersion
     ``schur (nu + t**2 / s_kk) / (nu - 3)``).  So a second-level face
-    reached through ``(k, j)`` and ``(j, k)`` is built and integrated once,
-    and a table hit computes only the face weight, from the parent.
+    reached through ``(k, j)`` and ``(j, k)`` is built and integrated once.
+
+    A node's first :meth:`face` builds all its faces in one array step
+    (:meth:`_expand`): their laws and weights from one broadcast, and the
+    masses of those new to the table that keep one or two coordinates
+    (:func:`_face_masses`), each with the bits of its own :meth:`mass`.
+    Faces of three or more kept coordinates keep one call each: the nested
+    rule picks its outer coordinate from the masses summed over a stack's
+    rows, so a stack would move their bits.  The caller empties the table
+    once the root's result is assembled: it is the one reference every node
+    holds to the others, so no reference cycle is left among the nodes.
     """
 
     def __init__(self, settings: RectangleProbSettings, nu, mu, sigma, lo, hi,
@@ -254,8 +288,8 @@ class _Moments:
         self.table = {} if table is None else table
         self._mass: Optional[float] = None
         self._up: dict = {}
-        self._faces: dict = {}
-        self._down = self if nu is None else None
+        self._faces: Optional[dict] = None
+        self._down = None
 
     def mass(self) -> float:
         """Box probability on limits centred on ``mu``; exact where ``qmc._exact`` holds."""
@@ -280,6 +314,9 @@ class _Moments:
         return self.up(_lower_order(k, i))[i]
 
     def down(self):
+        """The gradient law: the node itself for the normal kernel."""
+        if self.nu is None:
+            return self
         if self._down is None:
             nu = self.nu
             key = (nu - 2.0, self.fixed)
@@ -292,23 +329,53 @@ class _Moments:
 
     def face(self, j, t):
         """The law on the face ``x_j = t`` and its weight."""
-        hit = self._faces.get((j, t))
-        if hit is None:
-            fixed = self.fixed | {(self.coords[j], t)}
-            key = (None if self.nu is None else self.nu - 1.0, fixed)
-            t_c = t - self.mu[j]
-            sub = self.table.get(key)
+        if self._faces is None:
+            self._faces = self._expand()
+        return self._faces[(j, t)]
+
+    def _expand(self):
+        """Every face of the node, keyed on ``(j, t)`` in the order of
+        :meth:`up`: the law on it and its weight.  One broadcast gives every
+        coordinate's Schur complement, and each element of a face's
+        location, dispersion and weight takes the operations of a face built
+        alone.  A face already in the table is taken from it; new faces of
+        nonzero weight go to :func:`_face_masses`."""
+        p, nu, sigma, mu = self.dim, self.nu, self.sigma, self.mu
+        pairs = [(j, t) for j, limits in enumerate(zip(self.lo.tolist(), self.hi.tolist()))
+                 for t in limits if math.isfinite(t)]
+        if not pairs:
+            return {}
+        j = np.array([j for j, _ in pairs])
+        t_c = np.array([t for _, t in pairs]) - mu[j]
+        diag = np.diagonal(sigma)
+        var = diag[j]
+        schur = sigma - sigma.T[:, :, None] * sigma[:, None, :] / diag[:, None, None]
+        schur = 0.5 * (schur + schur.transpose(0, 2, 1))
+        o = np.array([[i for i in range(p) if i != jj] for jj, _ in pairs], dtype=int)
+        at = np.arange(len(pairs))[:, None]
+        loc = (mu + sigma.T[j] * (t_c / var)[:, None])[at, o]
+        disp = schur[j[:, None, None], o[:, :, None], o[:, None, :]]
+        if nu is None:
+            df, weight = None, _norm_pdf(t_c, var)
+        else:
+            df, weight = nu - 1.0, _t_face_constant(p, nu, var, t_c)
+            disp = disp * ((nu + t_c * t_c / var) / (nu - 1.0))[:, None, None]
+        lo, hi = self.lo[o], self.hi[o]
+        faces, new = {}, []
+        for i, ((jj, t), oi, w) in enumerate(zip(pairs, o.tolist(), weight.tolist())):
+            fixed = self.fixed | {(self.coords[jj], t)}
+            sub = self.table.get((df, fixed))
             if sub is None:
-                others, mu_c, disp, df_c = _face_parts(self.nu, self.sigma, j, t_c)
-                sub = self.table[key] = _Moments(
-                    self.settings, df_c, self.mu[others] + mu_c, disp,
-                    self.lo[others], self.hi[others],
-                    tuple(self.coords[i] for i in others), fixed, self.table)
-            var_k = self.sigma[j, j]
-            weight = (_norm_pdf(t_c, var_k) if self.nu is None
-                      else _t_face_constant(self.dim, self.nu, var_k, t_c))
-            hit = self._faces[(j, t)] = (sub, weight)
-        return hit
+                sub = self.table[(df, fixed)] = _Moments(
+                    self.settings, df, loc[i], disp[i], lo[i], hi[i],
+                    tuple(self.coords[k] for k in oi), fixed, self.table)
+                if w != 0.0:
+                    new.append(i)
+            faces[(jj, t)] = (sub, w)
+        if new:
+            _face_masses([faces[pairs[i]][0] for i in new], disp[new],
+                         lo[new] - loc[new], hi[new] - loc[new], df)
+        return faces
 
     def up(self, k: tuple) -> np.ndarray:
         """``E[X^(k + e_i) 1_box]`` for every coordinate ``i``."""
@@ -561,7 +628,7 @@ def _uv_report(joint, tbox, flags):
     for t, sign in ((lo, 1.0), (hi, -1.0)):
         if not math.isfinite(t):
             continue
-        w = _norm_pdf(t, var) if nu is None else _t_face_constant(1, nu, var, t)
+        w = float(_norm_pdf(t, var) if nu is None else _t_face_constant(1, nu, var, t))
         if w != 0.0:
             f1, f2 = f1 + sign * w, f2 + sign * w * t
     pref = 1.0 if nu is None else nu / (nu + 1.0 - 2.0)
@@ -598,12 +665,17 @@ def _direct_report(joint, tbox, settings, flags):
     p = joint.dim
     zero = (0,) * p
     mean = second = cov = None
+    try:
+        if flags.mean:
+            m0 = top.up(zero) / L
+        if flags.second:
+            M2 = np.column_stack([top.up(tuple(int(i == j) for i in range(p)))
+                                  for j in range(p)])
+    finally:
+        top.table.clear()
     if flags.mean:
-        m0 = top.up(zero) / L
         mean = joint.xi + m0
     if flags.second:
-        M2 = np.column_stack([top.up(tuple(int(i == j) for i in range(p)))
-                              for j in range(p)])
         M2 = 0.5 * (M2 + M2.T)
         second = M2 / L + np.outer(joint.xi, m0) + np.outer(m0, joint.xi) \
             + np.outer(joint.xi, joint.xi)
@@ -720,7 +792,10 @@ def _product_moment(joint: EllipticalJoint, tbox: TruncationBox, k,
         top = _Moments(settings, joint.nu, joint.xi, joint.omega, tbox.lower, tbox.upper)
         L = top.mass()
         if L > 0.0:
-            return float(top.raw(tuple(int(v) for v in k)) / L), ("direct",)
+            try:
+                return float(top.raw(tuple(int(v) for v in k)) / L), ("direct",)
+            finally:
+                top.table.clear()
         held = _held(joint, tbox, underflowed=True)
     idx, values, tag = held
     factor = float(np.prod(values ** k[idx]))

@@ -34,3 +34,62 @@ def fast_settings():
     """Cheaper QMC budget for Monte Carlo comparisons where 1e-5 accuracy suffices."""
     return RectangleProbSettings(max_points=4000, num_shifts=8, seed=7,
                                  target_abs_error=1e-4)
+
+
+class RectangleCount:
+    """The rectangle probabilities that ``tse.truncated`` issues: its single
+    calls of ``rect_prob_qmc`` and ``_uv_prob``, and every row of its stacked
+    ``rect_probs`` calls, whose ``(rows, coordinates)`` shapes ``stacks``
+    records in call order."""
+
+    def __init__(self):
+        self.singles = 0
+        self.stacks = []
+
+    @property
+    def total(self):
+        return self.singles + sum(rows for rows, _ in self.stacks)
+
+    def clear(self):
+        self.singles = 0
+        self.stacks.clear()
+
+
+@pytest.fixture
+def rectangles(monkeypatch):
+    """Count the rectangle probabilities of the face recursion."""
+    import tse.truncated
+
+    count = RectangleCount()
+    for name in ("rect_prob_qmc", "_uv_prob"):
+        def single(*args, _real=getattr(tse.truncated, name), **kwargs):
+            count.singles += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(tse.truncated, name, single)
+
+    def stacked(corr, lower, upper, *args, _real=tse.truncated.rect_probs, **kwargs):
+        count.stacks.append(lower.shape)
+        return _real(corr, lower, upper, *args, **kwargs)
+
+    monkeypatch.setattr(tse.truncated, "rect_probs", stacked)
+    return count
+
+
+@pytest.fixture
+def moment_nodes(monkeypatch):
+    """Weak references to every node of the face recursion built while the
+    test runs."""
+    import weakref
+
+    import tse.truncated
+
+    refs = []
+    init = tse.truncated._Moments.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(tse.truncated._Moments, "__init__", recorded)
+    return refs

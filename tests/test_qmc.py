@@ -466,6 +466,36 @@ def test_one_coordinate_route_refuses_a_bad_variance():
             rect_prob_qmc([[var]], [0.0], [1.0])
 
 
+def _own_correlation_rows():
+    """Rows of the standardised bivariate law, each with its own correlation
+    (|rho| up to 0.999): random boxes, boxes with infinite limits and deep
+    joint tails beyond the reach of the closed forms."""
+    rng = np.random.default_rng(27)
+    m = 24
+    rho = rng.uniform(-0.999, 0.999, m)
+    rho[:3] = [0.999, -0.999, 0.0]
+    lo = rng.uniform(-3.0, 1.0, (m, 2))
+    hi = lo + rng.uniform(0.05, 3.0, (m, 2))
+    lo[3:7, 0], hi[5:9, 1], lo[9], hi[10] = -np.inf, np.inf, -np.inf, np.inf
+    lo[11:15], hi[11:15] = [[7.0, 7.5], [8.0, 6.0], [9.0, 9.0], [6.5, 10.0]], np.inf
+    lo[15:17], hi[15:17] = -np.inf, [[-7.0, -8.0], [-9.0, -6.5]]
+    return np.array([[[1.0, r], [r, 1.0]] for r in rho]), lo, hi
+
+
+@pytest.mark.parametrize("df", [None, *range(1, 33), 4.5, 40.0])
+def test_rows_of_their_own_correlation_keep_the_bits_of_single_calls(df):
+    # The face recursion stacks two-coordinate faces of different
+    # correlations in one call; each row must come out as its own call.
+    corr, lo, hi = _own_correlation_rows()
+    prob, err = qmc_mod.rect_probs(corr, lo, hi, df)
+    for i in range(lo.shape[0]):
+        assert (prob[i], err[i]) == rect_prob_qmc(corr[i], lo[i], hi[i], df), i
+    if df is None or 6 <= df <= qmc_mod._DS_MAX_DF:
+        # Some rows of the closed forms take the nested rule, on their own.
+        value, floor = qmc_mod._bv_rect(lo, hi, corr[:, 0, 1], df)
+        assert (floor > qmc_mod._TAIL_REL * value).sum() >= 3
+
+
 def _series_rows(df):
     # Random boxes whose limits are drawn in part from infinite, zero and
     # beyond-_DS_BIG values, with correlations up to +-0.99, and fixed rows

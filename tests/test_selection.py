@@ -532,21 +532,24 @@ class TestTseMoments:
          [0.11125501333525863, -0.0132777569595715, 0.09644201113949748]),
     ])
     def test_ex5_integrates_each_distinct_face_once(self, df, count, mean, cov,
-                                                    monkeypatch):
-        import tse.truncated
-
-        calls = []
-        real = tse.truncated.rect_prob_qmc
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(tse.truncated, "rect_prob_qmc", counted)
+                                                    rectangles):
         rep = tse_mean_cov(build_selection(replace(EX5, df=df)), EX5_BOX)
-        assert len(calls) == count
+        assert rectangles.total == count
         np.testing.assert_allclose(rep.mean, mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(rep.covariance[np.triu_indices(2)], cov, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("df", [4.0, None])
+    def test_ex5_recursion_frees_its_nodes_without_the_collector(self, df, moment_nodes):
+        import gc
+
+        spec = build_selection(replace(EX5, df=df))
+        gc.disable()
+        try:
+            tse_mean_cov(spec, EX5_BOX)
+            assert len(moment_nodes) >= 20
+            assert [r for r in moment_nodes if r() is not None] == []
+        finally:
+            gc.enable()
 
     def test_student_high_order_fallback_is_seeded(self):
         params = SutParams([0.0], [[1.0]], [1.5], [0.0], [[1.0]], 12.0)
@@ -752,18 +755,12 @@ class TestHeldCoordinates:
         tse_moment(build_selection(EX5), EX5_BOX, [1, 0])
         assert len(calls) == 7
 
-    def test_ex5_third_order_shares_faces_of_gradient_laws(self, monkeypatch):
+    def test_ex5_third_order_shares_faces_of_gradient_laws(self, rectangles):
         # Order (2, 1) needs faces of the gradient law, which the table
         # shares with the gradient laws of faces: 39 distinct probabilities
         # where 62 were issued, and the value the unshared recursion gave.
-        import tse.truncated
-
-        calls = []
-        real = tse.truncated.rect_prob_qmc
-        monkeypatch.setattr(tse.truncated, "rect_prob_qmc",
-                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
         value = tse_moment(build_selection(EX5), EX5_BOX, [2, 1])
-        assert len(calls) == 39
+        assert rectangles.total == 39
         assert value == pytest.approx(0.034038430571647064, rel=0, abs=1e-12)
 
     def test_out_of_bounds_coordinate_is_held(self):

@@ -304,27 +304,18 @@ class TestDoubleInfinite:
                     np.testing.assert_allclose(split.covariance, direct.covariance,
                                                rtol=0, atol=1e-13, err_msg=case)
 
-    def test_split_issues_no_extra_probabilities(self, monkeypatch):
+    def test_split_issues_no_extra_probabilities(self, rectangles):
         # The conditional-scale weight comes from the block's mean and
         # covariance, so the split costs what the truncated block costs.
-        import tse.truncated
-
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return rect_prob_qmc(*args, **kwargs)
-
-        monkeypatch.setattr(tse.truncated, "rect_prob_qmc", counted)
         omega = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.4], [-0.2, 0.4, 1.0]])
         j = student_joint([0.1, -0.2, 0.3], omega, 6.0)
         b = TruncationBox([-np.inf, -0.5, -1.0], [np.inf, 1.0, 0.8])
         rep = truncated_mean_cov(j, b)
         assert rep.method == ("direct", "double-infinite")
-        split_calls = len(calls)
-        calls.clear()
+        split_calls = rectangles.total
+        rectangles.clear()
         truncated_mean_cov(marginal(j, [1, 2]), b.subset([1, 2]))
-        assert split_calls == len(calls) == 6
+        assert split_calls == rectangles.total == 6
 
 
 class TestOutOfBounds:
@@ -666,23 +657,19 @@ class TestFaceTable:
     }
 
     @pytest.mark.parametrize("nu, counts", [(None, (19, 33, 51, 73)), (5.0, (20, 34, 52, 74))])
-    def test_issues_each_distinct_probability_once(self, nu, counts, monkeypatch):
+    def test_issues_each_distinct_probability_once(self, nu, counts, rectangles):
         # The distinct integrals that the mean and covariance need: 1 + 2d
         # first-level faces, 2d(d - 1) second-level ones, and for the
         # Student-t the gradient law's box.
-        import tse.truncated
-
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return rect_prob_qmc(*args, **kwargs)
-
-        monkeypatch.setattr(tse.truncated, "rect_prob_qmc", counted)
         for d, count in zip((3, 4, 5, 6), counts):
-            calls.clear()
+            rectangles.clear()
             rep = truncated_mean_cov(*_baseline(d, nu))
-            assert rep.method == ("direct",) and len(calls) == count, d
+            assert rep.method == ("direct",) and rectangles.total == count, d
+
+    def test_two_coordinate_faces_of_a_node_share_one_call(self, rectangles):
+        # At d = 3 the root's six faces keep two coordinates each.
+        truncated_mean_cov(*_baseline(3, None))
+        assert [s for s in rectangles.stacks if s[1] == 2] == [(6, 2)]
 
     @pytest.mark.parametrize("nu", [None, 5.0])
     def test_a_face_is_one_node_whatever_the_order(self, nu):
@@ -704,6 +691,55 @@ class TestFaceTable:
         iu = np.triu_indices(key[0])
         np.testing.assert_allclose(rep.mean, mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(rep.covariance[iu], upper, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("nu", [None, 7.0])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_face_laws_are_conditional_laws(self, d, nu):
+        # The law on the face x_j = t is the conditional law there; for the
+        # Student-t kernel it is that law's gradient law, t(nu - 1) with
+        # dispersion (nu + delta) / (nu - 1) times the Schur complement.
+        rng = np.random.default_rng(d)
+        omega = _random_pd(rng, d, diag=0.5)
+        xi = 0.3 * rng.standard_normal(d)
+        joint = normal_joint(xi, omega) if nu is None else student_joint(xi, omega, nu)
+        box = TruncationBox(xi - rng.uniform(0.3, 2.0, d), xi + rng.uniform(0.3, 2.0, d))
+        top = _root(joint, box, DEFAULT_SETTINGS)
+        for k in range(d):
+            top.up(tuple(int(i == k) for i in range(d)))
+        nodes = [top, *top.table.values()]
+        checked = 0
+        for node in (n for n in nodes if n._faces):
+            law = (normal_joint(node.mu, node.sigma) if node.nu is None
+                   else student_joint(node.mu, node.sigma, node.nu))
+            for (j, t), (face, _) in node._faces.items():
+                if face.dim == 0:
+                    continue
+                cond = conditional(law, [j], [t])
+                disp, df = cond.omega, cond.nu
+                if nu is not None:
+                    disp, df = disp * (cond.nu / (cond.nu - 2.0)), cond.nu - 2.0
+                assert face.nu == df
+                for got, want in ((face.mu, cond.xi), (face.sigma, disp)):
+                    np.testing.assert_allclose(got, want, rtol=0,
+                                               atol=1e-14 * np.abs(want).max())
+                checked += 1
+        assert checked >= 2 * d * max(d - 1, 1)
+
+    @pytest.mark.parametrize("call", ["normal", "t7", "product"])
+    def test_each_recursion_frees_its_nodes_without_the_collector(self, call, moment_nodes):
+        import gc
+
+        joint, box = _baseline(3, 7.0 if call == "t7" else None)
+        gc.disable()
+        try:
+            if call == "product":
+                tmvn_product_moment(joint, box, [2, 1, 1])
+            else:
+                truncated_mean_cov(joint, box)
+            assert len(moment_nodes) >= 19
+            assert [r for r in moment_nodes if r() is not None] == []
+        finally:
+            gc.enable()
 
 
 class TestExistence:
