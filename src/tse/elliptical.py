@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, ndtri, stdtrit
+from scipy.special import gammaln, ndtri, stdtrit
 
 from .errors import NumericalError, SpecError
 from .qmc import _cdf, rect_prob_qmc
@@ -351,15 +351,6 @@ def density(joint: EllipticalJoint, x):
     return out if isinstance(out, np.ndarray) else float(out)
 
 
-def _uv_log_cdf(z, nu=None):
-    """Log of the univariate standard cdf; exact deep into the lower tail."""
-    if nu is None:
-        return log_ndtr(z)
-    p = _cdf(z, nu)
-    with np.errstate(divide="ignore"):
-        return np.log(p)
-
-
 def univariate_cdf(family: str, z, nu: Optional[float] = None):
     """Standardised cdf for the given kernel family."""
     if family == NORMAL:
@@ -419,32 +410,3 @@ def rectangle_prob(joint: EllipticalJoint, tbox: TruncationBox,
         target_abs_error=settings.target_abs_error,
     )
 
-
-def _uv_interval_logprob(lo, hi, nu=None):
-    """Log of a univariate interval probability, stable in far tails.
-
-    Works in whichever tail holds the interval: the difference of cdfs is
-    formed as ``logcdf(hi) + log1p(-exp(logcdf(lo) - logcdf(hi)))`` after
-    reflecting right-tail intervals.  Used by the out-of-bounds detector.
-
-    Intervals holding under 1e-12 of the cdf at their inner limit get
-    ``-inf`` and so collapse onto their near limit.  The cutoff is
-    load-bearing: the direct route's cdf differences cancel on such far,
-    relatively narrow boxes (without it, t5 on [1e13, 1e13 + 1] has a mean
-    5.6e10 below the box).
-    """
-    if lo == -np.inf and hi == np.inf:
-        return 0.0
-    # Reflect so the interval sits in the lower tail (or straddles 0).
-    if lo > 0 and np.isfinite(lo):
-        lo, hi = -hi, -lo
-    la = _uv_log_cdf(np.array(hi), nu)
-    lb = _uv_log_cdf(np.array(lo), nu) if lo > -np.inf else -np.inf
-    if lb == -np.inf:
-        return float(la)
-    d = lb - la
-    if d > -1e-12:
-        return -np.inf
-    if d > -0.693147:
-        return float(la + np.log(-np.expm1(d)))
-    return float(la + np.log1p(-np.exp(d)))

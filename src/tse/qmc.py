@@ -830,13 +830,17 @@ _NARROW = 1e-3
 
 
 def _uv_mass(lower, upper, df=None, with_floor=False):
-    """Univariate interval probabilities of the standard normal (``df`` None)
-    or Student-t law, each interval reflected into the lower tail first so
-    that upper-tail masses keep their relative accuracy.  Narrow intervals
-    take the density at the midpoint times the width, with its second-order
-    term ``f''(m) / f(m) * width**2 / 24``, free of cdf cancellation.
+    """Univariate interval probabilities of stacked rows of the standard
+    normal (``df`` None) or Student-t law, each interval reflected into the
+    lower tail first so that upper-tail masses keep their relative accuracy.
+    Narrow intervals take the density at the midpoint times the width, with
+    its second-order term ``f''(m) / f(m) * width**2 / 24``, free of cdf
+    cancellation.  One interval on Python floats takes :func:`_uv_prob`.
     ``with_floor`` also returns the rounding floors, those of the larger cdf
-    of each reflected interval."""
+    of each reflected interval, for :func:`rect_probs` at ``n = 1``, its one
+    user, which would otherwise evaluate that cdf twice: on the 10 712 inner
+    rows of one 3-D nested rule at ``df = 4.5`` that took 7.1 ms against
+    4.5 ms (2-CPU x86 machine)."""
     _, lo, hi = _lower_tail(lower, upper)
     top = _cdf(hi, df)
     mass = top - _cdf(lo, df)
@@ -861,9 +865,13 @@ def _uv_mass(lower, upper, df=None, with_floor=False):
 def _uv_prob(var, lower, upper, df=None):
     """:func:`rect_prob_qmc` of one coordinate of variance ``var`` on Python
     floats: the probability, clipped to ``[0, 1]``, and its rounding floor,
-    bit-identical to :func:`rect_probs` of the standardised interval (its
-    reflection, cdf difference and floor, or :func:`_uv_mass` on a narrow
-    interval)."""
+    ``_ROUND`` times the cdf at the reflected upper limit, bit-identical to
+    :func:`rect_probs` of the standardised interval (its reflection, cdf
+    difference and floor, or :func:`_uv_mass` on a narrow interval).  It is
+    the one scalar home of a coordinate's interval mass: besides
+    :func:`rect_prob_qmc` at ``n = 1``, it gives the face recursion its
+    one-coordinate faces and ``truncated._held`` the masses that decide its
+    holds, of which a one-coordinate report takes its box mass."""
     if not 0.0 < var < math.inf:
         raise NumericalError("dispersion matrix has a non-positive diagonal")
     scale = math.sqrt(var)
@@ -994,9 +1002,10 @@ def rect_probs(corr, lower, upper, df=None, **lattice):
     standardised limits that share the correlation ``corr``, or, at
     ``n = 2``, that have one each: ``corr`` of shape ``(m, 2, 2)``, and then
     each row gets the bits of a call of its own (see :func:`_bivariate`).
-    Where :func:`_exact` holds, one stacked exact call serves every row;
-    otherwise each row is a lattice call of :func:`rect_prob_qmc` with the
-    keyword settings ``lattice``."""
+    Where :func:`_exact` holds, one stacked exact call serves every row, at
+    ``n = 1`` :func:`_uv_mass` with its floors, which :func:`_uv_prob`
+    repeats bit for bit on one interval; otherwise each row is a lattice
+    call of :func:`rect_prob_qmc` with the keyword settings ``lattice``."""
     _check_df(df)
     m, n = lower.shape
     if not _exact(n, df):

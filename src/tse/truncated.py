@@ -27,7 +27,8 @@ The same recursion serves the mean and covariance of
 moments of ``tse.selection.tse_moment``.  A law of one coordinate whose
 recursion needs no quadrature (the normal kernel, or ``nu`` above the
 highest order its existence flags ask for) takes a scalar route on Python
-floats instead (:func:`_uv_report`), with the same bits.
+floats instead (:func:`_uv_report`), with the same bits, and takes its box
+mass from the hold.
 
 Extreme configurations hold coordinates at a point and condition the rest
 of the law on it.  One helper (:func:`_held`) picks them, in this order,
@@ -36,9 +37,11 @@ for every moment:
 * degenerate coordinates (``lower == upper``), at their value;
 * coordinates narrower than ``NARROW_WIDTH`` standard scales, at their
   midpoint (also tagged ``degenerate``);
-* coordinates whose marginal box probability underflows, at their near
-  limit (a Student-t coordinate whose far limit is not close to the near
-  one raises instead, see :func:`_oob_target`);
+* coordinates out of bounds, at their near limit (a Student-t coordinate
+  whose far limit is not close to the near one raises instead, see
+  :func:`_oob_target`): those whose marginal box probability is below
+  ``OOB_MASS`` (1e-250), or below 1e-11 of the cdf at the interval's inner
+  limit, where the direct route's cdf differences cancel;
 * when the whole box mass underflows though no single coordinate's does,
   the coordinate with the least marginal mass, at its near limit.
 
@@ -63,12 +66,11 @@ from .elliptical import (
     EllipticalJoint,
     RectangleProbSettings,
     TruncationBox,
-    _uv_interval_logprob,
     conditional,
     marginal,
 )
 from .errors import MomentNotDefinedError, NumericalError, SpecError
-from .qmc import _standardise, _uv_prob, rect_prob_qmc, rect_probs
+from .qmc import _ROUND, _standardise, _uv_prob, rect_prob_qmc, rect_probs
 
 __all__ = [
     "ExistenceFlags",
@@ -81,9 +83,10 @@ __all__ = [
     "tmvn_product_moment",
 ]
 
-# Marginal log-probability below which a coordinate block counts as
-# out of bounds in double precision.
-OOB_LOG_THRESHOLD = float(np.log(1e-250))
+# Marginal box probability below which a coordinate counts as out of bounds
+# in double precision, and its log.
+OOB_MASS = 1e-250
+OOB_LOG_THRESHOLD = float(np.log(OOB_MASS))
 # Largest far-to-near width, relative to the near limit's distance from the
 # location, at which an out-of-bounds Student-t coordinate still collapses.
 OOB_T_REL_WIDTH = 1e-6
@@ -477,38 +480,49 @@ def _oob_target(joint, tbox, idx):
     return target
 
 
-def _log_masses(joint, tbox):
-    """Log marginal box probability of each coordinate."""
-    scale = np.sqrt(np.diag(joint.omega))
-    lo = (tbox.lower - joint.xi) / scale
-    hi = (tbox.upper - joint.xi) / scale
-    return np.array([_uv_interval_logprob(a, b, joint.nu) for a, b in zip(lo, hi)])
-
-
-def _held(joint, tbox, underflowed=False):
+def _held(joint, tbox, underflowed=False, masses=None):
     """The coordinates a moment holds at a point: ``(idx, values, tag)`` or ``None``.
 
     Degenerate coordinates are held at their value; otherwise coordinates
     narrower than ``NARROW_WIDTH`` standard scales, at their midpoint, also
-    tagged ``degenerate``; otherwise coordinates whose marginal box mass
-    underflows, at their near limit; otherwise, when the caller's box mass
-    ``underflowed``, the coordinate with the least marginal mass, at its
-    near limit.  Near limits come from :func:`_oob_target`, which refuses
-    Student-t blocks it cannot collapse.
+    tagged ``degenerate``; otherwise coordinates out of bounds, at their near
+    limit: those whose marginal box mass is below ``OOB_MASS`` (1e-250), or
+    below 1e-11 of the cdf at the interval's inner limit; otherwise, when the
+    caller's box mass ``underflowed``, the coordinate with the least marginal
+    mass, at its near limit.  Near limits come from :func:`_oob_target`,
+    which refuses Student-t blocks it cannot collapse.
+
+    Each coordinate's mass and the cdf at its inner limit (the reflected
+    upper limit) come from one :func:`_uv_prob` call, as the mass and its
+    rounding floor, ``_ROUND`` times that cdf.  ``masses``, a list if given,
+    receives the masses, so that a one-coordinate report integrates its box
+    once.
     """
     deg = np.flatnonzero(tbox.is_degenerate())
     if deg.size:
         return deg, tbox.lower[deg], "degenerate"
-    width = (tbox.upper - tbox.lower) / np.sqrt(np.diag(joint.omega))
+    var = np.diag(joint.omega)
+    width = (tbox.upper - tbox.lower) / np.sqrt(var)
     narrow = np.flatnonzero(width < NARROW_WIDTH)
     if narrow.size:
         return narrow, 0.5 * (tbox.lower[narrow] + tbox.upper[narrow]), "degenerate"
-    log_mass = _log_masses(joint, tbox)
-    idx = np.flatnonzero(log_mass < OOB_LOG_THRESHOLD)
+    mass, out = [], []
+    for v, a, b in zip(var.tolist(), (tbox.lower - joint.xi).tolist(),
+                       (tbox.upper - joint.xi).tolist()):
+        m, floor = _uv_prob(v, a, b, joint.nu)
+        mass.append(m)
+        # A far interval below 1e-11 of the cdf at its inner limit is held
+        # too.  The cutoff is load-bearing: the direct route's cdf
+        # differences cancel on such far, relatively narrow boxes (without
+        # it, t5 on [1e13, 1e13 + 1] has a mean 5.6e10 below the box).
+        out.append(m < OOB_MASS or m < 1e-11 / _ROUND * floor)
+    if masses is not None:
+        masses.extend(mass)
+    idx = np.flatnonzero(out)
     if not idx.size:
         if not underflowed:
             return None
-        idx = np.array([np.argmin(log_mass)])
+        idx = np.array([np.argmin(mass)])
     return idx, _oob_target(joint, tbox, idx), "out-of-bounds"
 
 
@@ -573,11 +587,13 @@ def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
     them, splits off doubly infinite coordinates, and otherwise evaluates
     the face identities directly, on Python floats for one coordinate
     where no quadrature is needed (the normal kernel, or ``nu`` above the
-    highest order the existence flags ask for), bit for bit.
+    highest order the existence flags ask for), bit for bit, with the box
+    mass the hold computed.
     """
     if tbox.dim != joint.dim:
         raise SpecError("box dimension does not match the joint")
-    held = _held(joint, tbox)
+    masses = []
+    held = _held(joint, tbox, masses=masses)
     if held is not None:
         return _condition_embed(joint, tbox, settings, held)
 
@@ -594,9 +610,9 @@ def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
         return MomentReport(1.0, mean, second, cov, flags, ("untruncated",))
 
     if both_inf.size:
-        return _double_infinite_report(joint, tbox, settings, flags)
+        return _double_infinite_report(joint, tbox, settings, flags, masses)
 
-    return _direct_report(joint, tbox, settings, flags)
+    return _direct_report(joint, tbox, settings, flags, masses)
 
 
 def _needs_mc_fallback(joint, flags):
@@ -615,15 +631,14 @@ def _root(joint, tbox, settings):
                     tbox.lower - joint.xi, tbox.upper - joint.xi)
 
 
-def _uv_report(joint, tbox, flags):
-    """:func:`_direct_report` of one coordinate on Python floats, or ``None``
-    if its mass underflows, where the recursion calls no ``_Moments._quad``:
-    each step repeats its operations in its order, with its ufuncs."""
+def _uv_report(joint, tbox, flags, L):
+    """:func:`_direct_report` of one coordinate on Python floats, given its
+    box mass ``L`` from the hold (at least ``OOB_MASS``, or the hold would
+    have taken the coordinate), where the recursion calls no
+    ``_Moments._quad``: each step repeats its operations in its order, with
+    its ufuncs."""
     nu, var, xi = joint.nu, float(joint.omega[0, 0]), float(joint.xi[0])
     lo, hi = float(tbox.lower[0]) - xi, float(tbox.upper[0]) - xi
-    L = _uv_prob(var, lo, hi, nu)[0]
-    if L <= 0.0:
-        return None
     f1 = f2 = 0.0  # the face sums of the first and second moment
     for t, sign in ((lo, 1.0), (hi, -1.0)):
         if not math.isfinite(t):
@@ -646,13 +661,12 @@ def _uv_report(joint, tbox, flags):
     return MomentReport(L, mean, second, cov, flags, ("direct",))
 
 
-def _direct_report(joint, tbox, settings, flags):
+def _direct_report(joint, tbox, settings, flags, masses=()):
     """The report of the face recursion, run about ``xi`` (the origin enters
-    every face limit, so it fixes the last bits), or :func:`_uv_report`'s."""
-    uv = joint.dim == 1 and (joint.nu is None or joint.nu > 1 + flags.second)
-    rep = _uv_report(joint, tbox, flags) if uv else None
-    if rep is not None:
-        return rep
+    every face limit, so it fixes the last bits), or, for one coordinate
+    whose box mass the hold gives in ``masses``, :func:`_uv_report`'s."""
+    if len(masses) == 1 and (joint.nu is None or joint.nu > 1 + flags.second):
+        return _uv_report(joint, tbox, flags, masses[0])
     top = _root(joint, tbox, settings)
     L = top.mass()
     if L <= 0.0:
@@ -700,11 +714,12 @@ def _gibbs_report(joint, tbox, settings, flags, L, n_draws=400_000):
                         mc_stderr=stderr)
 
 
-def _double_infinite_report(joint, tbox, settings, flags):
+def _double_infinite_report(joint, tbox, settings, flags, masses):
     """Split off coordinates with two infinite limits and reassemble.
 
     The block takes the direct route, as the full box has no degenerate or
-    out-of-bounds coordinate.  The conditional-scale weight of the free
+    out-of-bounds coordinate, with the ``masses`` that the full box's hold
+    gave its coordinates.  The conditional-scale weight of the free
     coordinates is the expectation of ``(nu + d2) / (nu + r2 - 2)`` over
     the truncated block, ``d2`` being the block's Mahalanobis distance and
     ``r2`` its dimension.  The trace form needs only the block's mean and
@@ -719,7 +734,8 @@ def _double_infinite_report(joint, tbox, settings, flags):
     idx2 = np.flatnonzero(~tbox.both_infinite())
     sub2 = marginal(joint, idx2)
     box2 = tbox.subset(idx2)
-    rep2 = _direct_report(sub2, box2, settings, moment_flags(sub2.family, sub2.nu, box2))
+    rep2 = _direct_report(sub2, box2, settings, moment_flags(sub2.family, sub2.nu, box2),
+                          [masses[i] for i in idx2])
     dim = joint.dim
     omega = joint.omega
     o22 = omega[np.ix_(idx2, idx2)]

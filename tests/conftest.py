@@ -40,7 +40,9 @@ class RectangleCount:
     """The rectangle probabilities that ``tse.truncated`` issues: its single
     calls of ``rect_prob_qmc`` and ``_uv_prob``, and every row of its stacked
     ``rect_probs`` calls, whose ``(rows, coordinates)`` shapes ``stacks``
-    records in call order."""
+    records in call order.  The marginal masses by which ``_held`` decides
+    what to hold are left out, save the one a one-coordinate report takes
+    over as its box mass."""
 
     def __init__(self):
         self.singles = 0
@@ -72,7 +74,20 @@ def rectangles(monkeypatch):
         count.stacks.append(lower.shape)
         return _real(corr, lower, upper, *args, **kwargs)
 
+    def held(*args, _real=tse.truncated._held, **kwargs):
+        singles = count.singles
+        try:
+            return _real(*args, **kwargs)
+        finally:
+            count.singles = singles
+
+    def uv_report(*args, _real=tse.truncated._uv_report):
+        count.singles += 1
+        return _real(*args)
+
     monkeypatch.setattr(tse.truncated, "rect_probs", stacked)
+    monkeypatch.setattr(tse.truncated, "_held", held)
+    monkeypatch.setattr(tse.truncated, "_uv_report", uv_report)
     return count
 
 

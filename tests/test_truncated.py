@@ -402,16 +402,31 @@ class TestOutOfBounds:
         assert rep.mean[0] == pytest.approx(1e70, rel=1e-6)
 
     @pytest.mark.parametrize("nu, lo, width", [
-        (5.0, 1e13, 1.0), (2.5, -3.5e12, 0.06), (0.5, 1.25e15, 5.3)])
+        (5.0, 1e13, 1.0), (2.5, -3.5e12, 0.06), (0.5, 1.25e15, 5.3),
+        (4.5, -449711356412756.8, 100.36), (5.0, 1e13, 10.0)])
     def test_far_relatively_narrow_student_box_collapses(self, nu, lo, width):
-        # Each interval holds less than 1e-12 of the cdf at its inner limit.
+        # Each interval holds less than 1e-11 of the cdf at its inner limit.
         # Without the cutoff the direct route cancels there: the mean lands
         # 5.6e10 below the first box and 5.6e11 above the second, and the
-        # variance of the third is -7.6e28.
+        # variance of the third is -7.6e28.  The fourth holds 1.004e-12 of
+        # that cdf, just above a cutoff of 1e-12, whose direct mean lands
+        # 7.9e12 above the box; the fifth holds 5e-12, and its direct mean
+        # lands 1.7e10 below the box.
         rep = truncated_mean_cov(student_joint([0.0], [[1.0]], nu),
                                  TruncationBox([lo], [lo + width]))
         assert rep.method == ("out-of-bounds",)
         assert lo <= rep.mean[0] <= lo + width
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known open finding (ROADMAP item 7): far, relatively narrow Student-t "
+        "boxes holding just above 1e-11 of the cdf at their inner limit take "
+        "the direct route, whose cdf differences cancel"))
+    def test_far_student_box_above_the_cutoff_keeps_its_mean_inside(self):
+        # t5 on [1e13, 1e13 + 2e5] holds 1e-7 of the cdf at its inner limit;
+        # the direct mean lands 3.89 widths below the box.
+        lo, hi = 1e13, 1e13 + 2e5
+        rep = truncated_mean_cov(student_joint([0.0], [[1.0]], 5.0), TruncationBox([lo], [hi]))
+        assert lo <= rep.mean[0] <= hi
 
     def test_gibbs_draws_stay_inside_extreme_box(self):
         j = normal_joint([0.0], [[1.0]])
@@ -583,14 +598,35 @@ class TestUnivariateRoute:
         rep = truncated_mean_cov(j, b)
         assert rep.prob_mass == ref.prob_mass and np.array_equal(rep.mean, ref.mean)
 
-    def test_underflowed_mass_falls_back_to_the_recursion(self, monkeypatch):
+    def test_deep_tails_below_the_threshold_are_held(self):
+        # One nat below the out-of-bounds mass, every box of the deep tails
+        # that take the route one nat above it is out of bounds: the normal
+        # kernel's is held at its near limit, and the Student-t collapse
+        # refuses the others, as their far limits are not close to the near
+        # ones.
+        for nu in self.KERNELS:
+            z = _deep_tail(nu, gap=-1.0)
+            boxes = [(z, np.inf), (-np.inf, -z), (z, 2.0 * z)]
+            for box in boxes + ([(z, z + 0.5)] if nu is None else []):
+                j, b = self._law(nu, box)
+                if nu is None:
+                    assert _held(j, b)[2] == "out-of-bounds", box
+                else:
+                    with pytest.raises(NumericalError, match="out-of-bounds Student-t"):
+                        _held(j, b)
+
+    def test_underflowed_mass_is_held_before_the_route(self, monkeypatch):
+        # The route takes its box mass from the hold, so a mass that
+        # underflows is held at the near limit and reaches neither the
+        # route nor the recursion.
         import tse.truncated
 
-        j, b = self._law(5.0, (0.3, 2.2))
-        ref = _recursion_report(j, b)
+        j, b = self._law(None, (0.3, 2.2))
         monkeypatch.setattr(tse.truncated, "_uv_prob", lambda *args: (0.0, 0.0))
+        monkeypatch.setattr(tse.truncated, "_uv_report", None)
+        monkeypatch.setattr(tse.truncated, "_root", None)
         rep = truncated_mean_cov(j, b)
-        assert rep.prob_mass == ref[0] and np.array_equal(rep.covariance, ref[3])
+        assert rep.method == ("out-of-bounds",) and rep.mean[0] == b.lower[0]
 
     def test_two_coordinates_stay_on_the_recursion(self, monkeypatch):
         import tse.truncated
