@@ -108,9 +108,9 @@ class TruncationBox:
 class RectangleProbSettings:
     """Budget and determinism knobs for the QMC rectangle integrator.
 
-    They apply to lattice calls only: rectangles that ``qmc._exact``
-    computes deterministically (up to three dimensions, and four for the
-    normal kernel or an integer df up to 30) ignore them.
+    They apply to lattice calls only: rectangles that the rule of the
+    ``tse.qmc`` module docstring (``qmc._exact``) computes deterministically
+    ignore them.
     ``max_points`` scrambled Sobol' points are evaluated per scramble,
     ``num_shifts`` scrambles are drawn from ``seed``, and a call whose
     error estimate misses ``target_abs_error`` is refined once to
@@ -263,6 +263,17 @@ def conditional(joint: EllipticalJoint, given: Sequence[int], value) -> Elliptic
     if not np.all(np.isfinite(value)):
         raise SpecError("conditioning value must be finite")
 
+    _, schur, xi, factor, nu = _conditional_law(joint, given, value)
+    return _derived(EllipticalJoint, family=joint.family, xi=xi, omega=factor * schur, nu=nu)
+
+
+def _conditional_law(joint: EllipticalJoint, given, value):
+    """The parts of :func:`conditional` for validated index and value
+    arrays: the regression gain of the remaining coordinates on ``given``,
+    the symmetrised Schur complement, the conditional location, and the
+    Student-t scale factor and degrees of freedom (``1.0`` and ``None`` for
+    the normal kernel).  The conditional dispersion is the factor times the
+    Schur complement."""
     keep = _complement(joint.dim, given)
     o_gg = joint.omega[given[:, None], given]
     o_kg = joint.omega[keep[:, None], given]
@@ -276,12 +287,9 @@ def conditional(joint: EllipticalJoint, given: Sequence[int], value) -> Elliptic
     schur = o_kk - gain @ o_kg.T
     schur = 0.5 * (schur + schur.T)
     if joint.family == NORMAL:
-        return _derived(EllipticalJoint, family=NORMAL, xi=xi, omega=schur, nu=None)
-    r2 = given.size
+        return gain, schur, xi, 1.0, None
     delta = float((value - joint.xi[given]) @ solve)
-    factor = (joint.nu + delta) / (joint.nu + r2)
-    return _derived(EllipticalJoint, family=STUDENT_T, xi=xi, omega=factor * schur,
-                    nu=joint.nu + r2)
+    return gain, schur, xi, (joint.nu + delta) / (joint.nu + given.size), joint.nu + given.size
 
 
 def mahalanobis(joint: EllipticalJoint, x) -> float:
@@ -385,11 +393,8 @@ def rectangle_prob(joint: EllipticalJoint, tbox: TruncationBox,
     """``P(lower <= X <= upper)`` with an error estimate.
 
     Coordinates whose limits are infinite on both sides are marginalised
-    out before integration.  One remaining dimension is handled exactly via
-    the univariate cdf, two via the exact bivariate routine, and three, as
-    well as four for the normal kernel or an integer df up to 30, by the
-    nested conditional rule over it; the rest go through the
-    separation-of-variables QMC integrator.
+    out before integration; the rest go to ``qmc.rect_prob_qmc``, exact or
+    on the lattice by the rule of the ``tse.qmc`` module docstring.
     Results are deterministic for a fixed seed.
     """
     if tbox.dim != joint.dim:

@@ -46,7 +46,7 @@ from scipy.special import gammaincinv, gammaln, ndtr, ndtri, owens_t, stdtr, std
 
 from .errors import NumericalError, SpecError
 
-__all__ = ["bivariate_rect_prob", "rect_prob_qmc", "rect_probs"]
+__all__ = ["rect_prob_qmc", "rect_probs"]
 
 # Joe & Kuo (2008) direction numbers (new-joe-kuo-6.21201, as scipy ships
 # them) for Sobol' dimensions 2 .. 100: per dimension, its primitive
@@ -721,43 +721,6 @@ def _bv_rect(lower, upper, r, df=None):
     return val[0] - val[1] - val[2] + val[3], _ROUND * mag.sum(axis=0)
 
 
-def bivariate_rect_prob(rho, lower, upper, df=None):
-    """Exact rectangle probabilities of a standardised bivariate law.
-
-    Parameters
-    ----------
-    rho : float
-        Correlation shared by every row; ``1 - rho**2`` must exceed 1e-14.
-    lower, upper : (m, 2) arrays
-        Standardised limits (unit scales), one box per row; entries may be
-        infinite.
-    df : float, optional
-        Student-t degrees of freedom, positive; ``None`` selects the normal
-        kernel.
-
-    Returns
-    -------
-    (prob, err) : pair of (m,) arrays
-        Probabilities clipped to ``[0, 1]`` and error estimates.  The normal
-        kernel uses Owen's form, and a Student-t kernel with integer ``df``
-        up to ``_DS_MAX_DF`` sums Dunnett & Sobel's finite series; each is
-        exact up to a rounding floor proportional to the magnitude of the
-        terms it sums.  A stack of one Student-t row sums the series on
-        Python floats (:func:`_bvt_row`), bit-identical to the stacked form:
-        numpy's per-call cost on one-element arrays was most of its time.
-        Rows whose probability lies far below that floor
-        (deep joint tails) take the two-dimensional level of the nested
-        conditional rule instead when its estimate is smaller, and every
-        row of any other ``df`` takes that level.  Its estimate adds the
-        gap to the rule with twice the step, the weighted univariate
-        rounding floors and a relative rounding floor.
-    """
-    _check_df(df)
-    lower = np.atleast_2d(np.asarray(lower, dtype=float))
-    upper = np.atleast_2d(np.asarray(upper, dtype=float))
-    return _bivariate(float(rho), lower, upper, df)
-
-
 def _check_df(df):
     """Refuse degrees of freedom that are not positive, NaN included."""
     if df is not None and not df > 0:
@@ -765,24 +728,30 @@ def _check_df(df):
 
 
 def _bivariate(rho, lower, upper, df=None, weight=None, group=None):
-    """:func:`bivariate_rect_prob` of ``(m, 2)`` float rows.  ``rho`` is
-    one correlation shared by every row, or an ``(m,)`` array of one per
-    row.  Owen's form and the series broadcast it element by element, and
-    a row of its own correlation that takes the nested rule takes it alone
-    (:func:`_nested_2d`), so each such row gets the bits of a stack of that
-    one row.  A stack of
-    one Student-t row with no outer ``weight`` sums the series on Python
-    floats (:func:`_bvt_row`), bit-identical to the stacked form, and
-    returns it clipped at once if it needs no tail rule, because numpy's
-    per-call cost on one-element arrays is most of the stacked form's time
-    on one row; larger stacks, such as the nested rule's inner
-    rows, keep the stacked form.  A row of the closed form takes the nested
-    rule where its estimate exceeds ``_TAIL_REL`` of its probability.  Given
-    the nested rule's outer ``weight`` of each row and the ``group``
-    (outermost row) it belongs to, such a row keeps the closed form, with
-    twice its value added to its estimate, where that bound, weighted,
-    stays within ``_TAIL_REL`` of the mean weighted value of its group's
-    rows that need no tail rule: nodes of negligible weight."""
+    """Exact rectangle probabilities, clipped to ``[0, 1]``, and error
+    estimates of ``(m, 2)`` rows of standardised limits, for
+    :func:`rect_probs` at ``n = 2`` and the nested rule's inner rows.
+
+    The normal kernel sums Owen's form and an integer ``df`` up to
+    ``_DS_MAX_DF`` the Dunnett-Sobel series, each exact up to a rounding
+    floor proportional to the magnitude of the terms it sums; every row of
+    any other ``df`` takes the two-dimensional level of the nested rule.
+    ``rho`` is one correlation shared by every row, or an ``(m,)`` array of
+    one per row.  Owen's form and the series broadcast it element by
+    element, and a row of its own correlation that takes the nested rule
+    takes it alone (:func:`_nested_2d`), so each such row gets the bits of
+    a stack of that one row.  A stack of one Student-t row with no outer
+    ``weight`` sums the series on Python floats (:func:`_bvt_row`),
+    bit-identical to the stacked form, and returns it clipped at once if it
+    needs no tail rule, because numpy's per-call cost on one-element arrays
+    is most of the stacked form's time on one row; larger stacks keep the
+    stacked form.  A row of the closed form takes the nested rule where its
+    estimate exceeds ``_TAIL_REL`` of its probability.  Given the nested
+    rule's outer ``weight`` of each row and the ``group`` (outermost row)
+    it belongs to, such a row keeps the closed form, with twice its value
+    added to its estimate, where that bound, weighted, stays within
+    ``_TAIL_REL`` of the mean weighted value of its group's rows that need
+    no tail rule: nodes of negligible weight."""
     per_row = isinstance(rho, np.ndarray)
     if not ((1.0 - rho * rho > 1e-14).all() if per_row else 1.0 - rho * rho > 1e-14):
         raise NumericalError("dispersion matrix is numerically singular")
@@ -991,21 +960,25 @@ def _nested_rect(corr, lower, upper, df=None, outer=None, group=None):
 
 
 def _exact(n, df=None):
-    """Whether an ``n``-dimensional box is exact rather than a lattice call:
-    up to three dimensions, and four for the normal kernel or an integer
-    ``df`` whose inner rectangles (``df + 2``) take the series."""
+    """Whether an ``n``-dimensional box is exact rather than a lattice call,
+    by the rule of the module docstring: at four dimensions a Student-t
+    box's inner rectangles have ``df + 2`` and must take the series."""
     return n <= 3 or n == 4 and (df is None or float(df).is_integer() and df + 2 <= _DS_MAX_DF)
 
 
 def rect_probs(corr, lower, upper, df=None, **lattice):
-    """``P(lower <= Z <= upper)`` and error estimates for ``(m, n)`` rows of
-    standardised limits that share the correlation ``corr``, or, at
-    ``n = 2``, that have one each: ``corr`` of shape ``(m, 2, 2)``, and then
-    each row gets the bits of a call of its own (see :func:`_bivariate`).
-    Where :func:`_exact` holds, one stacked exact call serves every row, at
+    """``P(lower <= Z <= upper)`` and error estimates for ``(m, n)`` arrays of
+    standardised limits, one box per row; the stacked entry.
+
+    The rows share the ``(n, n)`` correlation ``corr``, or, at ``n = 2``,
+    have one each: ``corr`` of shape ``(m, 2, 2)``, and then each row gets
+    the bits of a call of its own (see :func:`_bivariate`).  Where
+    :func:`_exact` holds, one stacked exact call serves every row, at
     ``n = 1`` :func:`_uv_mass` with its floors, which :func:`_uv_prob`
-    repeats bit for bit on one interval; otherwise each row is a lattice
-    call of :func:`rect_prob_qmc` with the keyword settings ``lattice``."""
+    repeats bit for bit on one interval, and at ``n = 2``
+    :func:`_bivariate`; otherwise each row is a lattice call of
+    :func:`rect_prob_qmc` with the keyword settings ``lattice``.  Returns
+    two ``(m,)`` arrays."""
     _check_df(df)
     m, n = lower.shape
     if not _exact(n, df):
@@ -1025,12 +998,8 @@ def rect_prob_qmc(sigma, lower, upper, df=None, *, max_points=8192,
 
     One coordinate takes :func:`_uv_prob`, the univariate cdf difference
     on Python floats, bit-identical to :func:`rect_probs` at ``n = 1``.
-    Other boxes for which :func:`_exact` holds are computed exactly by
-    :func:`rect_probs`: :func:`bivariate_rect_prob` in two dimensions,
-    which sums Owen's form or, for an integer ``df`` up to
-    ``_DS_MAX_DF``, the Dunnett-Sobel series; and the nested conditional
-    rule in three and four, and in two for any other ``df`` and for deep
-    joint tails.
+    Other boxes that the rule of the module docstring (:func:`_exact`)
+    calls exact take :func:`rect_probs`, and the rest the lattice.
     The Sobol' settings ``max_points``, ``num_shifts``, ``seed`` and
     ``target_abs_error`` apply to lattice calls only, and at most 100
     Sobol' dimensions are available: ``n - 1`` for the normal kernel, ``n``

@@ -21,6 +21,7 @@ from .elliptical import (
     EllipticalJoint,
     RectangleProbSettings,
     TruncationBox,
+    _conditional_law,
     _derived,
     _log_density_parts,
     _log_density_rows,
@@ -38,6 +39,7 @@ from .truncated import (
     _check_order,
     _oob_target,
     _product_moment,
+    _recursion_closes,
     existence_check,
     truncated_mean_cov,
 )
@@ -117,17 +119,17 @@ class SelectionSpec:
         the outcome marginal and its log-density parts, then (``None``
         without a selection block) the cross dispersion between the
         selection and outcome blocks, and the diagonal, as a column, and
-        correlation of the selection-given-outcome Schur complement."""
+        correlation of the Schur complement of the selection block given the
+        outcome block."""
         parts = self._density
         if parts is None:
             outcome = self.outcome_marginal()
             q = self.n_selection
             cross = schur_var = schur_corr = None
             if q:
-                omega = self.joint.omega
-                cross = omega[:q, q:]
-                schur = omega[:q, :q] - cross @ np.linalg.solve(omega[q:, q:], cross.T)
-                schur = 0.5 * (schur + schur.T)
+                cross = self.joint.omega[:q, q:]
+                given = np.arange(q, self.joint.dim)
+                schur = _conditional_law(self.joint, given, self.joint.xi[q:])[1]
                 var = np.diag(schur)
                 schur_var = var[:, None]
                 schur_corr = schur / np.sqrt(np.outer(var, var))
@@ -357,20 +359,22 @@ def tse_mean_cov(spec: SelectionSpec, tbox: Optional[TruncationBox],
 
     Prepends the selection rectangle to the truncation box, computes the
     truncated moments of the symmetric joint, and reads off the outcome
-    block.  The reported probability mass is the truncated mass under the
-    selection law, i.e. the augmented-box mass over the selection mass.
+    block, Monte Carlo standard errors included.  The reported probability
+    mass is the truncated mass under the selection law, i.e. the
+    augmented-box mass over the selection mass.
     """
     aug_box = spec.augmented_box(tbox)
     rep = truncated_mean_cov(spec.joint, aug_box, settings)
     q = spec.n_selection
     mean = rep.mean[q:] if rep.mean is not None else None
-    cov = second = None
+    cov = second = stderr = None
     if rep.covariance is not None:
         cov = rep.covariance[q:, q:]
         second = rep.second_moment[q:, q:]
+    if rep.mc_stderr is not None:
+        stderr = {k: v[q:, q:] if k == "cov" else v[q:] for k, v in rep.mc_stderr.items()}
     prob = _tse_prob_mass(spec, rep, tbox, settings)
-    return MomentReport(prob, mean, second, cov, rep.existence, rep.method, rep.notes,
-                        rep.mc_stderr)
+    return MomentReport(prob, mean, second, cov, rep.existence, rep.method, rep.notes, stderr)
 
 
 def _tse_prob_mass(spec, aug_report, tbox, settings):
@@ -428,7 +432,7 @@ def _tse_moment_path(spec, tbox, order, settings):
             f"moment of order {tuple(int(v) for v in k)} does not exist for these limits")
     if k.sum() == 0:
         return 1.0, ("direct",), None
-    if spec.family == NORMAL or spec.nu > k.sum() or spec.joint.dim == 1:
+    if spec.joint.dim == 1 or _recursion_closes(spec.nu, k.sum()):
         value, method = _product_moment(spec.joint, aug_box, aug_order, settings)
         return value, method, None
     if k.sum() <= 2:
@@ -472,31 +476,25 @@ class LimitingTParams:
 def limiting_t(params: SutParams) -> LimitingTParams:
     """Outcome law with the selection block held at its boundary.
 
-    For the normal kernel this is the receding-extension limit: as every
-    extension coordinate goes to minus infinity the selection law converges
-    to it, in law and in moments.  For the Student-t kernel it is only the
-    conditional law at the selection boundary (``censored_factor`` builds
-    on the same law), and neither a limit in law nor one in moments: given
-    ``X0 > c`` the overshoot ``X0 / c`` tends to a Pareto(df) law and does
-    not vanish (for an EST with location zero the ratio of the true mean
-    to this law's mean tends to ``df / (df - 1)``).
+    ``to_joint()`` is exactly :func:`tse.elliptical.conditional` of the
+    :func:`build_selection` joint at the selection boundary ``0``.  For the
+    normal kernel this is the receding-extension limit: as every extension
+    coordinate goes to minus infinity the selection law converges to it,
+    in law and in moments.  For the Student-t kernel it is only that
+    conditional law (``censored_factor`` builds on the same law), and
+    neither a limit in law nor one in moments: given ``X0 > c`` the
+    overshoot ``X0 / c`` tends to a Pareto(df) law and does not vanish (for
+    an EST with location zero the ratio of the true mean to this law's mean
+    tends to ``df / (df - 1)``).
     """
-    o11 = params.selection_corr + params.shape @ params.shape.T
-    root = _sqrtm_spd(params.scale)
-    o21 = root @ params.shape.T
-    solve_tau = np.linalg.solve(o11, params.extension)
-    gamma = params.location - o21 @ solve_tau
-    big_gamma = params.scale - o21 @ np.linalg.solve(o11, o21.T)
-    big_gamma = 0.5 * (big_gamma + big_gamma.T)
+    q = params.q
+    _, schur, xi, factor, nu = _conditional_law(build_selection(params).joint, np.arange(q),
+                                                np.zeros(q))
     tau_tilde = None
-    if params.q == 1:
+    if q == 1:
         lam = params.shape[0]
         tau_tilde = float(params.extension[0] / np.sqrt(1.0 + lam @ lam))
-    if params.df is None:
-        return LimitingTParams(gamma, big_gamma, 1.0, None, tau_tilde)
-    omega_tau = (params.df + float(params.extension @ solve_tau)) / (params.df + params.q)
-    return LimitingTParams(gamma, big_gamma, float(omega_tau),
-                           params.df + params.q, tau_tilde)
+    return LimitingTParams(xi, schur, float(factor), nu, tau_tilde)
 
 
 def sut_existence(params: SutParams, tbox: Optional[TruncationBox], order) -> bool:

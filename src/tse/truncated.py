@@ -24,11 +24,11 @@ integrates it picks its outer coordinate from the masses summed over a
 stack's rows, so a stack would move its bits.
 The same recursion serves the mean and covariance of
 :func:`truncated_mean_cov`, :func:`tmvn_product_moment` and the product
-moments of ``tse.selection.tse_moment``.  A law of one coordinate whose
-recursion needs no quadrature (the normal kernel, or ``nu`` above the
-highest order its existence flags ask for) takes a scalar route on Python
-floats instead (:func:`_uv_report`), with the same bits, and takes its box
-mass from the hold.
+moments of ``tse.selection.tse_moment``.  A law of one coordinate takes
+its box mass from the hold, and, where its recursion needs no quadrature
+(:func:`_recursion_closes` at the highest order its existence flags ask
+for), a scalar route on Python floats (:func:`_uv_report`), with the same
+bits.
 
 Extreme configurations hold coordinates at a point and condition the rest
 of the law on it.  One helper (:func:`_held`) picks them, in this order,
@@ -66,6 +66,7 @@ from .elliptical import (
     EllipticalJoint,
     RectangleProbSettings,
     TruncationBox,
+    _conditional_law,
     conditional,
     marginal,
 )
@@ -95,6 +96,8 @@ OOB_T_REL_WIDTH = 1e-6
 # mean to cancellation and the midpoint errs by about w**2 / 12; the two
 # cross near w = 1e-5.
 NARROW_WIDTH = 1e-5
+# Draws of the Gibbs fallback of the direct route.
+_GIBBS_DRAWS = 400_000
 
 DEFAULT_ORDER_CAP = 8
 
@@ -185,6 +188,15 @@ def moment_flags(family: str, nu, tbox: TruncationBox) -> ExistenceFlags:
     return ExistenceFlags(1 < nu + p1, 2 < nu + p1)
 
 
+def _recursion_closes(nu, order) -> bool:
+    """Whether the face recursion reaches moments up to ``order`` through
+    rectangle probabilities alone: the normal kernel (``nu`` None), or
+    ``nu`` above the order, which keeps every node's degrees of freedom
+    above its own order.  Below that, only a one-dimensional finite box is
+    served, by quadrature."""
+    return nu is None or nu > order
+
+
 # ---------------------------------------------------------------------------
 # Face identity.  Fixing x_k = t leaves a law one dimension down times a
 # one-dimensional weight.
@@ -256,10 +268,8 @@ class _Moments:
     weight is one.  Student-t: ``g`` is the t(nu - 2) law with dispersion
     ``nu Sigma / (nu - 2)`` and weight ``nu / (nu - 2)``, and the face terms
     carry ``nu / (nu + p - 2)`` and laws with ``nu - 1`` degrees of freedom.
-    A top-level ``nu`` above the total order keeps every node's degrees of
-    freedom above its own order; below that only a one-dimensional finite
-    box is served, by quadrature.  Each node memoises its moments and its
-    box probability (:meth:`mass`).
+    Where the recursion ends is :func:`_recursion_closes`.  Each node
+    memoises its moments and its box probability (:meth:`mass`).
 
     The root's table holds every node of the recursion once, keyed on
     ``(nu, fixed)``: its degrees of freedom and the set of (original
@@ -346,8 +356,6 @@ class _Moments:
         p, nu, sigma, mu = self.dim, self.nu, self.sigma, self.mu
         pairs = [(j, t) for j, limits in enumerate(zip(self.lo.tolist(), self.hi.tolist()))
                  for t in limits if math.isfinite(t)]
-        if not pairs:
-            return {}
         j = np.array([j for j, _ in pairs])
         t_c = np.array([t for _, t in pairs]) - mu[j]
         diag = np.diagonal(sigma)
@@ -386,7 +394,7 @@ class _Moments:
         if hit is not None:
             return hit
         nu, p = self.nu, self.dim
-        if nu is not None and nu <= sum(k) + 1:
+        if not _recursion_closes(nu, sum(k) + 1):
             self._up[k] = self._quad(sum(k) + 1)
             return self._up[k]
         inner = np.zeros(p)
@@ -495,7 +503,7 @@ def _held(joint, tbox, underflowed=False, masses=None):
     Each coordinate's mass and the cdf at its inner limit (the reflected
     upper limit) come from one :func:`_uv_prob` call, as the mass and its
     rounding floor, ``_ROUND`` times that cdf.  ``masses``, a list if given,
-    receives the masses, so that a one-coordinate report integrates its box
+    receives the masses, so that a one-coordinate root integrates its box
     once.
     """
     deg = np.flatnonzero(tbox.is_degenerate())
@@ -585,10 +593,7 @@ def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
 
     Holds the coordinates :func:`_held` picks and conditions the rest on
     them, splits off doubly infinite coordinates, and otherwise evaluates
-    the face identities directly, on Python floats for one coordinate
-    where no quadrature is needed (the normal kernel, or ``nu`` above the
-    highest order the existence flags ask for), bit for bit, with the box
-    mass the hold computed.
+    the face identities directly (:func:`_direct_report`).
     """
     if tbox.dim != joint.dim:
         raise SpecError("box dimension does not match the joint")
@@ -613,16 +618,6 @@ def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
         return _double_infinite_report(joint, tbox, settings, flags, masses)
 
     return _direct_report(joint, tbox, settings, flags, masses)
-
-
-def _needs_mc_fallback(joint, flags):
-    if joint.family == NORMAL or joint.dim == 1:
-        return False
-    if flags.mean and joint.nu <= 1.0:
-        return True
-    if flags.second and joint.nu <= 2.0:
-        return True
-    return False
 
 
 def _root(joint, tbox, settings):
@@ -664,17 +659,21 @@ def _uv_report(joint, tbox, flags, L):
 def _direct_report(joint, tbox, settings, flags, masses=()):
     """The report of the face recursion, run about ``xi`` (the origin enters
     every face limit, so it fixes the last bits), or, for one coordinate
-    whose box mass the hold gives in ``masses``, :func:`_uv_report`'s."""
-    if len(masses) == 1 and (joint.nu is None or joint.nu > 1 + flags.second):
+    whose box mass the hold gives in ``masses``, :func:`_uv_report`'s where
+    the recursion closes.  Where it does not, one coordinate takes
+    quadrature, with the hold's mass, and more take :func:`_gibbs_report`."""
+    if len(masses) == 1 and _recursion_closes(joint.nu, 1 + flags.second):
         return _uv_report(joint, tbox, flags, masses[0])
     top = _root(joint, tbox, settings)
+    if len(masses) == 1:
+        top._mass = masses[0]
     L = top.mass()
     if L <= 0.0:
         # The box mass underflowed though no single coordinate's did: hold
         # the coordinate with the least marginal mass and condition on it.
         rep = _condition_embed(joint, tbox, settings, _held(joint, tbox, underflowed=True))
         return replace(rep, notes=rep.notes + ("joint probability underflowed",))
-    if _needs_mc_fallback(joint, flags):
+    if joint.dim > 1 and not _recursion_closes(joint.nu, flags.mean + flags.second):
         return _gibbs_report(joint, tbox, settings, flags, L)
     p = joint.dim
     zero = (0,) * p
@@ -699,16 +698,19 @@ def _direct_report(joint, tbox, settings, flags, masses=()):
     return MomentReport(min(L, 1.0), mean, second, cov, flags, ("direct",))
 
 
-def _gibbs_report(joint, tbox, settings, flags, L, n_draws=400_000):
-    """Low-degrees-of-freedom fallback served by the Gibbs oracle; ``L`` is the box mass."""
+def _gibbs_report(joint, tbox, settings, flags, L):
+    """Low-degrees-of-freedom fallback served by the Gibbs oracle; ``L`` is
+    the box mass.  It reports the flagged moments and their errors only."""
     from .oracle import estimate_mean_cov, sample_truncated_gibbs
 
-    batch = sample_truncated_gibbs(joint, tbox, n_draws, seed=settings.seed)
+    batch = sample_truncated_gibbs(joint, tbox, _GIBBS_DRAWS, seed=settings.seed)
     est = estimate_mean_cov(batch)
     mean = est["mean"].value if flags.mean else None
     cov = est["cov"].value if flags.second else None
     second = cov + np.outer(mean, mean) if flags.second else None
-    stderr = {"mean": est["mean"].std_error, "cov": est["cov"].std_error}
+    stderr = {"mean": est["mean"].std_error}
+    if flags.second:
+        stderr["cov"] = est["cov"].std_error
     return MomentReport(min(max(L, 0.0), 1.0), mean, second, cov, flags,
                         ("mc-gibbs",), ("moments estimated by Gibbs sampling",),
                         mc_stderr=stderr)
@@ -727,8 +729,11 @@ def _double_infinite_report(joint, tbox, settings, flags, masses):
     ``nu / (nu - 2) * P_{nu-2}(block) / P_nu(block)``, where ``P_{nu-2}`` is
     the block probability under ``nu - 2`` degrees of freedom and
     dispersion ``nu Omega22 / (nu - 2)`` (the root's gradient law).  The
-    trace form also holds for ``nu <= 2``, where the direct route on the
-    full box can fall back to Gibbs sampling (see :func:`_needs_mc_fallback`).
+    trace form also holds where the recursion does not close
+    (:func:`_recursion_closes`), where the direct route on the full box
+    falls back to Gibbs sampling.  The free coordinates' regression on the
+    block, and their Schur complement, are those of their law given the
+    block at its truncated mean (:func:`tse.elliptical._conditional_law`).
     """
     idx1 = np.flatnonzero(tbox.both_infinite())
     idx2 = np.flatnonzero(~tbox.both_infinite())
@@ -737,38 +742,28 @@ def _double_infinite_report(joint, tbox, settings, flags, masses):
     rep2 = _direct_report(sub2, box2, settings, moment_flags(sub2.family, sub2.nu, box2),
                           [masses[i] for i in idx2])
     dim = joint.dim
-    omega = joint.omega
-    o22 = omega[np.ix_(idx2, idx2)]
-    o12 = omega[np.ix_(idx1, idx2)]
-    o11 = omega[np.ix_(idx1, idx1)]
-    xi1 = joint.xi[idx1]
-    xi2 = joint.xi[idx2]
-
-    mean = None
+    mean = cov = second = None
     if flags.mean and rep2.mean is not None:
         mu2 = rep2.mean
-        mean1 = xi1 + o12 @ np.linalg.solve(o22, mu2 - xi2)
+        gain, schur, mean1, _, _ = _conditional_law(joint, idx2, mu2)
         mean = _embed_vector(dim, (idx1, idx2), (mean1, mu2))
-
-    cov = second = None
-    if flags.second and rep2.covariance is not None:
-        s22 = rep2.covariance
-        gain = np.linalg.solve(o22, o12.T).T
-        w = 1.0
-        if joint.family != NORMAL:
-            centred = s22 + np.outer(mu2 - xi2, mu2 - xi2)
-            w = (joint.nu + float(np.trace(np.linalg.solve(o22, centred)))) \
-                / (joint.nu + idx2.size - 2.0)
-        c11 = w * (o11 - gain @ o12.T) + gain @ s22 @ gain.T
-        c12 = gain @ s22
-        cov = _embed_matrix(dim, {
-            (tuple(idx1), tuple(idx1)): c11,
-            (tuple(idx1), tuple(idx2)): c12,
-            (tuple(idx2), tuple(idx1)): c12.T,
-            (tuple(idx2), tuple(idx2)): s22,
-        })
-        cov = 0.5 * (cov + cov.T)
-        second = cov + np.outer(mean, mean)
+        if flags.second and rep2.covariance is not None:
+            s22 = rep2.covariance
+            w = 1.0
+            if joint.family != NORMAL:
+                centred = s22 + np.outer(mu2 - sub2.xi, mu2 - sub2.xi)
+                w = (joint.nu + float(np.trace(np.linalg.solve(sub2.omega, centred)))) \
+                    / (joint.nu + idx2.size - 2.0)
+            c11 = w * schur + gain @ s22 @ gain.T
+            c12 = gain @ s22
+            cov = _embed_matrix(dim, {
+                (tuple(idx1), tuple(idx1)): c11,
+                (tuple(idx1), tuple(idx2)): c12,
+                (tuple(idx2), tuple(idx1)): c12.T,
+                (tuple(idx2), tuple(idx2)): s22,
+            })
+            cov = 0.5 * (cov + cov.T)
+            second = cov + np.outer(mean, mean)
     return MomentReport(rep2.prob_mass, mean, second, cov, flags,
                         rep2.method + ("double-infinite",), rep2.notes)
 
@@ -799,13 +794,17 @@ def _product_moment(joint: EllipticalJoint, tbox: TruncationBox, k,
 
     Coordinates that :func:`_held` picks contribute fixed powers of their
     held value, and the rest is the moment of the law conditioned on them;
-    a box whose mass underflows holds one coordinate more.  A Student-t
-    kernel needs ``nu`` above the total order unless the box is
-    one-dimensional and finite (see :class:`_Moments`).
+    a box whose mass underflows holds one coordinate more.  One coordinate
+    takes its box mass from the hold.  A Student-t kernel needs ``nu``
+    above the total order unless the box is one-dimensional and finite
+    (see :func:`_recursion_closes`).
     """
-    held = _held(joint, tbox)
+    masses = []
+    held = _held(joint, tbox, masses=masses)
     if held is None:
         top = _Moments(settings, joint.nu, joint.xi, joint.omega, tbox.lower, tbox.upper)
+        if len(masses) == 1:
+            top._mass = masses[0]
         L = top.mass()
         if L > 0.0:
             try:

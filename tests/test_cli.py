@@ -287,6 +287,20 @@ class TestJobs:
         assert code == 0
         assert len(payload["values"]["mtce"]) == 2
 
+    def test_mtce_with_explicit_thresholds(self, tmp_path, capsys):
+        from tse.cli import parse_distribution
+        from tse.risk import mtce
+
+        dist = {"family": "EST", "mu": [0.1, -0.3], "sigma": [[1.0, 0.3], [0.3, 1.4]],
+                "lambda": [0.9, -0.4], "tau": 0.2, "nu": 7.0}
+        job = {"distribution": dist, "thresholds": ["-inf", 0.4]}
+        code, out, _ = run_cli(capsys, "mtce", "--spec", write_job(tmp_path, job))
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["values"]["thresholds"] == ["-inf", 0.4]
+        spec, _ = parse_distribution(dist)
+        assert payload["values"]["mtce"] == mtce(spec, [-np.inf, 0.4]).tolist()
+
     def test_validate_job(self, capsys):
         path = os.path.join(EXAMPLES, "esn_validate.json")
         code, out, _ = run_cli(capsys, "validate", "--spec", path)

@@ -404,6 +404,11 @@ class TestRectangleProb:
         assert abs(p - ref) < 5e-4
 
 
+def _corr2(rho):
+    """The 2 x 2 correlation matrix of ``rho``."""
+    return np.array([[1.0, rho], [rho, 1.0]])
+
+
 def _quad_rect(rho, lo, hi, nu=None):
     """Conditional-form quadrature of a standardised bivariate rectangle."""
     from scipy.stats import norm
@@ -450,9 +455,9 @@ class TestBivariateExact:
 
     @staticmethod
     def _prob(rho, lo, hi, nu=None):
-        from tse.qmc import bivariate_rect_prob
+        from tse.qmc import rect_probs
 
-        p, e = bivariate_rect_prob(rho, np.array([lo], float), np.array([hi], float), nu)
+        p, e = rect_probs(_corr2(rho), np.array([lo], float), np.array([hi], float), nu)
         return p[0], e[0]
 
     @pytest.mark.parametrize("nu", [None, 0.5, 3.0, 30.0] + [
@@ -592,13 +597,13 @@ class TestBivariateExact:
         assert abs(p - ref) <= err + ref_err
 
     def test_stack_matches_rows_and_is_deterministic(self):
-        from tse.qmc import bivariate_rect_prob
+        from tse.qmc import rect_probs
 
         lo = np.array([b[0] for b in self.BOXES], float)
         hi = np.array([b[1] for b in self.BOXES], float)
         for nu in (None, 4.0, 5.0):
-            p, e = bivariate_rect_prob(0.35, lo, hi, nu)
-            p2, e2 = bivariate_rect_prob(0.35, lo, hi, nu)
+            p, e = rect_probs(_corr2(0.35), lo, hi, nu)
+            p2, e2 = rect_probs(_corr2(0.35), lo, hi, nu)
             assert np.array_equal(p, p2) and np.array_equal(e, e2)
             rows = [self._prob(0.35, a, b, nu)[0] for a, b in self.BOXES]
             np.testing.assert_allclose(p, rows, rtol=0, atol=1e-15)
@@ -704,13 +709,13 @@ class TestTrivariateExact:
 
     @pytest.mark.parametrize("nu", [None, 4.0])
     def test_zero_and_infinite_limits(self, nu):
-        from tse.qmc import bivariate_rect_prob
+        from tse.qmc import rect_probs
 
         corr = self.CORR
         # A free coordinate leaves the bivariate rectangle of the other two.
         lo, hi = np.array([-0.5, -np.inf, 0.2]), np.array([1.0, 0.0, np.inf])
         p, _ = self._prob(corr, lo, hi, nu)
-        p2, _ = bivariate_rect_prob(corr[0, 2], lo[[0, 2]][None], hi[[0, 2]][None], nu)
+        p2, _ = rect_probs(_corr2(corr[0, 2]), lo[[0, 2]][None], hi[[0, 2]][None], nu)
         lo_free, hi_free = lo.copy(), hi.copy()
         lo_free[1], hi_free[1] = -np.inf, np.inf
         # The reflection test forms lo + hi = nan here; it must not warn.

@@ -543,7 +543,7 @@ def test_one_row_deep_tail_still_takes_the_nested_rule(monkeypatch):
     calls = []
     rule = qmc_mod._nested_rect
     monkeypatch.setattr(qmc_mod, "_nested_rect", lambda *a: calls.append(a) or rule(*a))
-    prob, err = qmc_mod.bivariate_rect_prob(r, lo, hi, 8.0)
+    prob, err = qmc_mod.rect_probs(np.array([[1.0, r], [r, 1.0]]), lo, hi, 8.0)
     assert len(calls) == 1
     assert np.array_equal(prob, nested[0]) and np.array_equal(err, nested[1])
     assert abs(prob[0] - series) > 1e-3 * series
@@ -555,11 +555,12 @@ def test_one_row_never_enters_the_stacked_series(monkeypatch):
 
     monkeypatch.setattr(qmc_mod, "_bvt_lower", refuse)
     lo, hi = np.array([[-0.3, -1.2]]), np.array([[0.8, np.inf]])
+    corr = np.array([[1.0, -0.4], [-0.4, 1.0]])
     for df in (1.0, 4.0, 7.0, float(qmc_mod._DS_MAX_DF)):
-        qmc_mod.bivariate_rect_prob(-0.4, lo, hi, df)
+        qmc_mod.rect_probs(corr, lo, hi, df)
         rect_prob_qmc([[2.0, 0.5], [0.5, 1.0]], lo[0], hi[0], df)
     with pytest.raises(AssertionError, match="stacked series"):
-        qmc_mod.bivariate_rect_prob(-0.4, np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0), 4.0)
+        qmc_mod.rect_probs(corr, np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0), 4.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -571,15 +572,14 @@ def test_nan_limit_refused(n):
 
 
 @pytest.mark.parametrize("call, df", [
-    ("rect_prob_qmc", 0.0), ("rect_probs", 0.0), ("bivariate_rect_prob", 0.0),
-    ("bivariate_rect_prob", -1.0), ("bivariate_rect_prob", np.nan), ("rect_prob_qmc", -2.0),
+    ("rect_prob_qmc", 0.0), ("rect_probs", 0.0), ("rect_probs", -1.0), ("rect_probs", np.nan),
+    ("rect_prob_qmc", -2.0),
 ])
 def test_non_positive_df_refused(call, df):
     lo, hi = np.array([[-1.0, 0.0]]), np.array([[1.0, 2.0]])
     calls = {
         "rect_prob_qmc": lambda: rect_prob_qmc(np.eye(1), [0.0], [1.0], df),
         "rect_probs": lambda: qmc_mod.rect_probs(np.eye(2), lo, hi, df),
-        "bivariate_rect_prob": lambda: qmc_mod.bivariate_rect_prob(0.3, lo, hi, df),
     }
     with pytest.raises(SpecError, match="degrees of freedom"):
         calls[call]()

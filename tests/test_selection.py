@@ -17,6 +17,7 @@ from tse.elliptical import (
     rectangle_prob,
     student_joint,
 )
+import tse.qmc as qmc_mod
 from tse.errors import MomentNotDefinedError, NumericalError, SpecError
 from tse.qmc import rect_probs
 from tse.oracle import estimate_mean_cov, estimate_moments, sample_se, sample_se_rejection
@@ -41,6 +42,7 @@ from tse.selection import (
     tse_mean_cov,
     tse_moment,
 )
+from tse.truncated import truncated_mean_cov
 from conftest import z_within
 
 
@@ -819,8 +821,8 @@ class TestLimiting:
         spec = build_selection(params)
         lim = limiting_t(params).to_joint()
         cond = conditional(spec.joint, [0, 1], [0.0, 0.0])
-        np.testing.assert_allclose(lim.xi, cond.xi, atol=1e-12)
-        np.testing.assert_allclose(lim.omega, cond.omega, atol=1e-12)
+        np.testing.assert_array_equal(lim.xi, cond.xi)
+        np.testing.assert_array_equal(lim.omega, cond.omega)
         assert lim.nu == cond.nu
 
     def test_engine_matches_quadrature_for_remote_extension(self):
@@ -886,3 +888,66 @@ class TestSutExistence:
             cur = sut_existence(params, b, [1, 2])
             assert cur or not prev
             prev = cur
+
+
+class TestMonteCarloErrors:
+    def test_standard_errors_cover_the_outcome_block_only(self):
+        # SUT at nu = 1.5 on [-1, 1]^2: the augmented joint takes Gibbs.
+        params = SutParams([0.1, -0.2], [[1.0, 0.3], [0.3, 1.5]], [0.8, -0.5], [0.3],
+                           [[1.0]], 1.5)
+        spec = build_selection(params)
+        box = TruncationBox([-1.0, -1.0], [1.0, 1.0])
+        rep = tse_mean_cov(spec, box)
+        aug = truncated_mean_cov(spec.joint, spec.augmented_box(box))
+        assert rep.method == aug.method == ("mc-gibbs",)
+        assert rep.mean.shape == rep.mc_stderr["mean"].shape == (2,)
+        assert rep.covariance.shape == rep.mc_stderr["cov"].shape == (2, 2)
+        np.testing.assert_array_equal(rep.mc_stderr["mean"], aug.mc_stderr["mean"][1:])
+        np.testing.assert_array_equal(rep.mc_stderr["cov"], aug.mc_stderr["cov"][1:, 1:])
+
+
+class TestUntracedRoutes:
+    def test_underflowed_selection_reports_the_outcome_marginal(self):
+        # Zero shape makes the outcome independent of the selection block,
+        # whose mass at tau = -100 underflows: the report is the marginal's.
+        params = SutParams([0.3, -0.2], [[1.0, 0.4], [0.4, 2.0]], [0.0, 0.0], [-100.0],
+                           [[1.0]], None)
+        spec = build_selection(params)
+        assert selection_probability(spec) == 0.0
+        box = TruncationBox([-1.0, -0.5], [1.0, 2.0])
+        rep = tse_mean_cov(spec, box)
+        ref = truncated_mean_cov(spec.outcome_marginal(), box)
+        assert rep.prob_mass == ref.prob_mass
+        np.testing.assert_array_equal(rep.mean, ref.mean)
+        np.testing.assert_array_equal(rep.covariance, ref.covariance)
+
+    @pytest.mark.parametrize("order, entry", [((0, 2), (1, 1)), ((1, 1), (0, 1))])
+    def test_moment_below_the_order_takes_the_double_infinite_split(self, order, entry):
+        # t at nu = 1.5 with no selection block: nu is not above the order,
+        # so the moment comes from tse_mean_cov, deterministically.
+        joint = student_joint([0.3, -0.2], [[1.0, 0.5], [0.5, 2.0]], 1.5)
+        spec = SelectionSpec(joint, 0, 2, [], [])
+        box = TruncationBox([-np.inf, -1.5], [np.inf, 3.0])
+        value, method, stderr = _tse_moment_path(spec, box, order, RectangleProbSettings())
+        assert method == ("direct", "double-infinite") and stderr is None
+        assert value == tse_mean_cov(spec, box).second_moment[entry]
+        assert tse_moment(spec, box, order) == value
+
+    @pytest.mark.parametrize("df", [None, 5.0])
+    def test_five_selection_coordinates_take_one_lattice_call_per_point(self, df, monkeypatch):
+        params = _random_valid_params(np.random.default_rng(29), 2, 5, df=df)
+        spec = build_selection(params)
+        ys = np.array([[0.2, -0.4], [1.1, 0.3], [-0.6, 0.9]])
+        calls = []
+        lattice = qmc_mod.rect_prob_qmc
+        monkeypatch.setattr(qmc_mod, "rect_prob_qmc",
+                            lambda *a, **k: calls.append(a) or lattice(*a, **k))
+        log_pdf = se_logpdf(spec, ys)
+        assert len(calls) == len(ys)
+        den = selection_probability(spec)
+        sel_box = TruncationBox(spec.selection_lower, spec.selection_upper)
+        for y, value in zip(ys, log_pdf):
+            num = np.exp(value - log_density(spec.outcome_marginal(), y)) * den
+            ref, err = rectangle_prob(conditional(spec.joint, [5, 6], y), sel_box)
+            assert abs(num - ref) <= err
+

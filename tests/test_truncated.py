@@ -19,6 +19,7 @@ import tse.qmc as qmc_mod
 from tse.qmc import rect_prob_qmc
 from tse.truncated import (
     OOB_LOG_THRESHOLD,
+    _Moments,
     _direct_report,
     _held,
     _oob_target,
@@ -885,3 +886,65 @@ class TestReportInvariants:
         else:
             np.testing.assert_array_equal(rep.covariance[1:, 1:], sub_rep.covariance)
             assert np.all(rep.covariance[0] == 0.0)
+
+
+class TestOneCoordinateRoot:
+    """A one-coordinate root takes the box mass that the hold computed."""
+
+    BOX = TruncationBox([-0.5], [1.0])
+
+    @staticmethod
+    def _count_uv_prob(monkeypatch):
+        import tse.truncated as truncated_mod
+
+        calls = []
+        uv_prob = qmc_mod._uv_prob
+
+        def counted(*args):
+            calls.append(args)
+            return uv_prob(*args)
+
+        monkeypatch.setattr(qmc_mod, "_uv_prob", counted)
+        monkeypatch.setattr(truncated_mod, "_uv_prob", counted)
+        return calls
+
+    def test_product_moment_integrates_its_box_once(self, monkeypatch):
+        j = normal_joint([0.0], [[2.0]])
+        top = _Moments(DEFAULT_SETTINGS, None, j.xi, j.omega, self.BOX.lower, self.BOX.upper)
+        ref = float(top.raw((3,)) / top.mass())
+        calls = self._count_uv_prob(monkeypatch)
+        assert tmvn_product_moment(j, self.BOX, [3]) == ref
+        assert len(calls) == 1
+
+    def test_quadrature_route_integrates_its_box_once(self, monkeypatch):
+        j = student_joint([0.0], [[2.0]], 1.5)
+        # The route's own integration of the box, with no mass from a hold.
+        ref = _direct_report(j, self.BOX, DEFAULT_SETTINGS, moment_flags(j.family, j.nu, self.BOX))
+        calls = self._count_uv_prob(monkeypatch)
+        rep = truncated_mean_cov(j, self.BOX)
+        assert len(calls) == 1
+        assert rep.method == ("direct",) and rep.prob_mass == ref.prob_mass
+        np.testing.assert_array_equal(rep.mean, ref.mean)
+        np.testing.assert_array_equal(rep.covariance, ref.covariance)
+
+
+class TestGibbsRoute:
+    def test_mean_only_report_carries_only_the_mean_error(self):
+        # t_0.8 on [-1, 1] x [-1, inf): the mean exists (nu + 1 > 1) but the
+        # covariance does not, and nu <= 1 leaves the recursion for Gibbs.
+        j = student_joint([0.0, 0.0], np.eye(2), 0.8)
+        box = TruncationBox([-1.0, -1.0], [1.0, np.inf])
+        rep = truncated_mean_cov(j, box)
+        assert rep.method == ("mc-gibbs",)
+        assert rep.covariance is None and rep.second_moment is None
+        assert set(rep.mc_stderr) == {"mean"}
+        se = rep.mc_stderr["mean"]
+
+        def f(y, x):
+            return np.exp(-0.5 * 2.8 * np.log1p((x * x + y * y) / 0.8))
+
+        mass = dblquad(f, -1.0, 1.0, -1.0, np.inf)[0]
+        ref = np.array([dblquad(lambda y, x: x * f(y, x), -1.0, 1.0, -1.0, np.inf)[0],
+                        dblquad(lambda y, x: y * f(y, x), -1.0, 1.0, -1.0, np.inf)[0]]) / mass
+        assert np.all(np.abs(rep.mean - ref) <= 4.0 * se)
+

@@ -79,3 +79,59 @@ def test_guard_catches_an_unreferenced_private():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert _unreferenced_privates(sources) == []
+
+
+def _unpassed_defaults(sources: dict) -> list:
+    """``(function, parameter)`` pairs of the defaulted parameters of private
+    functions in ``sources`` (module name -> source) that no call in any of
+    them passes: by name, by position, or through ``*`` or ``**``.  A
+    method's ``self`` or ``cls`` takes no position of the call."""
+    trees = [ast.parse(source) for source in sources.values()]
+    defaults = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
+                    and not node.name.startswith("__"):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if positional[:1] in (["self"], ["cls"]):
+                    positional = positional[1:]
+                named = positional[len(positional) - len(args.defaults):]
+                named = [(positional.index(n), n) for n in named]
+                named += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+                defaults.setdefault(node.name, set()).update(named)
+    passed = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in defaults:
+                continue
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            for pos, param in defaults[name]:
+                if star or None in keywords or param in keywords \
+                        or pos is not None and pos < len(node.args):
+                    passed.add((name, param))
+    return sorted((f, p) for f, params in defaults.items() for _, p in params
+                  if (f, p) not in passed)
+
+
+def test_guard_catches_an_unpassed_default():
+    sources = {
+        "a": ("def _f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
+              "def _g(x, y=0):\n    return x\n"
+              "def _h(u=0):\n    return u\n"
+              "class K:\n    def _m(self, z=0):\n        return z\n"),
+        "b": ("from a import _f, _g, _h, K\n_f(1, 2, e=5)\n_g(*[1, 2])\n"
+              "_h(**{'u': 1})\nK()._m(1)\n"),
+    }
+    assert _unpassed_defaults(sources) == [("_f", "c"), ("_f", "d")]
+
+
+def test_every_private_default_is_passed():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert _unpassed_defaults(sources) == []
