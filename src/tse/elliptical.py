@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, ndtri, stdtrit
 
+from ._special import gammaln, ndtri, stdtrit
 from .errors import NumericalError, SpecError
 from .qmc import _cdf, rect_prob_qmc
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
+from ._special import log_ndtr, ndtr, ndtri, ndtri_exp
 from .elliptical import STUDENT_T, EllipticalJoint, TruncationBox
 from .errors import NumericalError, RejectionInfeasibleError, SpecError
 

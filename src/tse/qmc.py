@@ -42,8 +42,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln, ndtr, ndtri, owens_t, stdtr, stdtrit
 
+from ._special import gammaincinv, gammaln, ndtr, ndtri, owens_t, stdtr, stdtrit
 from .errors import NumericalError, SpecError
 
 __all__ = ["rect_prob_qmc", "rect_probs"]

@@ -57,8 +57,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
+from ._special import gammaln
 from .elliptical import (
     DEFAULT_SETTINGS,
     NORMAL,
@@ -422,6 +422,8 @@ class _Moments:
         if self.dim != 1 or not np.all(np.isfinite(self.lo) & np.isfinite(self.hi)):
             raise MomentNotDefinedError(
                 f"analytic Student-t moments of order {order} require nu > {order}")
+        # This import loads all of scipy.special, which tse._special avoids;
+        # no job example takes this route.
         from scipy.integrate import quad
 
         nu, var, mu = self.nu, self.sigma[0, 0], self.mu[0]
@@ -488,23 +490,22 @@ def _oob_target(joint, tbox, idx):
     return target
 
 
-def _held(joint, tbox, underflowed=False, masses=None):
+def _held(joint, tbox, masses):
     """The coordinates a moment holds at a point: ``(idx, values, tag)`` or ``None``.
 
     Degenerate coordinates are held at their value; otherwise coordinates
     narrower than ``NARROW_WIDTH`` standard scales, at their midpoint, also
     tagged ``degenerate``; otherwise coordinates out of bounds, at their near
     limit: those whose marginal box mass is below ``OOB_MASS`` (1e-250), or
-    below 1e-11 of the cdf at the interval's inner limit; otherwise, when the
-    caller's box mass ``underflowed``, the coordinate with the least marginal
-    mass, at its near limit.  Near limits come from :func:`_oob_target`,
-    which refuses Student-t blocks it cannot collapse.
+    below 1e-11 of the cdf at the interval's inner limit.  Near limits come
+    from :func:`_oob_target`, which refuses Student-t blocks it cannot
+    collapse.
 
     Each coordinate's mass and the cdf at its inner limit (the reflected
     upper limit) come from one :func:`_uv_prob` call, as the mass and its
-    rounding floor, ``_ROUND`` times that cdf.  ``masses``, a list if given,
-    receives the masses, so that a one-coordinate root integrates its box
-    once.
+    rounding floor, ``_ROUND`` times that cdf.  The list ``masses`` receives
+    the masses, so that a one-coordinate root integrates its box once and a
+    box whose mass underflows holds the coordinate with the least of them.
     """
     deg = np.flatnonzero(tbox.is_degenerate())
     if deg.size:
@@ -524,13 +525,10 @@ def _held(joint, tbox, underflowed=False, masses=None):
         # differences cancel on such far, relatively narrow boxes (without
         # it, t5 on [1e13, 1e13 + 1] has a mean 5.6e10 below the box).
         out.append(m < OOB_MASS or m < 1e-11 / _ROUND * floor)
-    if masses is not None:
-        masses.extend(mass)
+    masses.extend(mass)
     idx = np.flatnonzero(out)
     if not idx.size:
-        if not underflowed:
-            return None
-        idx = np.array([np.argmin(mass)])
+        return None
     return idx, _oob_target(joint, tbox, idx), "out-of-bounds"
 
 
@@ -598,7 +596,7 @@ def truncated_mean_cov(joint: EllipticalJoint, tbox: TruncationBox,
     if tbox.dim != joint.dim:
         raise SpecError("box dimension does not match the joint")
     masses = []
-    held = _held(joint, tbox, masses=masses)
+    held = _held(joint, tbox, masses)
     if held is not None:
         return _condition_embed(joint, tbox, settings, held)
 
@@ -671,7 +669,9 @@ def _direct_report(joint, tbox, settings, flags, masses=()):
     if L <= 0.0:
         # The box mass underflowed though no single coordinate's did: hold
         # the coordinate with the least marginal mass and condition on it.
-        rep = _condition_embed(joint, tbox, settings, _held(joint, tbox, underflowed=True))
+        idx = np.array([np.argmin(masses)])
+        held = idx, _oob_target(joint, tbox, idx), "out-of-bounds"
+        rep = _condition_embed(joint, tbox, settings, held)
         return replace(rep, notes=rep.notes + ("joint probability underflowed",))
     if joint.dim > 1 and not _recursion_closes(joint.nu, flags.mean + flags.second):
         return _gibbs_report(joint, tbox, settings, flags, L)
@@ -800,7 +800,7 @@ def _product_moment(joint: EllipticalJoint, tbox: TruncationBox, k,
     (see :func:`_recursion_closes`).
     """
     masses = []
-    held = _held(joint, tbox, masses=masses)
+    held = _held(joint, tbox, masses)
     if held is None:
         top = _Moments(settings, joint.nu, joint.xi, joint.omega, tbox.lower, tbox.upper)
         if len(masses) == 1:
@@ -811,7 +811,8 @@ def _product_moment(joint: EllipticalJoint, tbox: TruncationBox, k,
                 return float(top.raw(tuple(int(v) for v in k)) / L), ("direct",)
             finally:
                 top.table.clear()
-        held = _held(joint, tbox, underflowed=True)
+        idx = np.array([np.argmin(masses)])
+        held = idx, _oob_target(joint, tbox, idx), "out-of-bounds"
     idx, values, tag = held
     factor = float(np.prod(values ** k[idx]))
     if idx.size == joint.dim:

@@ -183,11 +183,73 @@ class TestJobs:
             "        command = json.load(fh)['command']\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main([command, '--spec', path]) == 0, path\n"
-            "print(len(paths), [m for m in ('scipy.optimize', 'scipy.integrate')\n"
-            "                   if m in sys.modules])\n")
+            "print(len(paths), [m for m in ('scipy.optimize', 'scipy.integrate',\n"
+            "                               'scipy.special') if m in sys.modules])\n")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "10 []"
+
+    def test_import_leaves_scipy_special_unloaded_and_shares_its_ufuncs(self):
+        # scipy.special's package import costs a cold job about 0.3 s; a
+        # later one finds the ufunc module that tse._special loaded.
+        import subprocess
+        import sys
+
+        code = ("import sys, tse.cli, tse._special as s\n"
+                "print('scipy.special' in sys.modules)\n"
+                "import scipy.special\n"
+                "print(len(s.__all__), [n for n in s.__all__\n"
+                "                       if getattr(scipy.special, n) is not getattr(s, n)])\n")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["False", "9 []"]
+
+    def test_special_falls_back_to_the_public_import(self):
+        # A finder refuses scipy.special._ufuncs while the stub stands in
+        # for scipy.special (it has no __file__); the public import, which
+        # the finder lets through, must serve the same job.
+        import subprocess
+        import sys
+
+        path = os.path.join(EXAMPLES, "normal_prob.json")
+        with open(path) as fh:
+            argv = [json.load(fh)["command"], "--spec", path]
+        code = ("import sys\n"
+                "refused = []\n"
+                "class Refuse:\n"
+                "    @staticmethod\n"
+                "    def find_spec(name, path=None, target=None):\n"
+                "        if name == 'scipy.special._ufuncs' and \\\n"
+                "                not hasattr(sys.modules['scipy.special'], '__file__'):\n"
+                "            refused.append(name)\n"
+                "            raise ImportError('refused under the stub')\n"
+                "sys.meta_path.insert(0, Refuse)\n"
+                "import tse._special as s\n"
+                "special = sys.modules['scipy.special']\n"
+                "assert refused and special.__file__\n"
+                "assert all(getattr(s, n) is getattr(special, n) for n in s.__all__)\n"
+                "from tse.cli import main\n"
+                f"raise SystemExit(main({argv!r}))\n")
+        fallback = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        normal = subprocess.run([sys.executable, "-m", "tse.cli", *argv],
+                                capture_output=True, text=True)
+        assert fallback.returncode == normal.returncode == 0, fallback.stderr
+        assert fallback.stdout == normal.stdout != ""
+
+    def test_special_falls_back_for_a_name_outside_the_ufunc_module(self):
+        # logsumexp is public in scipy.special but not in its _ufuncs.
+        import subprocess
+        import sys
+
+        code = ("import sys, tse._special as s\n"
+                "assert 'scipy.special' not in sys.modules\n"
+                "ndtr, logsumexp = s._ufuncs(['ndtr', 'logsumexp'])\n"
+                "special = sys.modules['scipy.special']\n"
+                "assert special.__file__\n"
+                "print(ndtr is s.ndtr is special.ndtr, logsumexp is special.logsumexp)\n")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "True True"
 
     def test_deterministic_output_bytes(self, tmp_path, capsys):
         path = os.path.join(EXAMPLES, "t_moments.json")

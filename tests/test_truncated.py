@@ -568,7 +568,7 @@ class TestUnivariateRoute:
         laws = []
         for nu, box in self.cases():
             j, b = self._law(nu, box)
-            if _held(j, b) is None:
+            if _held(j, b, []) is None:
                 laws.append((j, b, _recursion_report(j, b)))
         assert len(laws) > 400
         midpoint = deep = 0
@@ -611,10 +611,10 @@ class TestUnivariateRoute:
             for box in boxes + ([(z, z + 0.5)] if nu is None else []):
                 j, b = self._law(nu, box)
                 if nu is None:
-                    assert _held(j, b)[2] == "out-of-bounds", box
+                    assert _held(j, b, [])[2] == "out-of-bounds", box
                 else:
                     with pytest.raises(NumericalError, match="out-of-bounds Student-t"):
-                        _held(j, b)
+                        _held(j, b, [])
 
     def test_underflowed_mass_is_held_before_the_route(self, monkeypatch):
         # The route takes its box mass from the hold, so a mass that
@@ -888,31 +888,32 @@ class TestReportInvariants:
             assert np.all(rep.covariance[0] == 0.0)
 
 
+def _count_uv_prob(monkeypatch):
+    """The argument tuples of every ``qmc._uv_prob`` call from here on."""
+    import tse.truncated as truncated_mod
+
+    calls = []
+    uv_prob = qmc_mod._uv_prob
+
+    def counted(*args):
+        calls.append(args)
+        return uv_prob(*args)
+
+    monkeypatch.setattr(qmc_mod, "_uv_prob", counted)
+    monkeypatch.setattr(truncated_mod, "_uv_prob", counted)
+    return calls
+
+
 class TestOneCoordinateRoot:
     """A one-coordinate root takes the box mass that the hold computed."""
 
     BOX = TruncationBox([-0.5], [1.0])
 
-    @staticmethod
-    def _count_uv_prob(monkeypatch):
-        import tse.truncated as truncated_mod
-
-        calls = []
-        uv_prob = qmc_mod._uv_prob
-
-        def counted(*args):
-            calls.append(args)
-            return uv_prob(*args)
-
-        monkeypatch.setattr(qmc_mod, "_uv_prob", counted)
-        monkeypatch.setattr(truncated_mod, "_uv_prob", counted)
-        return calls
-
     def test_product_moment_integrates_its_box_once(self, monkeypatch):
         j = normal_joint([0.0], [[2.0]])
         top = _Moments(DEFAULT_SETTINGS, None, j.xi, j.omega, self.BOX.lower, self.BOX.upper)
         ref = float(top.raw((3,)) / top.mass())
-        calls = self._count_uv_prob(monkeypatch)
+        calls = _count_uv_prob(monkeypatch)
         assert tmvn_product_moment(j, self.BOX, [3]) == ref
         assert len(calls) == 1
 
@@ -920,12 +921,40 @@ class TestOneCoordinateRoot:
         j = student_joint([0.0], [[2.0]], 1.5)
         # The route's own integration of the box, with no mass from a hold.
         ref = _direct_report(j, self.BOX, DEFAULT_SETTINGS, moment_flags(j.family, j.nu, self.BOX))
-        calls = self._count_uv_prob(monkeypatch)
+        calls = _count_uv_prob(monkeypatch)
         rep = truncated_mean_cov(j, self.BOX)
         assert len(calls) == 1
         assert rep.method == ("direct",) and rep.prob_mass == ref.prob_mass
         np.testing.assert_array_equal(rep.mean, ref.mean)
         np.testing.assert_array_equal(rep.covariance, ref.covariance)
+
+
+class TestUnderflowedBox:
+    """A box whose mass underflows though no coordinate's does holds the
+    coordinate with the least mass that the first hold recorded: two
+    ``_uv_prob`` calls for the box and one for the conditioned law, where
+    integrating each coordinate's interval again made five."""
+
+    JOINT = normal_joint([0.0, 0.0], [[1.0, -0.999], [-0.999, 1.0]])
+    BOX = TruncationBox([30.0, 30.0], [31.0, 31.0])
+
+    def test_mean_cov_integrates_each_interval_once(self, monkeypatch):
+        calls = _count_uv_prob(monkeypatch)
+        rep = truncated_mean_cov(self.JOINT, self.BOX)
+        assert len(calls) == 3
+        assert rep.method == ("out-of-bounds", "out-of-bounds")
+        assert rep.notes[-1] == "joint probability underflowed"
+        assert rep.prob_mass == 0.0
+        np.testing.assert_array_equal(rep.mean, [30.0, 30.0])
+        np.testing.assert_array_equal(rep.covariance, np.zeros((2, 2)))
+        np.testing.assert_array_equal(rep.second_moment, np.full((2, 2), 900.0))
+
+    @pytest.mark.parametrize("order,value", [([1, 1], 900.0), ([0, 1], 30.0),
+                                             ([3, 2], 30.0 ** 5)])
+    def test_product_moment_integrates_each_interval_once(self, monkeypatch, order, value):
+        calls = _count_uv_prob(monkeypatch)
+        assert tmvn_product_moment(self.JOINT, self.BOX, order) == value
+        assert len(calls) == 3
 
 
 class TestGibbsRoute:

@@ -32,6 +32,41 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _special_imports(source: str) -> list:
+    """Lines of ``source`` that import ``scipy.special`` or a module under it."""
+    def special(module):
+        return module == "scipy.special" or module.startswith("scipy.special.")
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(special(alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            hit = special(node.module) or node.module == "scipy" and any(
+                special("scipy." + alias.name) for alias in node.names)
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_guard_catches_a_special_import():
+    source = ("import scipy\nimport scipy.special\nfrom scipy.special import ndtr\n"
+              "from scipy.special._ufuncs import ndtri\nfrom scipy import special\n"
+              "from scipy.integrate import quad\nfrom ._special import ndtr\n")
+    assert _special_imports(source) == [2, 3, 4, 5]
+
+
+def test_special_functions_have_one_home():
+    # tse._special imports scipy's ufuncs without scipy.special's package
+    # import; the lazy scipy.integrate import of the quadrature route loads
+    # it anyway and is not counted.
+    found = {p.name: _special_imports(p.read_text()) for p in SRC.glob("*.py")
+             if p.name != "_special.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def _private_definitions(stmt) -> list:
     """Private names a top-level statement defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
