@@ -297,12 +297,7 @@ def mahalanobis(joint: EllipticalJoint, x) -> float:
     x = _as_vector(x, "x")
     if x.size != joint.dim:
         raise SpecError("point dimension does not match the joint")
-    diff = x - joint.xi
-    try:
-        sol = np.linalg.solve(joint.omega, diff)
-    except np.linalg.LinAlgError:
-        raise NumericalError("dispersion matrix is singular")
-    return float(max(diff @ sol, 0.0))
+    return float(_log_density_rows(joint, _log_density_parts(joint), x[None])[2][0])
 
 
 def nu_factor(joint: EllipticalJoint, x) -> float:
@@ -322,35 +317,38 @@ def log_density(joint: EllipticalJoint, x):
     rows = np.atleast_2d(x)
     if x.ndim > 2 or rows.shape[1] != joint.dim:
         raise SpecError("point dimension does not match the joint")
-    out = _log_density_rows(joint, _log_density_parts(joint), rows)
+    out = _log_density_rows(joint, _log_density_parts(joint), rows)[0]
     return float(out[0]) if x.ndim < 2 else out
 
 
 def _log_density_parts(joint: EllipticalJoint):
-    """The point-free parts of :func:`log_density`: the Cholesky factor of
-    the dispersion and the log normalising constant."""
+    """The point-free parts of :func:`log_density`: the inverse of the
+    dispersion's Cholesky factor and the log normalising constant."""
     p = joint.dim
     try:
         chol = np.linalg.cholesky(joint.omega)
     except np.linalg.LinAlgError:
         raise NumericalError("dispersion matrix is not positive definite")
     half_logdet = float(np.sum(np.log(np.diag(chol))))
+    inv_chol = np.linalg.inv(chol)
     if joint.family == NORMAL:
-        return chol, -0.5 * p * np.log(2.0 * np.pi) - half_logdet
+        return inv_chol, -0.5 * p * np.log(2.0 * np.pi) - half_logdet
     nu = joint.nu
-    return chol, (gammaln(0.5 * (nu + p)) - gammaln(0.5 * nu)
-                  - 0.5 * p * np.log(nu * np.pi) - half_logdet)
+    return inv_chol, (gammaln(0.5 * (nu + p)) - gammaln(0.5 * nu)
+                      - 0.5 * p * np.log(nu * np.pi) - half_logdet)
 
 
 def _log_density_rows(joint: EllipticalJoint, parts, rows):
     """:func:`log_density` at each row of the 2-D array ``rows``, given
-    ``parts = _log_density_parts(joint)``."""
-    chol, const = parts
-    z = np.linalg.solve(chol, (rows - joint.xi).T)
-    delta = np.sum(z * z, axis=0)
+    ``parts = _log_density_parts(joint)``, with the whitened rows
+    ``z = L^{-1} (x - xi)`` and their squared scaled distances
+    ``delta = sum(z**2)``, ``L`` the dispersion's Cholesky factor."""
+    inv_chol, const = parts
+    z = (rows - joint.xi) @ inv_chol.T
+    delta = np.sum(z * z, axis=1)
     if joint.family == NORMAL:
-        return const - 0.5 * delta
-    return const - 0.5 * (joint.nu + joint.dim) * np.log1p(delta / joint.nu)
+        return const - 0.5 * delta, z, delta
+    return const - 0.5 * (joint.nu + joint.dim) * np.log1p(delta / joint.nu), z, delta
 
 
 def density(joint: EllipticalJoint, x):

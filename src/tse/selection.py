@@ -117,23 +117,24 @@ class SelectionSpec:
     def _density_parts(self):
         """The point-free parts of :func:`se_logpdf`, computed on first use:
         the outcome marginal and its log-density parts, then (``None``
-        without a selection block) the cross dispersion between the
-        selection and outcome blocks, and the diagonal, as a column, and
-        correlation of the Schur complement of the selection block given the
-        outcome block."""
+        without a selection block) the whitened cross dispersion
+        ``omega_12 L^{-T}``, ``L`` the outcome dispersion's Cholesky factor,
+        and the diagonal, as a column, and correlation of the Schur
+        complement of the selection block given the outcome block."""
         parts = self._density
         if parts is None:
             outcome = self.outcome_marginal()
+            log_parts = _log_density_parts(outcome)
             q = self.n_selection
-            cross = schur_var = schur_corr = None
+            white_cross = schur_var = schur_corr = None
             if q:
-                cross = self.joint.omega[:q, q:]
+                white_cross = self.joint.omega[:q, q:] @ log_parts[0].T
                 given = np.arange(q, self.joint.dim)
                 schur = _conditional_law(self.joint, given, self.joint.xi[q:])[1]
                 var = np.diag(schur)
                 schur_var = var[:, None]
                 schur_corr = schur / np.sqrt(np.outer(var, var))
-            parts = (outcome, _log_density_parts(outcome), cross, schur_var, schur_corr)
+            parts = (outcome, log_parts, white_cross, schur_var, schur_corr)
             object.__setattr__(self, "_density", parts)
         return parts
 
@@ -300,8 +301,8 @@ def se_logpdf(spec: SelectionSpec, y,
         if np.isnan(rows).any():
             raise SpecError("point has a NaN coordinate")
         return _se_logpdf_live(spec, rows, np.isfinite(rows).all(axis=1), single, settings)
-    out_joint, log_parts, cross, schur_var, schur_corr = spec._density_parts()
-    log_f = _log_density_rows(out_joint, log_parts, rows)
+    out_joint, log_parts, white_cross, schur_var, schur_corr = spec._density_parts()
+    log_f, z, delta = _log_density_rows(out_joint, log_parts, rows)
     q = spec.n_selection
     if q == 0:
         return log_f[0] if single else log_f
@@ -314,12 +315,10 @@ def se_logpdf(spec: SelectionSpec, y,
     if den <= 0.0:
         raise NumericalError("selection probability underflowed")
 
-    diff = rows - out_joint.xi
-    solve22 = np.linalg.solve(out_joint.omega, diff.T)
-    cond_mean = spec.joint.xi[:q, None] + cross @ solve22
+    # omega_12 omega_22^{-1} (y - xi_2) = (omega_12 L^{-T}) z.
+    cond_mean = spec.joint.xi[:q, None] + white_cross @ z.T
     if spec.family == STUDENT_T:
         nu = spec.nu
-        delta = np.sum(diff.T * solve22, axis=0)
         if not np.isfinite(delta).all():
             raise NumericalError("squared distance of the point overflows")
         factors = (nu + delta) / (nu + spec.n_outcome)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
@@ -9,6 +10,8 @@ from tse.elliptical import (
     EllipticalJoint,
     RectangleProbSettings,
     TruncationBox,
+    _log_density_parts,
+    _log_density_rows,
     conditional,
     density,
     mahalanobis,
@@ -253,6 +256,59 @@ class TestMahalanobisAndFactor:
         f = nu_factor(j, x)
         d = mahalanobis(j, x)
         assert abs(f * (3.5 + d) - (3.5 + 2)) < 1e-12 * (3.5 + d)
+
+
+def _mp_delta(xi, omega, x):
+    """``(x - xi)' omega^{-1} (x - xi)`` at 40 digits."""
+    with mpmath.workdps(40):
+        diff = mpmath.matrix([mpmath.mpf(a) - mpmath.mpf(b) for a, b in zip(x, xi)])
+        return (diff.T * mpmath.lu_solve(mpmath.matrix(omega.tolist()), diff))[0]
+
+
+def _distance_cases():
+    """``(bound, xi, omega, x)``: random laws ``a a' + c I`` of d = 1-6,
+    cond(omega) at most 1e3, at relative bound 2e-14, and rotated laws of
+    condition number 1e8 at 1e-7, each with points drawn from the law."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for d in range(1, 7):
+        for _ in range(4):
+            a = rng.standard_normal((d, d))
+            omega = (a @ a.T + rng.uniform(0.05, 2.0) * np.eye(d)) * np.exp(rng.uniform(-3, 3))
+            cases.append((2e-14, omega))
+        if d > 1:
+            for _ in range(2):
+                rot = np.linalg.qr(rng.standard_normal((d, d)))[0]
+                omega = (rot * np.geomspace(1.0, 1e-8, d)) @ rot.T * np.exp(rng.uniform(-3, 3))
+                cases.append((1e-7, 0.5 * (omega + omega.T)))
+    out = []
+    for bound, omega in cases:
+        cond = np.linalg.cond(omega)
+        assert cond <= 1e3 if bound == 2e-14 else 0.5e8 <= cond <= 2e8
+        xi = rng.standard_normal(omega.shape[0])
+        chol = np.linalg.cholesky(omega)
+        for _ in range(2):
+            x = xi + chol @ rng.standard_normal(xi.size) * rng.uniform(0.2, 3.0)
+            out.append((bound, xi, omega, x))
+    return out
+
+
+class TestSquaredDistanceAccuracy:
+    @pytest.mark.parametrize("nu", [None, 0.5, 1.5, 4.0, 30.0])
+    def test_against_mpmath(self, nu):
+        for bound, xi, omega, x in _distance_cases():
+            j = normal_joint(xi, omega) if nu is None else student_joint(xi, omega, nu)
+            ref = _mp_delta(j.xi, j.omega, x)
+            delta = _log_density_rows(j, _log_density_parts(j), x[None])[2][0]
+            with mpmath.workdps(40):
+                got = {"delta": delta, "mahalanobis": mahalanobis(j, x)}
+                exact = {"delta": ref, "mahalanobis": ref}
+                if nu is not None:
+                    got["nu_factor"] = nu_factor(j, x)
+                    exact["nu_factor"] = (nu + x.size) / (nu + ref)
+                for name, value in got.items():
+                    rel = abs((mpmath.mpf(value) - exact[name]) / exact[name])
+                    assert rel <= bound, (name, x.size, bound, float(rel))
 
 
 class TestDensity:

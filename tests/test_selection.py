@@ -181,40 +181,78 @@ class TestBoxMass:
 
 def _reference_se_logpdf(spec, y, settings=RectangleProbSettings()):
     """The selection log density with every point-free part formed again on
-    each call, as se_logpdf did before it memoised them on the spec."""
+    each call: the outcome dispersion's inverse Cholesky factor, the cross
+    block on its whitened scale and the Schur complement."""
     y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
     rows = np.atleast_2d(y)
     out_joint = spec.outcome_marginal()
-    log_f = log_density(out_joint, rows)
+    q = spec.n_selection
+    omega = spec.joint.omega
+    inv_chol = np.linalg.inv(np.linalg.cholesky(omega[q:, q:]))
+    z = (rows - out_joint.xi) @ inv_chol.T
+    white_cross = omega[:q, q:] @ inv_chol.T
+    return _selection_log_factor(spec, y, log_density(out_joint, rows),
+                                 spec.joint.xi[:q, None] + white_cross @ z.T,
+                                 np.sum(z * z, axis=1), settings)[0]
+
+
+def _two_solve_se_logpdf(spec, y, settings=RectangleProbSettings()):
+    """The selection log density with the conditional mean and the squared
+    distance from a solve on the outcome dispersion, beside the log
+    density's own solve on its Cholesky factor, and the relative error
+    estimate of its selection factor."""
+    y = np.asarray(y, dtype=float)
+    rows = np.atleast_2d(y)
+    out_joint = spec.outcome_marginal()
+    q = spec.n_selection
+    diff = rows - out_joint.xi
+    p = spec.n_outcome
+    chol = np.linalg.cholesky(out_joint.omega)
+    half_logdet = np.sum(np.log(np.diag(chol)))
+    z = np.linalg.solve(chol, diff.T)
+    if spec.family == STUDENT_T:
+        nu = spec.nu
+        log_f = (gammaln(0.5 * (nu + p)) - gammaln(0.5 * nu) - 0.5 * p * np.log(nu * np.pi)
+                 - half_logdet - 0.5 * (nu + p) * np.log1p(np.sum(z * z, axis=0) / nu))
+    else:
+        log_f = -0.5 * p * np.log(2.0 * np.pi) - half_logdet - 0.5 * np.sum(z * z, axis=0)
+    solve22 = np.linalg.solve(out_joint.omega, diff.T)
+    return _selection_log_factor(spec, y, log_f,
+                                 spec.joint.xi[:q, None] + spec.joint.omega[:q, q:] @ solve22,
+                                 np.sum(diff.T * solve22, axis=0), settings)
+
+
+def _selection_log_factor(spec, y, log_f, cond_mean, delta, settings):
+    """``log_f`` plus the log of the selection factor at the rows whose
+    conditional selection means are the columns of ``cond_mean`` and whose
+    squared distances are ``delta``, and the factor's relative error
+    estimate; the Schur complement is formed here."""
+    single = np.ndim(y) == 1
     q = spec.n_selection
     if q == 0:
-        return log_f[0] if single else log_f
+        return (log_f[0], 0.0) if single else (log_f, np.zeros_like(log_f))
     den = selection_probability(spec, settings)
     omega = spec.joint.omega
     o11 = omega[:q, :q]
     o12 = omega[:q, q:]
     o22 = omega[q:, q:]
-    solve22 = np.linalg.solve(o22, (rows - out_joint.xi).T)
-    cond_mean = spec.joint.xi[:q, None] + o12 @ solve22
     schur = o11 - o12 @ np.linalg.solve(o22, o12.T)
     schur = 0.5 * (schur + schur.T)
     if spec.family == STUDENT_T:
         nu = spec.nu
-        delta = np.sum((rows - out_joint.xi).T * solve22, axis=0)
         factors = (nu + delta) / (nu + spec.n_outcome)
         df_c = nu + spec.n_outcome
     else:
         factors, df_c = 1.0, None
     sd = np.sqrt(np.diag(schur)[:, None] * factors)
     corr = schur / np.sqrt(np.outer(np.diag(schur), np.diag(schur)))
-    num, _ = rect_probs(corr, ((spec.selection_lower[:, None] - cond_mean) / sd).T,
-                        ((spec.selection_upper[:, None] - cond_mean) / sd).T, df_c,
-                        max_points=settings.max_points, num_shifts=settings.num_shifts,
-                        seed=settings.seed, target_abs_error=settings.target_abs_error)
+    num, err = rect_probs(corr, ((spec.selection_lower[:, None] - cond_mean) / sd).T,
+                          ((spec.selection_upper[:, None] - cond_mean) / sd).T, df_c,
+                          max_points=settings.max_points, num_shifts=settings.num_shifts,
+                          seed=settings.seed, target_abs_error=settings.target_abs_error)
     with np.errstate(divide="ignore"):
         out = log_f + np.log(np.maximum(num, 0.0)) - np.log(den)
-    return out[0] if single else out
+    return (out[0], err[0] / num[0]) if single else (out, err / num)
 
 
 def _density_specs(df):
@@ -236,6 +274,40 @@ class TestMemoisedDensity:
             got = se_logpdf(spec, y)
             assert np.array_equal(got, _reference_se_logpdf(spec, y))
             assert np.ndim(got) == 0
+
+    @pytest.mark.parametrize("df", [4.0, None])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_matches_the_two_solve_formula(self, df, q):
+        # Whitening once moves the last bits of the conditional selection
+        # mean.  The exact bivariate forms sum terms of order one, so a small
+        # selection factor has an absolute rounding floor, and those bits
+        # can move its logarithm by up to its relative error estimate (8e-10
+        # at the EX5 normal row whose factor is 9.3e-7).
+        spec = _density_specs(df)[q]
+        ys = np.random.default_rng(3).standard_normal((40, 2)) * [1.5, 3.0]
+        ref, rel_err = _two_solve_se_logpdf(spec, ys)
+        assert np.all(np.abs(se_logpdf(spec, ys) - ref) <= 1e-13 + rel_err)
+        for y in ys[:8]:
+            ref, rel_err = _two_solve_se_logpdf(spec, y)
+            assert abs(se_logpdf(spec, y) - ref) <= 1e-13 + rel_err
+
+    @pytest.mark.parametrize("df", [4.0, None])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_warm_call_makes_no_solve(self, monkeypatch, df, q):
+        spec = _density_specs(df)[q]
+        ys = np.random.default_rng(5).standard_normal((40, 2))
+        se_logpdf(spec, ys)
+        calls = []
+        real = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(np.shape(a))
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        se_logpdf(spec, ys[0])
+        se_logpdf(spec, ys)
+        assert calls == []
 
     def test_no_selection_block_is_bit_identical(self):
         spec = SelectionSpec(student_joint([0.1, 0.2], [[1.0, 0.3], [0.3, 2.0]], 5.0), 0, 2,
